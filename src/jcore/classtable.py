@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from . import ast as A
 from .ast import OBJECT, ClassDecl, ClassType, MethodDecl, NullType, PrimType
+from .desugar import parse_and_desugar
 
 
 class WellFormednessError(Exception):
@@ -368,3 +369,10 @@ class ClassTable:
 
 def build_class_table(decls: List[ClassDecl], designations: Optional[Designations] = None) -> ClassTable:
     return ClassTable(list(decls), designations)
+
+
+def load_table(path: str, designations: Optional[Designations] = None) -> ClassTable:
+    """Read a `.jcore` file, parse and desugar it, and build its class table."""
+    with open(path, "r", encoding="utf-8") as f:
+        src = f.read()
+    return build_class_table(parse_and_desugar(src), designations)

@@ -11,11 +11,10 @@ import argparse
 import json
 import sys
 
-from .classtable import Designations, WellFormednessError, build_class_table
-from .confine import confine_heap, run_with_monitor, to_dot, ConfinementViolation
+from .classtable import Designations, WellFormednessError, load_table
+from .confine import confine_heap, to_dot, ConfinementViolation
 from .coupling import load_sim_manifest, run_sim_manifest
-from .desugar import parse_and_desugar
-from .equivalence import ComparabilityError, load_manifest, run_manifest
+from .equivalence import ComparabilityError, ManifestError, load_manifest, run_manifest
 from .interp import Bottom, collect, format_state, run
 from .parser import ParseError
 from .safety import safe_table
@@ -23,15 +22,12 @@ from .typecheck import check_table
 
 
 def _load_table(path, args):
-    with open(path, "r", encoding="utf-8") as f:
-        src = f.read()
-    decls = parse_and_desugar(src)
     des = None
     if getattr(args, "own", None):
         if not getattr(args, "rep", None):
             raise SystemExit2("--own requires --rep")
         des = Designations(args.own, args.rep, getattr(args, "rep2", None))
-    return build_class_table(decls, des)
+    return load_table(path, des)
 
 
 class SystemExit2(Exception):
@@ -226,8 +222,7 @@ def cmd_corpus(args) -> int:
     import glob
     import os
 
-    from . import corpus as corpus_mod
-    from .corpus import load_corpus, navigate
+    from .corpus import load_corpus, replay
 
     records = load_corpus()
     if args.action == "list":
@@ -240,52 +235,7 @@ def cmd_corpus(args) -> int:
             lines += [f"{os.path.basename(p)[:-6]:28s} (extra, no expectations)" for p in extra]
         _emit(args, {"programs": [r.name for r in records], "extra": extra}, lines)
         return 0
-    # run-all: replay every expectation record
-    failures = []
-    for r in records:
-        try:
-            ct = r.build()
-        except Exception as exc:
-            failures.append(f"{r.name}: build failed: {exc}")
-            continue
-        treport = check_table(ct)
-        if (r.check == "ok") != treport.ok:
-            failures.append(f"{r.name}: check expectation mismatch")
-        sreport = safe_table(ct)
-        if set(r.analyze) != sreport.rules():
-            failures.append(f"{r.name}: analyze expected {sorted(r.analyze)}, got {sorted(sreport.rules())}")
-        for e in r.entries:
-            result, violations = run_with_monitor(ct, e.entry_class, e.entry_method)
-            outcome = "ok" if result.ok else result.outcome.reason
-            if outcome != e.outcome:
-                failures.append(f"{r.name}: outcome {outcome}, expected {e.outcome}")
-                continue
-            if result.fuel_used != e.min_fuel:
-                failures.append(f"{r.name}: fuel {result.fuel_used}, expected {e.min_fuel}")
-            kinds = {v.kind for v in violations}
-            if e.monitor == "clean":
-                if kinds:
-                    failures.append(f"{r.name}: unexpected monitor violations {sorted(kinds)}")
-            else:
-                missing = set(e.monitor) - kinds
-                if missing:
-                    failures.append(f"{r.name}: missing monitor violations {sorted(missing)}")
-            if result.ok:
-                h, eta = result.outcome
-                for path, expected in e.finals:
-                    actual = navigate(h, eta, path)
-                    if actual != expected:
-                        failures.append(f"{r.name}: {path} = {actual}, expected {expected}")
-    from .equivalence import load_manifest as _lm, run_manifest as _rm
-
-    for mpath, verdict in corpus_mod.equiv_expectations():
-        got = _rm(_lm(mpath)).kind
-        if got != verdict:
-            failures.append(f"{mpath}: verdict {got}, expected {verdict}")
-    for mpath, expected_ok in corpus_mod.simtest_expectations():
-        got_ok = run_sim_manifest(load_sim_manifest(mpath)).ok
-        if got_ok != expected_ok:
-            failures.append(f"{mpath}: {'clean' if got_ok else 'failing'}, expected the opposite")
+    failures = replay()
     lines = [f"{len(records)} programs, {len(failures)} failures"] + [f"  {f}" for f in failures]
     _emit(args, {"programs": len(records), "failures": failures}, lines)
     return 1 if failures else 0
@@ -363,7 +313,7 @@ def main(argv=None) -> int:
     except (ParseError, WellFormednessError, ComparabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except (ManifestError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal error

@@ -2,8 +2,8 @@
 
 Each corpus program ships with an expectation record (well-formedness and
 analysis verdicts, entry points with pinned outcomes and minimal sufficient
-fuel, monitor expectations). The records are executable fixtures: the test
-suite and `corpus run-all` replay them.
+fuel, monitor expectations). The records are executable fixtures: `replay`
+runs them, for the test suite and for `corpus run-all`.
 """
 
 from __future__ import annotations
@@ -13,8 +13,12 @@ import os
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..classtable import ClassTable, Designations, build_class_table
-from ..desugar import parse_and_desugar
+from ..classtable import ClassTable, Designations, load_table
+from ..confine import run_with_monitor
+from ..coupling import run_sim_manifest
+from ..equivalence import load_manifest, run_manifest
+from ..safety import safe_table
+from ..typecheck import check_table
 
 CORPUS_DIR = os.path.dirname(os.path.abspath(__file__))
 
@@ -49,7 +53,7 @@ class CorpusRecord:
             return f.read()
 
     def build(self) -> ClassTable:
-        return build_class_table(parse_and_desugar(self.source()), self.designations())
+        return load_table(self.path, self.designations())
 
 
 def _load_expectations() -> dict:
@@ -109,3 +113,52 @@ def navigate(heap, store, path: str):
     for f in parts[1:]:
         value = heap[value][f]
     return value
+
+
+def replay() -> List[str]:
+    """Replay every expectation record, then the equivalence and simtest
+    expectations. Returns one line per mismatch; empty means all hold."""
+    failures = []
+    for r in load_corpus():
+        try:
+            ct = r.build()
+        except Exception as exc:
+            failures.append(f"{r.name}: build failed: {exc}")
+            continue
+        treport = check_table(ct)
+        if (r.check == "ok") != treport.ok:
+            failures.append(f"{r.name}: check expectation mismatch")
+        sreport = safe_table(ct)
+        if set(r.analyze) != sreport.rules():
+            failures.append(f"{r.name}: analyze expected {sorted(r.analyze)}, got {sorted(sreport.rules())}")
+        for e in r.entries:
+            result, violations = run_with_monitor(ct, e.entry_class, e.entry_method)
+            outcome = "ok" if result.ok else result.outcome.reason
+            if outcome != e.outcome:
+                failures.append(f"{r.name}: outcome {outcome}, expected {e.outcome}")
+                continue
+            if result.fuel_used != e.min_fuel:
+                failures.append(f"{r.name}: fuel {result.fuel_used}, expected {e.min_fuel}")
+            kinds = {v.kind for v in violations}
+            if e.monitor == "clean":
+                if kinds:
+                    failures.append(f"{r.name}: unexpected monitor violations {sorted(kinds)}")
+            else:
+                missing = set(e.monitor) - kinds
+                if missing:
+                    failures.append(f"{r.name}: missing monitor violations {sorted(missing)}")
+            if result.ok:
+                h, eta = result.outcome
+                for path, expected in e.finals:
+                    actual = navigate(h, eta, path)
+                    if actual != expected:
+                        failures.append(f"{r.name}: {path} = {actual}, expected {expected}")
+    for mpath, verdict in equiv_expectations():
+        got = run_manifest(load_manifest(mpath)).kind
+        if got != verdict:
+            failures.append(f"{mpath}: verdict {got}, expected {verdict}")
+    for mpath, expected_ok in simtest_expectations():
+        got_ok = run_sim_manifest(load_manifest(mpath)).ok
+        if got_ok != expected_ok:
+            failures.append(f"{mpath}: {'clean' if got_ok else 'failing'}, expected the opposite")
+    return failures

@@ -16,13 +16,15 @@ report is not a proof, and the report says so.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .classtable import ClassTable
-from .confine import ConfinementViolation, Partition, confine_heap, role_of
-from .equivalence import Distinguished, canonical_bijection, own_free, value_equiv
+from .classtable import ClassTable, load_table
+from .confine import ConfinementViolation, confine_heap, role_of
+from .equivalence import (
+    Distinguished, Manifest, ManifestError, canonical_bijection, load_manifest, own_free,
+    pair_reachable, value_equiv,
+)
 from .interp import (
     IT, Bottom, Heap, Location, Runtime, Store, collect, default_value, fresh, value_kind,
 )
@@ -162,60 +164,22 @@ def induced_heap_coupling(ct_a: ClassTable, ct_b: ClassTable, sigma, h_a: Heap, 
 
 def root_sigma(ct_a: ClassTable, ct_b: ClassTable, roots_a: Store, roots_b: Store, h_a: Heap, h_b: Heap):
     """Pair locations reachable from identically-named roots, stopping at rep
-    objects: rep internals are the island predicate's concern. Root values of
-    rep type are paired directly (a typed bijection may include reps)."""
+    objects: rep internals are the island predicate's concern, and private
+    owner state is related by the coupling. Root values of rep type are
+    paired directly (a typed bijection may include reps)."""
     own = ct_a.designations.own
     private = {f for f, _ in ct_a.dfields(own)} | {f for f, _ in ct_b.dfields(own)}
-    sigma: Dict[Location, Location] = {}
-    queue: List[Tuple[Location, Location]] = []
 
-    def pair(a, b, path):
-        ka, kb = value_kind(a), value_kind(b)
-        if ka != kb:
-            return CouplingFailure(path, f"{ka} vs {kb}")
-        if ka in ("nil", "bool", "int", "unit"):
-            if a != b or type(a) is not type(b):
-                return CouplingFailure(path, f"{a!r} vs {b!r}")
-            return None
-        if a.class_name != b.class_name:
-            return CouplingFailure(path, f"{a.class_name} vs {b.class_name}")
-        if role_of(ct_a, a) == "rep":
-            if a in sigma:
-                if sigma[a] != b:
-                    return CouplingFailure(path, f"rep pair {a}/{b} conflicts with the bijection")
-            elif b in sigma.values():
-                return CouplingFailure(path, f"{b} already paired")
-            else:
-                sigma[a] = b
-            return None  # no traversal into rep structure
-        if a in sigma:
-            if sigma[a] != b:
-                return CouplingFailure(path, f"{a} already paired with {sigma[a]}")
-            return None
-        if b in sigma.values():
-            return CouplingFailure(path, f"{b} already paired")
-        sigma[a] = b
-        queue.append((a, b))
-        return None
+    def fields_of(loc: Location):
+        role = role_of(ct_a, loc)
+        if role == "rep":
+            return ()
+        return [f for f, _ in ct_a.fields(loc.class_name) if role != "owner" or f not in private]
 
-    if set(roots_a) != set(roots_b):
-        return CouplingFailure("<roots>", "root sets differ")
-    for x in sorted(roots_a):
-        bad = pair(roots_a[x], roots_b[x], x)
-        if bad:
-            return bad
-    while queue:
-        a, b = queue.pop(0)
-        is_owner = ct_a.is_owner_class(a.class_name)
-        for f, _ in ct_a.fields(a.class_name):
-            if is_owner and f in private:
-                continue  # private owner state is related by the coupling, not here
-            if f not in h_b[b]:
-                return CouplingFailure(str(a), f"field {f} missing on partner")
-            bad = pair(h_a[a][f], h_b[b][f], f"{a}.{f}")
-            if bad:
-                return bad
-    return sigma
+    out = pair_reachable(roots_a, roots_b, h_a, h_b, fields_of)
+    if isinstance(out, Distinguished):
+        return CouplingFailure(out.path, out.message)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -401,14 +365,6 @@ class CouplingReport:
 
     def failures(self) -> List[VectorResult]:
         return [v for v in self.vectors if v.status == "fail"]
-
-
-def _script_classes(ct: ClassTable, script) -> Dict[str, str]:
-    cls_of: Dict[str, str] = {}
-    for st in script:
-        if st.op == "new":
-            cls_of[st.target] = st.method  # class name kept in `method`
-    return cls_of
 
 
 def run_vector(ct_a: ClassTable, ct_b: ClassTable, bc: BasicCoupling, script, fuel: int) -> VectorResult:
@@ -627,55 +583,21 @@ BUILTIN_COUPLINGS: Dict[str, BasicCoupling] = {
 # Manifest
 
 
-@dataclass
-class SimManifest:
-    table_a: str
-    table_b: str
-    own: str
-    rep_a: str
-    rep_b: str
-    coupling: str
-    fuels: Tuple[int, ...] = (1, 2, 4, 8)
-    max_len: int = 4
-    max_scripts: int = 120
+load_sim_manifest = load_manifest
 
-    @staticmethod
-    def from_json(data: dict, base_dir: str = "") -> "SimManifest":
-        import os
 
-        join = (lambda p: os.path.join(base_dir, p)) if base_dir else (lambda p: p)
-        return SimManifest(
-            table_a=join(data["tableA"]),
-            table_b=join(data["tableB"]),
-            own=data["own"],
-            rep_a=data["repA"],
-            rep_b=data["repB"],
-            coupling=data["coupling"],
-            fuels=tuple(data.get("fuels", (1, 2, 4, 8))),
-            max_len=data.get("maxLen", 4),
-            max_scripts=data.get("maxScripts", 120),
+def run_sim_manifest(manifest: Manifest) -> CouplingReport:
+    if manifest.coupling is None:
+        raise ManifestError(manifest.path, "missing key 'coupling'")
+    bc = BUILTIN_COUPLINGS.get(manifest.coupling)
+    if bc is None:
+        raise ManifestError(
+            manifest.path,
+            f"unknown coupling {manifest.coupling!r}; builtins: {', '.join(BUILTIN_COUPLINGS)}",
         )
-
-
-def load_sim_manifest(path: str) -> SimManifest:
-    import os
-
-    with open(path, "r", encoding="utf-8") as f:
-        data = json.load(f)
-    return SimManifest.from_json(data, base_dir=os.path.dirname(path))
-
-
-def run_sim_manifest(manifest: SimManifest) -> CouplingReport:
-    from .classtable import Designations, build_class_table
-    from .desugar import parse_and_desugar
-
-    rep2 = manifest.rep_b if manifest.rep_b != manifest.rep_a else None
-    des = Designations(manifest.own, manifest.rep_a, rep2)
-    with open(manifest.table_a, "r", encoding="utf-8") as f:
-        ct_a = build_class_table(parse_and_desugar(f.read()), des)
-    with open(manifest.table_b, "r", encoding="utf-8") as f:
-        ct_b = build_class_table(parse_and_desugar(f.read()), des)
-    bc = BUILTIN_COUPLINGS[manifest.coupling]
+    des = manifest.designations()
+    ct_a = load_table(manifest.table_a, des)
+    ct_b = load_table(manifest.table_b, des)
     return test_simulation(
         ct_a, ct_b, bc,
         fuels=manifest.fuels, max_len=manifest.max_len, max_scripts=manifest.max_scripts,

@@ -11,10 +11,12 @@ built by one deterministic rooted traversal.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+import os
+from collections import deque
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from .classtable import ClassTable, Designations
+from .classtable import ClassTable, Designations, load_table
 from .interp import (
     Bottom, Heap, Location, Store, collect, fuel_schedule, run, value_kind,
 )
@@ -80,21 +82,23 @@ class Distinguished:
     message: str
 
 
-def canonical_bijection(
-    ct: ClassTable,
-    state_a: Tuple[Heap, Store],
-    state_b: Tuple[Heap, Store],
+def pair_reachable(
+    roots_a: Store,
+    roots_b: Store,
+    h_a: Heap,
+    h_b: Heap,
+    fields_of: Callable[[Location], Iterable[str]],
     seed: Optional[Dict[Location, Location]] = None,
 ):
-    """Build the type-preserving location bijection equating two collected
-    states, by breadth-first traversal from the stores (variables in name
-    order, fields in declaration order). Returns the bijection as a dict or
-    a Distinguished witness holding the first mismatching access path."""
-    h_a, eta_a = state_a
-    h_b, eta_b = state_b
+    """Pair the values reachable from identically named roots into a
+    type-preserving location bijection, breadth first: seed pairs, then the
+    roots in name order, then `fields_of(a)` in order for each newly paired
+    location `a`. A location whose `fields_of` is empty is paired but not
+    entered. Returns the bijection as a dict or a Distinguished witness
+    holding the first mismatching access path."""
     sigma: Dict[Location, Location] = {}
     used = set()
-    queue: List[Tuple[Location, Location, str]] = []
+    queue = deque()  # (a, b, access path) of pairs whose fields are still to follow
 
     def pair(a, b, path):
         ka, kb = value_kind(a), value_kind(b)
@@ -123,21 +127,42 @@ def canonical_bijection(
             if bad:
                 return bad
 
-    if set(eta_a) != set(eta_b):
+    if set(roots_a) != set(roots_b):
         return Distinguished("<store>", "stores bind different variables")
-    for x in sorted(eta_a):
-        bad = pair(eta_a[x], eta_b[x], x)
+    for x in sorted(roots_a):
+        bad = pair(roots_a[x], roots_b[x], x)
         if bad:
             return bad
     while queue:
-        a, b, path = queue.pop(0)
-        for f, _ in ct.fields(a.class_name):
-            bad = pair(h_a[a][f], h_b[b][f], f"{path}.{f}")
+        a, b, path = queue.popleft()
+        state_b = h_b[b]
+        for f in fields_of(a):
+            if f not in state_b:
+                return Distinguished(f"{path}.{f}", "field missing on partner")
+            bad = pair(h_a[a][f], state_b[f], f"{path}.{f}")
             if bad:
                 return bad
-    if len(sigma) != len(h_a) or len(used) != len(h_b):
-        return Distinguished("<domain>", "states differ in unreachable locations")
     return sigma
+
+
+def canonical_bijection(
+    ct: ClassTable,
+    state_a: Tuple[Heap, Store],
+    state_b: Tuple[Heap, Store],
+    seed: Optional[Dict[Location, Location]] = None,
+):
+    """Build the type-preserving location bijection equating two collected
+    states: `pair_reachable` from the stores through every field (declaration
+    order), covering both heaps. Returns the bijection as a dict or a
+    Distinguished witness."""
+    h_a, eta_a = state_a
+    h_b, eta_b = state_b
+    out = pair_reachable(
+        eta_a, eta_b, h_a, h_b, lambda loc: [f for f, _ in ct.fields(loc.class_name)], seed,
+    )
+    if isinstance(out, dict) and (len(out) != len(h_a) or len(out) != len(h_b)):
+        return Distinguished("<domain>", "states differ in unreachable locations")
+    return out
 
 
 def value_equiv(sigma: Dict[Location, Location], a, b) -> bool:
@@ -221,34 +246,56 @@ def client_equiv(
 # Manifests
 
 
+class ManifestError(Exception):
+    """A manifest that is not a JSON object, lacks a key its comparison
+    needs, or names an unknown coupling."""
+
+    def __init__(self, path: str, problem: str):
+        super().__init__(f"manifest {path}: {problem}")
+
+
 @dataclass
-class EquivManifest:
+class Manifest:
+    """Two tables with shared designations, plus the keys of one kind of
+    comparison: `entry` (with `maxFuel`, `loopCap`) for client equivalence,
+    `coupling` (with `fuels`, `maxLen`, `maxScripts`) for the simulation
+    harness. `path` is the file it was read from; table paths are relative
+    to its directory."""
+
+    path: str
     table_a: str
     table_b: str
     own: str
     rep_a: str
     rep_b: str
-    entry_class: str
-    entry_method: str
+    entry_class: Optional[str] = None
+    entry_method: Optional[str] = None
     max_fuel: int = 1024
     loop_cap: int = 100000
+    coupling: Optional[str] = None
+    fuels: Tuple[int, ...] = (1, 2, 4, 8)
+    max_len: int = 4
+    max_scripts: int = 120
 
     @staticmethod
-    def from_json(data: dict, base_dir: str = "") -> "EquivManifest":
-        import os
-
-        entry = data["entry"]
-        join = (lambda p: os.path.join(base_dir, p)) if base_dir else (lambda p: p)
-        return EquivManifest(
-            table_a=join(data["tableA"]),
-            table_b=join(data["tableB"]),
+    def from_json(data: dict, path: str) -> "Manifest":
+        base_dir = os.path.dirname(path)
+        entry = data.get("entry")
+        return Manifest(
+            path=path,
+            table_a=os.path.join(base_dir, data["tableA"]),
+            table_b=os.path.join(base_dir, data["tableB"]),
             own=data["own"],
             rep_a=data["repA"],
             rep_b=data["repB"],
-            entry_class=entry["class"],
-            entry_method=entry["method"],
+            entry_class=entry["class"] if entry is not None else None,
+            entry_method=entry["method"] if entry is not None else None,
             max_fuel=data.get("maxFuel", 1024),
             loop_cap=data.get("loopCap", 100000),
+            coupling=data.get("coupling"),
+            fuels=tuple(data.get("fuels", (1, 2, 4, 8))),
+            max_len=data.get("maxLen", 4),
+            max_scripts=data.get("maxScripts", 120),
         )
 
     def designations(self) -> Designations:
@@ -256,25 +303,29 @@ class EquivManifest:
         return Designations(self.own, self.rep_a, rep2)
 
 
-def load_manifest(path: str) -> EquivManifest:
-    import os
-
+def load_manifest(path: str) -> Manifest:
+    """Read a manifest of either kind; no table is built here."""
     with open(path, "r", encoding="utf-8") as f:
-        data = json.load(f)
-    return EquivManifest.from_json(data, base_dir=os.path.dirname(path))
+        try:
+            data = json.load(f)
+        except ValueError as exc:  # malformed JSON or text that is not UTF-8
+            raise ManifestError(path, f"not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ManifestError(path, "not a JSON object")
+    try:
+        return Manifest.from_json(data, path)
+    except KeyError as exc:
+        raise ManifestError(path, f"missing key {exc}") from None
+    except TypeError as exc:
+        raise ManifestError(path, f"malformed value: {exc}") from None
 
 
-def run_manifest(manifest: EquivManifest) -> EquivVerdict:
-    from .classtable import build_class_table
-    from .desugar import parse_and_desugar
-
+def run_manifest(manifest: Manifest) -> EquivVerdict:
+    if manifest.entry_class is None:
+        raise ManifestError(manifest.path, "missing key 'entry'")
     des = manifest.designations()
-    with open(manifest.table_a, "r", encoding="utf-8") as f:
-        decls_a = parse_and_desugar(f.read())
-    with open(manifest.table_b, "r", encoding="utf-8") as f:
-        decls_b = parse_and_desugar(f.read())
-    ct_a = build_class_table(decls_a, des)
-    ct_b = build_class_table(decls_b, des)
+    ct_a = load_table(manifest.table_a, des)
+    ct_b = load_table(manifest.table_b, des)
     return client_equiv(
         ct_a, ct_b, manifest.entry_class, manifest.entry_method,
         max_fuel=manifest.max_fuel, loop_cap=manifest.loop_cap,

@@ -143,10 +143,6 @@ def heap_well_typed(ct: ClassTable, h: Heap) -> bool:
     return True
 
 
-def locations_in(values) -> List[Location]:
-    return [v for v in values if isinstance(v, Location)]
-
-
 def reachable(h: Heap, roots) -> set:
     seen = set()
     stack = [v for v in roots if isinstance(v, Location)]

@@ -482,8 +482,3 @@ class _Parser:
 
 def parse(src: str) -> SurfaceProgram:
     return _Parser(src).program()
-
-
-def parse_file(path) -> SurfaceProgram:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse(f.read())

@@ -21,15 +21,10 @@ def tables(corpus):
 
 def pair_tables(name_a, name_b, own, rep_a, rep_b):
     """Build a comparable pair with shared designations."""
-    from jcore.classtable import Designations, build_class_table
-    from jcore.desugar import parse_and_desugar
+    from jcore.classtable import Designations, load_table
 
     des = Designations(own, rep_a, rep_b if rep_b != rep_a else None)
-    out = []
-    for name in (name_a, name_b):
-        rec = corpus_record(name)
-        out.append(build_class_table(parse_and_desugar(rec.source()), des))
-    return out[0], out[1]
+    return load_table(corpus_record(name_a).path, des), load_table(corpus_record(name_b).path, des)
 
 
 @pytest.fixture(scope="session")

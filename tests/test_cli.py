@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from jcore.cli import main
 from jcore.corpus import CORPUS_DIR
 
@@ -114,6 +116,35 @@ def test_usage_error_exit_2(capsys):
 
 def test_missing_file_exit_2(capsys):
     assert main(["equiv", "/nonexistent/manifest.json"]) == 2
+
+
+def _unknown_coupling(tmp_path):
+    with open(_c("manifests/sim_obool.json")) as f:
+        data = json.load(f)
+    data["coupling"] = "no-such-coupling"
+    path = tmp_path / "unknown.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _not_json(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text("{ not json")
+    return str(path)
+
+
+@pytest.mark.parametrize("command, manifest, expected", [
+    ("equiv", lambda tmp: _c("manifests/sim_obool.json"), "missing key 'entry'"),
+    ("simtest", lambda tmp: _c("manifests/obool_pair.json"), "missing key 'coupling'"),
+    ("simtest", _unknown_coupling, "'no-such-coupling'; builtins: obool-negation, meyer-sieber-even"),
+    ("equiv", _not_json, "not JSON"),
+], ids=["equiv-on-simtest", "simtest-on-equiv", "unknown-coupling", "not-json"])
+def test_bad_manifest_clean_error(tmp_path, capsys, command, manifest, expected):
+    path = manifest(tmp_path)
+    assert main([command, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: manifest {path}: ")
+    assert expected in err
 
 
 def test_corpus_list_and_run_all(capsys):

@@ -1,10 +1,7 @@
 import os
 import re
 
-from jcore.corpus import CORPUS_DIR, navigate
-from jcore.confine import run_with_monitor
-from jcore.safety import safe_table
-from jcore.typecheck import check_table
+from jcore.corpus import CORPUS_DIR, replay
 
 REQUIRED_PROGRAMS = {
     "bool_v1", "bool_v2", "obool_v1", "obool_v2",
@@ -28,25 +25,8 @@ def test_every_program_has_expectations(corpus):
         assert rec.check == "ok"
 
 
-def test_expectation_records_replay(corpus, tables):
-    for name, rec in corpus.items():
-        ct = tables[name]
-        assert check_table(ct).ok == (rec.check == "ok"), name
-        assert safe_table(ct).rules() == set(rec.analyze), name
-        for e in rec.entries:
-            result, violations = run_with_monitor(ct, e.entry_class, e.entry_method)
-            outcome = "ok" if result.ok else result.outcome.reason
-            assert outcome == e.outcome, name
-            assert result.fuel_used == e.min_fuel, (name, result.fuel_used)
-            kinds = {v.kind for v in violations}
-            if e.monitor == "clean":
-                assert not kinds, (name, kinds)
-            else:
-                assert set(e.monitor) <= kinds, (name, kinds)
-            if result.ok:
-                h, eta = result.outcome
-                for path, expected in e.finals:
-                    assert navigate(h, eta, path) == expected, (name, path)
+def test_expectation_records_replay():
+    assert replay() == []
 
 
 # Concept labels the design map must cover; one row per named piece of the

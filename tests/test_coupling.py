@@ -8,6 +8,7 @@ from jcore.coupling import (
     root_sigma, run_vector,
 )
 from jcore.coupling import test_simulation as simulate
+from jcore.equivalence import Distinguished, canonical_bijection
 from jcore.interp import Location, Runtime, run
 
 
@@ -285,6 +286,31 @@ def test_identity_reduction_on_obool(obool_pair):
     for a, b in sigma.items():
         if not ct_a.is_rep_class(a.class_name):
             assert a == b
+
+
+def test_root_sigma_pairs_reps_without_entering_them(obool_pair):
+    """root_sigma pairs rep-typed roots but never follows a rep's fields, so
+    a difference inside a rep is left to the coupling; the canonical
+    bijection follows every field and sees it."""
+    ct_a, ct_b = obool_pair
+    o, r = Location("OBool", 0), Location("Bool", 0)
+    ha = {o: {"g": r}, r: {"f": True}}
+    hb = {o: {"g": r}, r: {"f": False}}
+    roots = {"o": o, "w": r}
+    assert root_sigma(ct_a, ct_b, roots, roots, ha, hb) == {o: o, r: r}
+    out = canonical_bijection(ct_a, (ha, roots), (hb, roots))
+    assert isinstance(out, Distinguished) and out.path == "w.f"
+
+
+def test_root_sigma_rep_pairing_is_injective(obool_pair):
+    """Two roots sharing one rep on side A cannot pair with two distinct reps
+    on side B."""
+    ct_a, ct_b = obool_pair
+    r0, r1 = Location("Bool", 0), Location("Bool", 1)
+    ha = {r0: {"f": True}}
+    hb = {r0: {"f": True}, r1: {"f": True}}
+    out = root_sigma(ct_a, ct_b, {"x": r0, "y": r0}, {"x": r0, "y": r1}, ha, hb)
+    assert isinstance(out, CouplingFailure) and out.where == "y"
 
 
 def test_builtin_predicates_total_on_mismatched_shapes(observer_pair):
