@@ -12,7 +12,7 @@ partitions resolve the flexible reps in whatever way satisfies them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from . import ast as A
@@ -297,6 +297,8 @@ class ConfinementMonitor(InterpHooks):
         self.checkpoints = checkpoints
         self.violations: List[ConfinementViolation] = []
         self._seen = set()
+        # one per open call: the partition before_call built, None on a violation
+        self._pre_parts: List[Optional[Partition]] = []
 
     def _record(self, v: Optional[ConfinementViolation], context: str):
         if v is None:
@@ -315,7 +317,7 @@ class ConfinementMonitor(InterpHooks):
         self._record(confined_store(self.ct, class_name, eta, h, part), context)
         return part
 
-    def after_command(self, gamma, cmd, pre_state, outcome):
+    def after_command(self, gamma, cmd, outcome):
         if self.checkpoints != "every" or isinstance(outcome, Bottom):
             return
         if isinstance(cmd, (A.Seq, A.If, A.While)):
@@ -327,18 +329,17 @@ class ConfinementMonitor(InterpHooks):
 
     def before_call(self, caller_gamma, callee_class, callee_store, heap, site, mscoped):
         at = f"arguments of call at {site.span}" if site.span else "call arguments"
-        self._check_state(callee_class, callee_store, heap, at)
+        self._pre_parts.append(self._check_state(callee_class, callee_store, heap, at))
 
-    def after_call(self, caller_gamma, callee_class, callee_store, pre_heap, outcome, site, mscoped):
+    def after_call(self, caller_gamma, callee_class, callee_store, outcome, site, mscoped):
+        pre_part = self._pre_parts.pop()
         if isinstance(outcome, Bottom):
             return
         h0, d = outcome
         ct = self.ct
         at = f"return of call at {site.span}" if site.span else "call return"
-        pre_part = confine_heap(ct, pre_heap)
-        if isinstance(pre_part, ConfinementViolation):
-            self._record(pre_part, at)
-        else:
+        # A pre-call heap that is not confined was already recorded by before_call.
+        if pre_part is not None:
             self._record(check_hext(ct, pre_part, h0), at)
         part = self._check_state(callee_class, callee_store, h0, at)
         if part is None or not isinstance(d, Location):

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 from . import ast as A
 from .parser import (
     SAbort, SAssign, SCallStmt, SIf, SLocal, SSeq, SSkip, SWhile,
-    SurfaceClass, SurfaceMethod, SurfaceProgram,
+    SurfaceClass, SurfaceProgram,
 )
 
 _TMP_RE = re.compile(r"^\$tmp(\d+)$")

@@ -1,12 +1,23 @@
 """Definitional interpreter: heaps, stores, allocation, and method meanings.
 
-States are plain immutable values: a heap is a dict from locations to object
-states (dicts from field names to values), a store is a dict from variables
-to values, and every update copies. Method meanings are approximated by a
-fuel counter: a call executed with fuel j runs the callee body with fuel j-1,
-and any call at fuel 0 yields the fuel-exhausted bottom. A successful outcome
-at some fuel is identical at every larger fuel, so iterative deepening on the
-fuel computes the limit semantics whenever the program terminates.
+A heap is a dict from locations to object states (dicts from field names to
+values); a store is a dict from variables to values. The public API keeps the
+paper's value semantics: each public `Runtime` entry (`invoke`, `new_object`,
+`exec_constructor`, `exec_command`; `run` goes through `new_object`) copies
+the caller's heap once, state dicts included, so the caller keeps a heap it
+owns whatever the outcome. Inside an entry field writes and allocations
+update that copy in place; no rollback is needed because every bottom
+propagates straight to the top. Stores are still copied on update.
+
+The heap of an entry only grows, so allocation resumes the least-index scan
+of `fresh` from a per-class cursor that every public entry resets. It finds
+the location `fresh` finds from 0, at amortised O(1) cost.
+
+Method meanings are approximated by a fuel counter: a call executed with
+fuel j runs the callee body with fuel j-1, and any call at fuel 0 yields the
+fuel-exhausted bottom. A successful outcome at some fuel is identical at
+every larger fuel, so iterative deepening on the fuel computes the limit
+semantics whenever the program terminates.
 
 Bottom outcomes carry a diagnostic reason. For equivalence purposes every
 reason is the same improper value; fuel exhaustion is kept separate because
@@ -43,7 +54,7 @@ class Unit:
 IT = Unit()
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Location:
     class_name: str
     index: int
@@ -70,9 +81,11 @@ class EntryClassError(Exception):
     pass
 
 
-def fresh(class_name: str, heap: Heap) -> Location:
-    """Least-index parametric allocator: depends only on the per-class slice."""
-    n = 0
+def fresh(class_name: str, heap: Heap, start: int = 0) -> Location:
+    """Least-index parametric allocator: depends only on the per-class slice.
+    Scanning from `start` gives the same location whenever no index of the
+    class below `start` is free."""
+    n = start
     while Location(class_name, n) in heap:
         n += 1
     return Location(class_name, n)
@@ -164,15 +177,19 @@ def collect(h: Heap, eta: Store) -> Tuple[Heap, Store]:
 
 
 class InterpHooks:
-    """Observation points; the monitor and the test invariants plug in here."""
+    """Observation points; the monitor and the test invariants plug in here.
 
-    def after_command(self, gamma, cmd, pre_state, outcome):
+    The heap a hook receives is the running heap, updated in place after the
+    hook returns: a hook that keeps a state beyond its own call must copy it.
+    """
+
+    def after_command(self, gamma, cmd, outcome):
         pass
 
     def before_call(self, caller_gamma, callee_class, callee_store, heap, site, mscoped):
         pass
 
-    def after_call(self, caller_gamma, callee_class, callee_store, pre_heap, outcome, site, mscoped):
+    def after_call(self, caller_gamma, callee_class, callee_store, outcome, site, mscoped):
         pass
 
 
@@ -199,7 +216,7 @@ class TraceHooks(InterpHooks):
     def __init__(self):
         self.lines: List[str] = []
 
-    def after_command(self, gamma, cmd, pre_state, outcome):
+    def after_command(self, gamma, cmd, outcome):
         span = getattr(cmd, "span", None)
         if isinstance(outcome, Bottom):
             digest = f"bottom:{outcome.reason}"
@@ -226,10 +243,16 @@ class Runtime:
         self.loop_cap = loop_cap
         self.hooks = hooks
         self._stack: List[str] = []
+        self._next: Dict[str, int] = {}  # per class: no free index below this in the entry's heap
         self.steps = 0
 
     def _bottom(self, reason, detail=""):
         return Bottom(reason, detail, tuple(self._stack))
+
+    def _enter(self, h: Heap) -> Heap:
+        """Start a public entry: own a copy of the caller's heap, reset the cursors."""
+        self._next = {}
+        return {loc: dict(state) for loc, state in h.items()}
 
     # -- expressions
 
@@ -292,27 +315,32 @@ class Runtime:
     # -- construction
 
     def new_object(self, class_name: str, h: Heap):
-        loc = fresh(class_name, h)
-        state = {f: default_value(t) for f, t in self.ct.fields(class_name)}
-        h1 = dict(h)
-        h1[loc] = state
-        h0 = self.exec_constructor(class_name, h1, loc)
+        return self._new_object(class_name, self._enter(h))
+
+    def _new_object(self, class_name: str, h: Heap):
+        loc = fresh(class_name, h, self._next.get(class_name, 0))
+        self._next[class_name] = loc.index + 1
+        h[loc] = {f: default_value(t) for f, t in self.ct.fields(class_name)}
+        h0 = self._exec_constructor(class_name, h, loc)
         if isinstance(h0, Bottom):
             return h0
         return h0, loc
 
     def exec_constructor(self, class_name: str, h: Heap, loc: Location):
         """Run the constructor chain of `class_name` on `loc`, root first."""
+        return self._exec_constructor(class_name, self._enter(h), loc)
+
+    def _exec_constructor(self, class_name: str, h: Heap, loc: Location):
         sup = self.ct.super_of(class_name)
         if sup is not None and sup != OBJECT:
-            h = self.exec_constructor(sup, h, loc)
+            h = self._exec_constructor(sup, h, loc)
             if isinstance(h, Bottom):
                 return h
         decl = self.ct.decls[class_name]
         gamma = {"self": ClassType(class_name)}
         self._stack.append(f"{class_name}.con")
         try:
-            res = self.exec_command(gamma, decl.constructor, h, {"self": loc}, 0)
+            res = self._exec_command(gamma, decl.constructor, h, {"self": loc}, 0)
         finally:
             self._stack.pop()
         if isinstance(res, Bottom):
@@ -322,6 +350,9 @@ class Runtime:
     # -- method invocation (fuel j: body runs with fuel j-1)
 
     def invoke(self, loc: Location, mname: str, args, h: Heap, fuel: int, start_class: Optional[str] = None):
+        return self._invoke(loc, mname, args, self._enter(h), fuel, start_class)
+
+    def _invoke(self, loc: Location, mname: str, args, h: Heap, fuel: int, start_class: Optional[str] = None):
         if fuel <= 0:
             return self._bottom(FUEL_EXHAUSTED, f"call to {mname}")
         start = start_class or loc.class_name
@@ -336,7 +367,7 @@ class Runtime:
         gamma["result"] = m.return_type
         self._stack.append(f"{decl_class}.{mname}")
         try:
-            res = self.exec_command(gamma, m.body, h, eta, fuel - 1)
+            res = self._exec_command(gamma, m.body, h, eta, fuel - 1)
         finally:
             self._stack.pop()
         if isinstance(res, Bottom):
@@ -360,19 +391,21 @@ class Runtime:
             callee_store = dict(zip(pars, args))
             callee_store["self"] = loc
             self.hooks.before_call(gamma, callee_class, callee_store, h, cmd, mscoped)
-        res = self.invoke(loc, cmd.method, args, h, fuel, start_class)
+        res = self._invoke(loc, cmd.method, args, h, fuel, start_class)
         if self.hooks:
-            self.hooks.after_call(gamma, callee_class, callee_store, h, res, cmd, mscoped)
+            self.hooks.after_call(gamma, callee_class, callee_store, res, cmd, mscoped)
         return res
 
     # -- commands
 
     def exec_command(self, gamma, cmd, h: Heap, eta: Store, fuel: int):
+        return self._exec_command(gamma, cmd, self._enter(h), eta, fuel)
+
+    def _exec_command(self, gamma, cmd, h: Heap, eta: Store, fuel: int):
         self.steps += 1
-        pre = (h, eta)
         res = self._exec(gamma, cmd, h, eta, fuel)
         if self.hooks:
-            self.hooks.after_command(gamma, cmd, pre, res)
+            self.hooks.after_command(gamma, cmd, res)
         return res
 
     def _exec(self, gamma, cmd, h, eta, fuel):
@@ -397,13 +430,10 @@ class Runtime:
             d = self.eval_expr(h, eta, cmd.expr)
             if isinstance(d, Bottom):
                 return d
-            h2 = dict(h)
-            state = dict(h2[l])
-            state[cmd.fieldname] = d
-            h2[l] = state
-            return h2, eta
+            h[l][cmd.fieldname] = d
+            return h, eta
         if isinstance(cmd, A.NewAssign):
-            res = self.new_object(cmd.class_name, h)
+            res = self._new_object(cmd.class_name, h)
             if isinstance(res, Bottom):
                 return res
             h0, loc = res
@@ -443,7 +473,7 @@ class Runtime:
             eta1[cmd.name] = d
             gamma1 = dict(gamma)
             gamma1[cmd.name] = cmd.var_type
-            res = self.exec_command(gamma1, cmd.body, h, eta1, fuel)
+            res = self._exec_command(gamma1, cmd.body, h, eta1, fuel)
             if isinstance(res, Bottom):
                 return res
             h1, eta2 = res
@@ -458,7 +488,7 @@ class Runtime:
             if isinstance(b, Bottom):
                 return b
             branch = cmd.then_cmd if b else cmd.else_cmd
-            return self.exec_command(gamma, branch, h, eta, fuel)
+            return self._exec_command(gamma, branch, h, eta, fuel)
         if isinstance(cmd, A.While):
             iterations = 0
             while True:
@@ -470,13 +500,13 @@ class Runtime:
                 iterations += 1
                 if iterations > self.loop_cap:
                     return self._bottom(FUEL_EXHAUSTED, "loop iteration cap exceeded")
-                res = self.exec_command(gamma, cmd.body, h, eta, fuel)
+                res = self._exec_command(gamma, cmd.body, h, eta, fuel)
                 if isinstance(res, Bottom):
                     return res
                 h, eta = res
         if isinstance(cmd, A.Seq):
             for it in cmd.items:
-                res = self.exec_command(gamma, it, h, eta, fuel)
+                res = self._exec_command(gamma, it, h, eta, fuel)
                 if isinstance(res, Bottom):
                     return res
                 h, eta = res
@@ -524,7 +554,8 @@ def run(
         h, loc = res
         gamma = {"self": ClassType(decl_class), "result": m.return_type}
         eta = {"self": loc, "result": default_value(m.return_type)}
-        out = rt.exec_command(gamma, m.body, h, eta, fuel)
+        # h is the heap new_object made for this entry; run on it, cursors intact
+        out = rt._exec_command(gamma, m.body, h, eta, fuel)
         last = RunResult(out, fuel, steps=rt.steps)
         if not (isinstance(out, Bottom) and out.is_fuel()):
             return last

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Set
 
 from . import ast as A
-from .ast import OBJECT, ClassType
+from .ast import ClassType
 from .classtable import ClassTable
 from .typecheck import TypeCheckError, method_context, type_of_expr
 

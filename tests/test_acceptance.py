@@ -136,7 +136,7 @@ class _InvariantHooks(InterpHooks):
         self.ct = ct
         self.commands = 0
 
-    def after_command(self, gamma, cmd, pre, outcome):
+    def after_command(self, gamma, cmd, outcome):
         if isinstance(outcome, Bottom):
             return
         h, eta = outcome

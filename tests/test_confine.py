@@ -2,10 +2,12 @@ import random
 
 from helpers import brute_force_confining, random_heap, roles_table
 
+from jcore.classtable import Designations, build_class_table
 from jcore.confine import (
     ConfinementMonitor, ConfinementViolation, Partition, check_hext, confine_heap,
     confined_store, partition_clauses_hold, run_with_monitor, to_dot,
 )
+from jcore.desugar import parse_and_desugar
 from jcore.interp import Location, Runtime, run
 
 
@@ -197,6 +199,39 @@ def test_hext_transitive_along_execution(tables):
     assert check_hext(ct, p0, h1) is None
     assert check_hext(ct, p1, h2) is None
     assert check_hext(ct, p0, h2) is None
+
+
+MOVE_REP_SRC = """
+class Rep extends Object { int v; }
+class Own extends Object {
+  Rep r;
+  unit init() { self.r := new Rep }
+  unit give(Own other) { other.r := self.r; self.r := null }
+}
+class Main extends Object {
+  unit main() {
+    Own a := new Own;
+    Own b := new Own;
+    a.init();
+    a.give(b)
+  }
+}
+"""
+
+
+def test_monitor_flags_rep_moved_to_another_island():
+    # The heaps before and after a.give(b) are each confined; only the
+    # extension check against the partition from before the call sees the
+    # rep change islands.
+    ct = build_class_table(parse_and_desugar(MOVE_REP_SRC), Designations("Own", "Rep"))
+    for checkpoints in ("calls", "every"):
+        res, violations = run_with_monitor(ct, "Main", "main", checkpoints=checkpoints)
+        assert res.ok
+        moved = [v for v in violations if v.kind == "ExtensionViolation"]
+        assert [(v.message, v.context) for v in moved] == [(
+            "rep Rep@0 moved from the island of Own@0 to the island of Own@1",
+            "return of call at 13:5",
+        )], checkpoints
 
 
 def test_monitor_clean_on_safe_corpus(corpus, tables):

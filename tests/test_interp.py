@@ -1,6 +1,10 @@
+import copy
+import random
+
 import pytest
 
 from jcore import ast as A
+from jcore import interp
 from jcore.ast import BOOL, INT, UNIT, ClassType
 from jcore.classtable import Designations, build_class_table
 from jcore.desugar import parse_and_desugar
@@ -22,6 +26,127 @@ def test_fresh_is_parametric():
     h1 = {Location("C", 0): {}, Location("D", 5): {}, Location("D", 7): {}}
     h2 = {Location("C", 0): {}, Location("E", 1): {}}
     assert fresh("C", h1) == fresh("C", h2)
+
+
+def test_fresh_from_any_start_below_the_least_free_index():
+    # criterion-8-style random heaps: resuming the scan from any index with no
+    # free index below it finds what the spec finds from 0
+    rng = random.Random(8)
+    classes = ["A", "B", "C"]
+    for _ in range(1000):
+        h = {Location(rng.choice(classes), rng.randrange(12)): {} for _ in range(rng.randrange(24))}
+        target = rng.choice(classes)
+        least = fresh(target, h)
+        for k in range(least.index + 1):
+            assert fresh(target, h, start=k) == least
+
+
+def _observer_n(corpus, n):
+    """observer_v1 adding the same observer n times in one loop."""
+    rec = corpus["observer_v1"]
+    loop = f"int k := 0; while k < {n} do obl.add(self.ob); k := k + 1 od;"
+    src = rec.source().replace("obl.add(self.ob);", loop)
+    return build_class_table(parse_and_desugar(src), rec.designations())
+
+
+@pytest.fixture
+def checked_fresh(monkeypatch):
+    """Wrap the allocator: every location it returns must be the spec's
+    `fresh(c, h)`; the list collects how far each scan went past its start."""
+    spec = interp.fresh
+    overshoot = []
+
+    def checked(class_name, heap, start=0):
+        loc = spec(class_name, heap, start)
+        assert loc == spec(class_name, heap), (class_name, start)
+        overshoot.append(loc.index - start)
+        return loc
+
+    monkeypatch.setattr(interp, "fresh", checked)
+    return overshoot
+
+
+def test_run_allocation_matches_spec_and_never_rescans(checked_fresh, corpus, tables):
+    # a run starts from the empty heap, so each scan stops where it starts
+    res = run(_observer_n(corpus, 400), "Main", "main")
+    h, eta = res.outcome
+    assert h[h[eta["self"]]["ob"]]["count"] == 400
+    assert len(checked_fresh) > 400 and sum(checked_fresh) == 0
+    for name, rec in corpus.items():
+        for e in rec.entries:
+            checked_fresh.clear()
+            run(tables[name], e.entry_class, e.entry_method)
+            assert sum(checked_fresh) == 0, (name, e.entry_class)
+
+
+CURSOR_SRC = """
+class C extends Object { C next; }
+class Maker extends Object {
+  C last;
+  unit make(int n) { int i := 0; while i < n do self.last := new C; i := i + 1 od }
+}
+"""
+
+
+def test_public_entry_rescans_at_most_its_heap(checked_fresh):
+    ct = build_class_table(parse_and_desugar(CURSOR_SRC))
+    maker = Location("Maker", 0)
+    h = {maker: {"last": None}, Location("C", 1): {"next": None}, Location("C", 3): {"next": None}}
+    rt = Runtime(ct)
+    h1, _ = rt.invoke(maker, "make", [5], h, 4)
+    assert sorted(l.index for l in h1 if l.class_name == "C") == [0, 1, 2, 3, 4, 5, 6]
+    assert len(checked_fresh) == 5 and sum(checked_fresh) <= len(h)
+    # the same runtime on an unrelated, smaller heap: the cursors start over
+    h2, _ = rt.invoke(maker, "make", [1], {maker: {"last": None}}, 4)
+    assert h2[maker]["last"] == Location("C", 0)
+    assert rt.new_object("C", {})[1] == Location("C", 0)
+    h3, _ = rt.exec_command({"self": ClassType("Maker")}, A.NewAssign("x", "C"), {}, {"self": maker}, 4)
+    assert Location("C", 0) in h3
+
+
+VALUE_SRC = """
+class C extends Object { int v; }
+class Cell extends Object {
+  int f;
+  C last;
+  con { self.f := 7 }
+  unit set(int x) { self.f := x; self.last := new C }
+  unit setAbort(int x) { self.f := x; self.last := new C; abort }
+}
+class Bad extends Cell {
+  con { self.f := 9; abort }
+}
+"""
+
+
+def test_public_entries_keep_value_semantics():
+    # the runtime updates its own copy in place; the caller's heap, state
+    # dicts included, is untouched whether the entry succeeds or bottoms
+    ct = build_class_table(parse_and_desugar(VALUE_SRC))
+    rt = Runtime(ct)
+    h, cell = rt.new_object("Cell", {})
+    assert h[cell] == {"f": 7, "last": None}
+    write = A.FieldAssign(A.Var("self"), "f", A.IntLit(5))
+    entries = {
+        "invoke": lambda h: rt.invoke(cell, "set", [1], h, 4),
+        "invoke-abort": lambda h: rt.invoke(cell, "setAbort", [2], h, 4),
+        "new_object": lambda h: rt.new_object("Cell", h),
+        "new_object-abort": lambda h: rt.new_object("Bad", h),
+        "exec_constructor": lambda h: rt.exec_constructor("Cell", h, cell),
+        "exec_constructor-abort": lambda h: rt.exec_constructor("Bad", h, cell),
+        "exec_command": lambda h: rt.exec_command({"self": ClassType("Cell")}, write, h, {"self": cell}, 4),
+    }
+    h[cell]["f"] = 0  # so that rerunning Cell's constructor changes the state
+    for name, entry in entries.items():
+        before = copy.deepcopy(h)
+        out = entry(h)
+        assert h == before, name
+        if name.endswith("-abort"):
+            assert isinstance(out, Bottom) and out.reason == "explicit-abort", name
+        else:
+            assert not isinstance(out, Bottom), name
+            h_out = out if isinstance(out, dict) else out[0]
+            assert h_out != h, name
 
 
 def test_values_equal_distinguishes_kinds():
