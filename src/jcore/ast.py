@@ -69,10 +69,6 @@ NULL_T = NullType()
 PRIM_NAMES = {"bool": BOOL, "unit": UNIT, "int": INT}
 
 
-def is_class_type(t) -> bool:
-    return isinstance(t, ClassType)
-
-
 # ---------------------------------------------------------------------------
 # Expressions
 

@@ -48,6 +48,7 @@ class ClassTable:
         self.designations = designations
         self._subtype_cache: Dict[Tuple[str, str], bool] = {}
         self._resolve_cache: Dict[Tuple[str, str], Optional[Tuple[str, MethodDecl]]] = {}
+        self._roles: Dict[str, str] = {}
         self._check_hierarchy()
         self._fields: Dict[str, Tuple[Tuple[str, object], ...]] = {}
         self._build_fields()
@@ -309,16 +310,29 @@ class ClassTable:
 
     # -- roles (meaningful only with designations)
 
+    def role(self, name: str) -> str:
+        """"owner" below the owner class, else "rep" below a rep class, else
+        "client"; every class is a client without designations."""
+        role = self._roles.get(name)
+        if role is None:
+            d = self.designations
+            if d is not None and self.subtype_names(name, d.own):
+                role = "owner"
+            elif d is not None and any(self.subtype_names(name, r) for r in d.rep_names()):
+                role = "rep"
+            else:
+                role = "client"
+            self._roles[name] = role
+        return role
+
     def is_owner_class(self, name: str) -> bool:
-        d = self.designations
-        return d is not None and self.subtype_names(name, d.own)
+        return self.role(name) == "owner"
 
     def is_rep_class(self, name: str) -> bool:
-        d = self.designations
-        return d is not None and any(self.subtype_names(name, r) for r in d.rep_names())
+        return self.role(name) == "rep"
 
     def is_client_class(self, name: str) -> bool:
-        return not self.is_owner_class(name) and not self.is_rep_class(name)
+        return self.role(name) == "client"
 
     def comparable_to_rep(self, t) -> bool:
         """Is `t` a class type comparable to some designated rep class?

@@ -8,6 +8,16 @@ component with no forcing edge may sit in any island. The decision procedure
 therefore returns the canonical forced partition (owner-attached components)
 together with the set of flexible rep locations; checks that quantify over
 partitions resolve the flexible reps in whatever way satisfies them.
+
+`confine_heap` decides a heap from scratch and is the spec. The dynamic
+monitor follows the forced partition of the running heap instead, one
+allocation or field write at a time: added edges are checked against the
+clauses they touch, removed edges need no check, and a change it cannot
+follow (a removed rep->rep edge, or any failed check) drops the followed
+state. While it is dropped, checkpoints ask `confine_heap`, which gives the
+canonical violation, and the state is rebuilt once the heap is confined
+again. The extension check at a call's return reads a log of forced-owner
+changes instead of a partition taken before the call.
 """
 
 from __future__ import annotations
@@ -68,30 +78,38 @@ class Partition:
 
 
 def role_of(ct: ClassTable, loc: Location) -> str:
-    if ct.is_owner_class(loc.class_name):
-        return "owner"
-    if ct.is_rep_class(loc.class_name):
-        return "rep"
-    return "client"
+    return ct.role(loc.class_name)
 
 
 class _UnionFind:
+    """Union by size with path halving; each root lists the members of its group."""
+
     def __init__(self):
         self.parent: Dict[Location, Location] = {}
+        self.members: Dict[Location, List[Location]] = {}
 
     def add(self, x):
-        self.parent.setdefault(x, x)
+        self.parent[x] = x
+        self.members[x] = [x]
 
     def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
+        parent = self.parent  # a root is stored as its own parent, the very same object
+        while parent[x] is not x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
         return x
 
     def union(self, a, b):
+        """Merge the groups of `a` and `b`; returns (kept root, absorbed root),
+        one root twice when they were one group. A kept root's earlier members
+        stay first in its list."""
         ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+        if ra is not rb:
+            if len(self.members[ra]) < len(self.members[rb]):
+                ra, rb = rb, ra
+            self.parent[rb] = ra
+            self.members[ra].extend(self.members.pop(rb))
+        return ra, rb
 
 
 def confine_heap(ct: ClassTable, h: Heap):
@@ -201,7 +219,9 @@ def partition_clauses_hold(ct: ClassTable, h: Heap, assignment: Dict[Location, i
 
 
 def confined_store(ct: ClassTable, class_name: str, eta: Store, h: Heap, partition: Partition):
-    """Check store confinement for code of `class_name`; None means ok."""
+    """Check store confinement for code of `class_name`; None means ok.
+    `partition` is a Partition or the monitor's followed state: only the
+    results of its `owner_index` and `forced_island_of` are compared."""
     if ct.is_client_class(class_name):
         for x in sorted(eta):
             v = eta[x]
@@ -272,24 +292,152 @@ def check_hext(ct: ClassTable, pre: Partition, h_post: Heap):
                     EXTENSION_VIOLATION, f"rep {r} vanished from the heap", (r,)
                 )
             if k is not None and post.islands[k][0] != o:
-                return ConfinementViolation(
-                    EXTENSION_VIOLATION,
-                    f"rep {r} moved from the island of {o} to the island of {post.islands[k][0]}",
-                    (r, o, post.islands[k][0]),
-                )
+                return _rep_moved(r, o, post.islands[k][0])
     if post.block_count() < pre.block_count():
         return ConfinementViolation(EXTENSION_VIOLATION, "island count decreased", ())
     return None
+
+
+def _rep_moved(rep: Location, was: Location, now: Location) -> ConfinementViolation:
+    return ConfinementViolation(
+        EXTENSION_VIOLATION, f"rep {rep} moved from the island of {was} to the island of {now}", (rep, was, now)
+    )
 
 
 # ---------------------------------------------------------------------------
 # Dynamic monitor
 
 
+class _Islands:
+    """The forced partition of a confined heap, followed one change at a time.
+
+    A union-find over rep->rep edges, which ignores their direction, groups
+    the reps. A group root may carry one owner and the number of forcing
+    edges between them (owner->rep through a private field, rep->owner): the
+    group's reps are that owner's forced reps. The reps of an untied group
+    are flexible. Answers the two lookups of `confined_store` and the result
+    checks, keyed by owner location instead of island index.
+    """
+
+    def __init__(self, ct: ClassTable):
+        self.role = ct.role
+        self.private = {f for f, _ in ct.dfields(ct.designations.own)}
+        self.groups = _UnionFind()
+        self.tie: Dict[Location, Tuple[Location, int]] = {}  # group root -> (owner, forcing edges)
+        self.owners = 0
+
+    @classmethod
+    def of(cls, ct: ClassTable, h: Heap) -> "_Islands":
+        """Replay a heap `confine_heap` accepted: objects, owners first, then edges."""
+        isl = cls(ct)
+        ok = all(isl.alloc(loc) for loc in sorted(h, key=lambda l: isl.role(l.class_name) == "rep")) and all(
+            isl.add(loc, f, v) for loc, state in h.items() for f, v in state.items() if isinstance(v, Location)
+        )
+        assert ok, "confine_heap accepted a heap the followed partition rejects"
+        return isl
+
+    def owner_index(self, owner: Location) -> Location:
+        return owner
+
+    def forced_island_of(self, rep: Location) -> Optional[Location]:
+        tie = self.tie.get(self.groups.find(rep))
+        return tie[0] if tie else None
+
+    def forced(self) -> Dict[Location, Location]:
+        """Each forced rep with its owner."""
+        return {m: tie[0] for root, tie in self.tie.items() for m in self.groups.members[root]}
+
+    # Each change returns False, having changed nothing, when the heap it
+    # leads to may not be confined.
+
+    def alloc(self, loc: Location) -> bool:
+        role = self.role(loc.class_name)
+        if role == "owner":
+            self.owners += 1
+        elif role == "rep":
+            if not self.owners:
+                return False
+            self.groups.add(loc)
+        return True
+
+    def add(self, src: Location, f: str, dst: Location) -> bool:
+        rs, rd = self.role(src.class_name), self.role(dst.class_name)
+        if rd == "rep":
+            if rs == "client" or (rs == "owner" and f not in self.private):
+                return False
+            if rs == "owner":
+                return self._tie(dst, src, 1)
+            return self._union(src, dst)
+        if rs == "rep" and rd == "owner":
+            return self._tie(src, dst, 1)
+        return True
+
+    def remove(self, src: Location, dst: Location) -> bool:
+        rs, rd = self.role(src.class_name), self.role(dst.class_name)
+        if rs == "rep" and rd == "rep":
+            return False  # the group may split
+        if rs == "owner" and rd == "rep":
+            self._tie(dst, src, -1)
+        elif rs == "rep" and rd == "owner":
+            self._tie(src, dst, -1)
+        return True
+
+    def write(self, loc: Location, f: str, old, new, log: Optional[list]) -> bool:
+        """Follow `loc.f := new` over `old`: the old edge goes, then the new
+        one comes. On False the state is as after the part that passed. Unless
+        `log` is None, appends (rep, forced owner before) for each rep whose
+        forced owner the write changed, net of both parts."""
+        role = self.role
+        touched = {}
+        for x in (loc, old, new):
+            if isinstance(x, Location) and role(x.class_name) == "rep":
+                root = self.groups.find(x)
+                if root not in touched:
+                    members = self.groups.members[root]
+                    tie = self.tie.get(root)
+                    touched[root] = (members, len(members), tie[0] if tie else None)
+        ok = (not isinstance(old, Location) or self.remove(loc, old)) and (
+            not isinstance(new, Location) or self.add(loc, f, new)
+        )
+        if log is not None:
+            for members, n, was in touched.values():
+                if self.forced_island_of(members[0]) != was:
+                    log.extend((m, was) for m in members[:n])
+        return ok
+
+    def _tie(self, rep: Location, owner: Location, delta: int) -> bool:
+        root = self.groups.find(rep)
+        tie = self.tie.get(root)
+        if tie is None:
+            self.tie[root] = (owner, delta)
+        elif tie[0] != owner:
+            return False
+        elif tie[1] + delta:
+            self.tie[root] = (owner, tie[1] + delta)
+        else:
+            del self.tie[root]
+        return True
+
+    def _union(self, a: Location, b: Location) -> bool:
+        ta, tb = self.tie.get(self.groups.find(a)), self.tie.get(self.groups.find(b))
+        if ta and tb and ta[0] != tb[0]:
+            return False
+        keep, gone = self.groups.union(a, b)
+        if keep is not gone:
+            self.tie.pop(gone, None)
+            if ta or tb:
+                self.tie[keep] = ((ta or tb)[0], (ta[1] if ta else 0) + (tb[1] if tb else 0))
+        return True
+
+
 class ConfinementMonitor(InterpHooks):
     """Observes an execution and collects confinement violations: post-command
     state confinement, confined call arguments, method-result confinement
-    (with the module-scope relaxation), and partition extension per call."""
+    (with the module-scope relaxation), and partition extension per call.
+
+    It follows the forced partition of the running heap through `after_alloc`
+    and `before_write` and calls `confine_heap` only on a heap it has not
+    followed or one a change left possibly unconfined."""
 
     def __init__(self, ct: ClassTable, checkpoints: str = "every"):
         assert checkpoints in ("calls", "every")
@@ -297,8 +445,14 @@ class ConfinementMonitor(InterpHooks):
         self.checkpoints = checkpoints
         self.violations: List[ConfinementViolation] = []
         self._seen = set()
-        # one per open call: the partition before_call built, None on a violation
-        self._pre_parts: List[Optional[Partition]] = []
+        self._heap: Optional[Heap] = None  # the running heap the next four describe
+        self._islands: Optional[_Islands] = None  # its followed partition, None while dropped
+        self._verdict = None  # while dropped: confine_heap's verdict, until the next change
+        self._last: Optional[_Islands] = None  # while dropped: the state last followed
+        # (rep, forced owner before) for each change of a rep's forced owner while a call is open
+        self._log: List[Tuple[Location, Optional[Location]]] = []
+        # one per open call: its log position, None when its heap was not confined
+        self._marks: List[Optional[int]] = []
 
     def _record(self, v: Optional[ConfinementViolation], context: str):
         if v is None:
@@ -309,11 +463,77 @@ class ConfinementMonitor(InterpHooks):
         self._seen.add(key)
         self.violations.append(ConfinementViolation(v.kind, v.message, v.witness, context))
 
-    def _check_state(self, class_name: str, eta: Store, h: Heap, context: str):
-        part = confine_heap(self.ct, h)
+    # -- following the running heap
+
+    def _track(self, h: Heap):
+        self._heap, self._islands, self._verdict, self._last = h, None, None, None
+
+    def _drop(self):
+        self._last, self._islands, self._verdict = self._islands, None, None
+
+    def after_alloc(self, heap, loc):
+        if heap is not self._heap:
+            self._track(heap)
+        elif self._islands is None:
+            self._verdict = None
+        elif not self._islands.alloc(loc):
+            self._drop()
+
+    def before_write(self, heap, loc, fieldname, value):
+        old = heap[loc][fieldname]
+        if not (isinstance(old, Location) or isinstance(value, Location)) or old == value:
+            return  # no edge changes
+        if heap is not self._heap:
+            self._track(heap)
+        elif self._islands is None:
+            self._verdict = None
+        elif not self._islands.write(loc, fieldname, old, value, self._log if self._marks else None):
+            self._drop()
+
+    def partition(self, h: Heap):
+        """The followed partition of `h`, or the violation `confine_heap`
+        reports for it."""
+        if h is not self._heap:
+            self._track(h)
+        if self._islands is not None:
+            return self._islands
+        if self._verdict is None:
+            self._verdict = confine_heap(self.ct, h)
+        if isinstance(self._verdict, ConfinementViolation):
+            return self._verdict
+        isl = _Islands.of(self.ct, h)
+        if self._last is not None:
+            was, now = self._last.forced(), isl.forced()
+            self._log.extend((r, was.get(r)) for r in self._last.groups.parent if was.get(r) != now.get(r))
+        self._islands, self._verdict, self._last = isl, None, None
+        return isl
+
+    def _moved(self, mark: int, part: _Islands) -> Optional[ConfinementViolation]:
+        """check_hext's verdict on the call opened at log position `mark`. The
+        heap only grows and roles are fixed, so only a forced rep that now sits
+        with another owner fails it; check_hext reports the least
+        (owner before, rep)."""
+        before = {}
+        for rep, was in self._log[mark:]:
+            before.setdefault(rep, was)
+        moved = [
+            (was, rep) for rep, was in before.items()
+            if was is not None and part.forced_island_of(rep) not in (None, was)
+        ]
+        if not moved:
+            return None
+        was, rep = min(moved)
+        return _rep_moved(rep, was, part.forced_island_of(rep))
+
+    # -- checkpoints
+
+    def _check_state(self, class_name: str, eta: Store, h: Heap, context: str, mark: Optional[int] = None):
+        part = self.partition(h)
         if isinstance(part, ConfinementViolation):
             self._record(part, context)
             return None
+        if mark is not None:
+            self._record(self._moved(mark, part), context)
         self._record(confined_store(self.ct, class_name, eta, h, part), context)
         return part
 
@@ -329,19 +549,20 @@ class ConfinementMonitor(InterpHooks):
 
     def before_call(self, caller_gamma, callee_class, callee_store, heap, site, mscoped):
         at = f"arguments of call at {site.span}" if site.span else "call arguments"
-        self._pre_parts.append(self._check_state(callee_class, callee_store, heap, at))
+        part = self._check_state(callee_class, callee_store, heap, at)
+        if not self._marks:
+            self._log.clear()
+        self._marks.append(None if part is None else len(self._log))
 
     def after_call(self, caller_gamma, callee_class, callee_store, outcome, site, mscoped):
-        pre_part = self._pre_parts.pop()
+        mark = self._marks.pop()
         if isinstance(outcome, Bottom):
             return
         h0, d = outcome
         ct = self.ct
         at = f"return of call at {site.span}" if site.span else "call return"
-        # A pre-call heap that is not confined was already recorded by before_call.
-        if pre_part is not None:
-            self._record(check_hext(ct, pre_part, h0), at)
-        part = self._check_state(callee_class, callee_store, h0, at)
+        # No extension check (mark None) when before_call already recorded the pre-call heap.
+        part = self._check_state(callee_class, callee_store, h0, at, mark)
         if part is None or not isinstance(d, Location):
             return
         drole = role_of(ct, d)

@@ -181,7 +181,15 @@ class InterpHooks:
 
     The heap a hook receives is the running heap, updated in place after the
     hook returns: a hook that keeps a state beyond its own call must copy it.
+    `after_alloc` sees the heap with the new object in its default state;
+    `before_write` sees it before `loc.fieldname := value` lands.
     """
+
+    def after_alloc(self, heap, loc):
+        pass
+
+    def before_write(self, heap, loc, fieldname, value):
+        pass
 
     def after_command(self, gamma, cmd, outcome):
         pass
@@ -196,6 +204,14 @@ class InterpHooks:
 class HookChain(InterpHooks):
     def __init__(self, *hooks):
         self.hooks = [h for h in hooks if h is not None]
+
+    def after_alloc(self, *a):
+        for h in self.hooks:
+            h.after_alloc(*a)
+
+    def before_write(self, *a):
+        for h in self.hooks:
+            h.before_write(*a)
 
     def after_command(self, *a):
         for h in self.hooks:
@@ -321,6 +337,8 @@ class Runtime:
         loc = fresh(class_name, h, self._next.get(class_name, 0))
         self._next[class_name] = loc.index + 1
         h[loc] = {f: default_value(t) for f, t in self.ct.fields(class_name)}
+        if self.hooks:
+            self.hooks.after_alloc(h, loc)
         h0 = self._exec_constructor(class_name, h, loc)
         if isinstance(h0, Bottom):
             return h0
@@ -430,6 +448,8 @@ class Runtime:
             d = self.eval_expr(h, eta, cmd.expr)
             if isinstance(d, Bottom):
                 return d
+            if self.hooks:
+                self.hooks.before_write(h, l, cmd.fieldname, d)
             h[l][cmd.fieldname] = d
             return h, eta
         if isinstance(cmd, A.NewAssign):

@@ -50,3 +50,25 @@ def meyer_pair():
 @pytest.fixture(scope="session")
 def known_limit_pair():
     return pair_tables("observer_v1", "observer_object", "Observable", "Node", "Node1")
+
+
+@pytest.fixture
+def partition_oracles(monkeypatch):
+    """Chain a PartitionOracle after the monitor of every Runtime built during
+    the test, so confine_heap checks each of its checkpoints; returns the
+    oracles, one per Runtime."""
+    from helpers import PartitionOracle
+    from jcore.confine import ConfinementMonitor
+    from jcore.interp import HookChain, Runtime
+
+    oracles = []
+    init = Runtime.__init__
+
+    def chained(self, ct, loop_cap=100000, hooks=None):
+        if isinstance(hooks, ConfinementMonitor):
+            oracles.append(PartitionOracle(ct, hooks))
+            hooks = HookChain(hooks, oracles[-1])
+        init(self, ct, loop_cap, hooks)
+
+    monkeypatch.setattr(Runtime, "__init__", chained)
+    return oracles

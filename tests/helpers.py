@@ -1,5 +1,6 @@
 """Shared oracles and generators: brute-force partition search, typed
-bijection enumeration, and random heap/state construction."""
+bijection enumeration, random heap/state construction, and the
+confine_heap oracle for the monitor's followed partition."""
 
 from __future__ import annotations
 
@@ -8,9 +9,10 @@ import random
 
 from jcore import ast as A
 from jcore.classtable import Designations, build_class_table
-from jcore.confine import partition_clauses_hold
+from jcore.confine import ConfinementViolation, confine_heap, partition_clauses_hold
+from jcore.desugar import parse_and_desugar
 from jcore.equivalence import value_equiv
-from jcore.interp import IT, Location
+from jcore.interp import IT, Bottom, InterpHooks, Location
 
 
 def _cls(name, sup, fields, methods=()):
@@ -193,3 +195,56 @@ def rename_state(ct, state, rng: random.Random):
     h2 = {mapping[l]: {f: rn(v) for f, v in st.items()} for l, st in h.items()}
     eta2 = {x: rn(v) for x, v in eta.items()}
     return h2, eta2
+
+
+def observer_n(corpus, n):
+    """observer_v1 adding the same observer n times in one loop."""
+    rec = corpus["observer_v1"]
+    loop = f"int k := 0; while k < {n} do obl.add(self.ob); k := k + 1 od;"
+    src = rec.source().replace("obl.add(self.ob);", loop)
+    return build_class_table(parse_and_desugar(src), rec.designations())
+
+
+def forced_map(partition):
+    """rep -> owner for the forced reps of a Partition."""
+    return {r: o for o, reps in partition.islands for r in reps}
+
+
+def assert_partition_agrees(ct, h, got):
+    """`got`, a monitor's partition of `h`, must be confine_heap's verdict:
+    the same violation, or the same owners and forced reps."""
+    want = confine_heap(ct, h)
+    if isinstance(want, ConfinementViolation):
+        assert got == want, (got, want)
+    else:
+        assert not isinstance(got, ConfinementViolation), (got, h)
+        assert got.forced() == forced_map(want), h
+        assert got.owners == len(want.islands), h
+
+
+class PartitionOracle(InterpHooks):
+    """Chained after a ConfinementMonitor: at each of the monitor's
+    checkpoints, its partition of the heap must agree with confine_heap.
+    `checks` counts the checkpoints compared."""
+
+    def __init__(self, ct, monitor):
+        self.ct = ct
+        self.monitor = monitor
+        self.checks = 0
+
+    def _agree(self, h):
+        assert_partition_agrees(self.ct, h, self.monitor.partition(h))
+        self.checks += 1
+
+    def after_command(self, gamma, cmd, outcome):
+        if self.monitor.checkpoints != "every" or isinstance(outcome, Bottom):
+            return
+        if not isinstance(cmd, (A.Seq, A.If, A.While)):
+            self._agree(outcome[0])
+
+    def before_call(self, caller_gamma, callee_class, callee_store, heap, site, mscoped):
+        self._agree(heap)
+
+    def after_call(self, caller_gamma, callee_class, callee_store, outcome, site, mscoped):
+        if not isinstance(outcome, Bottom):
+            self._agree(outcome[0])

@@ -1,14 +1,19 @@
 import random
+from types import SimpleNamespace
 
-from helpers import brute_force_confining, random_heap, roles_table
+from helpers import (
+    assert_partition_agrees, brute_force_confining, observer_n, random_heap, roles_table,
+)
 
+from jcore import ast as A
+from jcore import confine
 from jcore.classtable import Designations, build_class_table
 from jcore.confine import (
     ConfinementMonitor, ConfinementViolation, Partition, check_hext, confine_heap,
     confined_store, partition_clauses_hold, run_with_monitor, to_dot,
 )
 from jcore.desugar import parse_and_desugar
-from jcore.interp import Location, Runtime, run
+from jcore.interp import IT, Location, Runtime, default_value, fresh, run
 
 
 def _obs_state(tables, n_observables=2):
@@ -234,6 +239,38 @@ def test_monitor_flags_rep_moved_to_another_island():
         )], checkpoints
 
 
+SWAP_REPS_SRC = """
+class Rep extends Object { int v; }
+class Own extends Object {
+  Rep r;
+  unit init() { self.r := new Rep }
+  unit swap(Own other) { Rep t := other.r; other.r := self.r; self.r := t }
+}
+class Main extends Object {
+  unit main() {
+    Own a := new Own;
+    Own b := new Own;
+    a.init();
+    b.init();
+    b.swap(a)
+  }
+}
+"""
+
+
+def test_monitor_reports_the_least_rep_of_a_swap():
+    # `other.r := self.r` first unties Rep@0 from Own@0, then finds Rep@1
+    # shared; the report names Rep@0, whose move began in that write.
+    ct = build_class_table(parse_and_desugar(SWAP_REPS_SRC), Designations("Own", "Rep"))
+    moved = ("ExtensionViolation", "rep Rep@0 moved from the island of Own@0 to the island of Own@1",
+             "return of call at 14:5")
+    shared = ("SharedRep", "rep component is tied to both owner Own@0 and owner Own@1", "after command at 6:44")
+    for checkpoints, want in (("calls", [moved]), ("every", [shared, moved])):
+        res, violations = run_with_monitor(ct, "Main", "main", checkpoints=checkpoints)
+        assert res.ok
+        assert [(v.kind, v.message, v.context) for v in violations] == want, checkpoints
+
+
 def test_monitor_clean_on_safe_corpus(corpus, tables):
     for name, rec in corpus.items():
         if rec.analyze:
@@ -351,3 +388,128 @@ def test_monitor_clean_on_generated_drivers(tables):
                     name, [s.method or s.op for s in script],
                     [v.render() for v in monitor.violations],
                 )
+
+
+def _random_value(ct, h, t, rng):
+    if isinstance(t, A.ClassType):
+        candidates = [l for l in sorted(h) if ct.subtype_names(l.class_name, t.name)]
+        return rng.choice(candidates) if candidates and rng.random() < 0.65 else None
+    return rng.randint(0, 3) if t == A.INT else IT
+
+
+SITE = SimpleNamespace(span=None, method="m")  # all a call hook reads of its site
+
+
+def _alloc(ct, h, class_name):
+    loc = fresh(class_name, h)
+    h[loc] = {f: default_value(t) for f, t in ct.fields(class_name)}
+    return loc
+
+
+def _confined_heap(ct, rng):
+    """A random heap, with each edge confine_heap objects to cleared and an
+    owner added where reps have none, until it is confined."""
+    h = random_heap(ct, rng, max_objects=6)
+    while isinstance(v := confine_heap(ct, h), ConfinementViolation):
+        if v.kind == "RepWithoutOwner":
+            _alloc(ct, h, "Own")
+        else:
+            src, f, _ = v.witness if len(v.witness) == 3 else rng.choice(v.witness)
+            h[src][f] = None
+    return h
+
+
+def _write(monitor, h, loc, f, v):
+    monitor.before_write(h, loc, f, v)
+    h[loc][f] = v
+
+
+def test_followed_partition_matches_confine_heap_on_random_walks():
+    """Drive a monitor's hooks with random allocations, field writes, swaps
+    of a field's values between two objects, and call windows. After every
+    step its partition is confine_heap's, and the extension verdict of each
+    open window is check_hext's on the pre-call partition stacked here."""
+    ct = roles_table()
+    classes = sorted(ct.decls)
+    rng = random.Random(2024)
+    moved = 0
+    for _ in range(3000):
+        h = _confined_heap(ct, rng)
+        monitor = ConfinementMonitor(ct, "calls")
+        pres = []
+        for _ in range(rng.randint(4, 16)):
+            op = rng.random()
+            if op < 0.1:
+                monitor.after_alloc(h, _alloc(ct, h, rng.choice(classes)))
+            elif op < 0.25:
+                pres.append(confine_heap(ct, h))
+                monitor.before_call(None, "Cli", {}, h, SITE, False)
+            elif op < 0.4 and pres:
+                pre, post = pres.pop(), confine_heap(ct, h)
+                if isinstance(post, ConfinementViolation):
+                    want = post
+                else:
+                    want = check_hext(ct, pre, h) if isinstance(pre, Partition) else None
+                monitor.violations.clear()
+                monitor._seen.clear()  # so a verdict seen before is recorded again
+                monitor.after_call(None, "Cli", {}, (h, None), SITE, False)
+                got = [(v.kind, v.message, v.witness) for v in monitor.violations]
+                assert got == ([(want.kind, want.message, want.witness)] if want else []), h
+            elif op < 0.7:
+                held = [
+                    (l, f) for l in sorted(h) for f, v in h[l].items()
+                    if isinstance(v, Location) and not ct.is_client_class(l.class_name)
+                ]
+                if not held:
+                    continue
+                a, f = rng.choice(held)
+                others = [l for l in sorted(h) if l != a and isinstance(h[l].get(f), Location)]
+                if not others:
+                    continue
+                b = rng.choice(others)
+                va, vb = h[a][f], h[b][f]
+                _write(monitor, h, a, f, vb)
+                assert_partition_agrees(ct, h, monitor.partition(h))
+                _write(monitor, h, b, f, va)
+            elif h:
+                # mostly owners and reps: their edges are the ones that tie reps
+                inside = [l for l in sorted(h) if not ct.is_client_class(l.class_name)]
+                loc = rng.choice(inside if inside and rng.random() < 0.8 else sorted(h))
+                f, t = rng.choice(ct.fields(loc.class_name))
+                _write(monitor, h, loc, f, _random_value(ct, h, t, rng))
+            part = monitor.partition(h)
+            assert_partition_agrees(ct, h, part)
+            if isinstance(part, ConfinementViolation):
+                continue
+            for pre, mark in zip(pres, monitor._marks):
+                if isinstance(pre, Partition):
+                    want = check_hext(ct, pre, h)
+                    assert monitor._moved(mark, part) == want, h
+                    moved += want is not None
+    assert moved >= 40, moved
+
+
+def test_monitor_partition_agrees_at_every_checkpoint_of_the_corpus(partition_oracles, corpus, tables):
+    for name, rec in corpus.items():
+        for e in rec.entries:
+            for checkpoints in ("every", "calls"):
+                run_with_monitor(tables[name], e.entry_class, e.entry_method, checkpoints=checkpoints)
+    assert sum(o.checks for o in partition_oracles) > 1000
+
+
+def test_monitored_run_calls_confine_heap_independently_of_its_length(monkeypatch, corpus):
+    spec = confine.confine_heap
+    calls = []
+
+    def counted(ct, h):
+        calls.append(len(h))
+        return spec(ct, h)
+
+    monkeypatch.setattr(confine, "confine_heap", counted)
+    per_n = {}
+    for n in (50, 200):
+        calls.clear()
+        res, violations = run_with_monitor(observer_n(corpus, n), "Main", "main")
+        assert res.ok and not violations
+        per_n[n] = len(calls)
+    assert 0 < per_n[200] <= per_n[50], per_n

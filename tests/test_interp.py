@@ -2,6 +2,7 @@ import copy
 import random
 
 import pytest
+from helpers import observer_n
 
 from jcore import ast as A
 from jcore import interp
@@ -41,14 +42,6 @@ def test_fresh_from_any_start_below_the_least_free_index():
             assert fresh(target, h, start=k) == least
 
 
-def _observer_n(corpus, n):
-    """observer_v1 adding the same observer n times in one loop."""
-    rec = corpus["observer_v1"]
-    loop = f"int k := 0; while k < {n} do obl.add(self.ob); k := k + 1 od;"
-    src = rec.source().replace("obl.add(self.ob);", loop)
-    return build_class_table(parse_and_desugar(src), rec.designations())
-
-
 @pytest.fixture
 def checked_fresh(monkeypatch):
     """Wrap the allocator: every location it returns must be the spec's
@@ -68,7 +61,7 @@ def checked_fresh(monkeypatch):
 
 def test_run_allocation_matches_spec_and_never_rescans(checked_fresh, corpus, tables):
     # a run starts from the empty heap, so each scan stops where it starts
-    res = run(_observer_n(corpus, 400), "Main", "main")
+    res = run(observer_n(corpus, 400), "Main", "main")
     h, eta = res.outcome
     assert h[h[eta["self"]]["ob"]]["count"] == 400
     assert len(checked_fresh) > 400 and sum(checked_fresh) == 0

@@ -161,3 +161,12 @@ def test_monitor_catches_what_the_analysis_rejects():
     h, _ = rt.invoke(sub, "stash", [], h, 8)
     kinds = {v.kind for v in monitor.violations}
     assert "NonPrivateOwnerEdge" in kinds, kinds
+
+
+def test_monitor_partition_agrees_with_confine_heap_on_the_fuzz_runs(partition_oracles):
+    """The runs and call scripts of the two monitor tests above, again, with
+    confine_heap checking the monitor's followed partition at each of its
+    checkpoints."""
+    test_accepted_compositions_are_monitor_clean()
+    test_monitor_catches_what_the_analysis_rejects()
+    assert sum(o.checks for o in partition_oracles) > 10000
