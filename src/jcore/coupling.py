@@ -19,6 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from . import ast as A
 from .classtable import ClassTable, load_table
 from .confine import ConfinementViolation, confine_heap, role_of
 from .equivalence import (
@@ -203,8 +204,6 @@ class Step:
 
 
 def _arg_candidates(ct: ClassTable, ptype, pool: Dict[str, str]):
-    from . import ast as A
-
     if ptype == A.BOOL:
         return [("lit", True), ("lit", False)]
     if ptype == A.INT:
@@ -263,8 +262,6 @@ def generate_scripts(ct: ClassTable, owner_class: str, max_len: int = 4, max_scr
                 combos = [()] if not ptypes else itertools.product(*[_arg_candidates(ct, t, pool) for t in ptypes])
                 for combo in combos:
                     bind = None
-                    from . import ast as A
-
                     if ret != A.UNIT:
                         bind = f"w{bind_counter}"
                     out.append(Step("call", var, m, tuple(combo), bind))
@@ -298,8 +295,6 @@ def generate_scripts(ct: ClassTable, owner_class: str, max_len: int = 4, max_scr
         ptypes, ret = ct.mtype(m, owner_class)
         combos = [()] if not ptypes else [tuple(c[0] for c in [_arg_candidates(ct, t, pool) for t in ptypes])]
         for combo in combos:
-            from . import ast as A
-
             bind = "wp" if ret != A.UNIT else None
             probe = Step("call", "o", m, tuple(combo), bind, prot=True)
             probed.append(tuple(prelude) + (probe,))

@@ -23,15 +23,13 @@ local falls back to `unit` and the type checker reports the real error.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import ast as A
 from .parser import (
     SAbort, SAssign, SCallStmt, SIf, SLocal, SSeq, SSkip, SWhile,
-    SurfaceClass, SurfaceProgram,
+    SurfaceClass, SurfaceProgram, parse,
 )
-
-_TMP_RE = re.compile(r"^\$tmp(\d+)$")
 
 
 def default_literal(t):
@@ -54,25 +52,19 @@ class _Sigs:
         c = self.classes.get(name)
         return c.super_name if c else None
 
-    def field_type(self, cname: str, fname: str):
+    def _chain(self, cname: str):
+        """`cname` and its superclasses, up to Object, an unknown name or a cycle."""
         seen = set()
         while cname and cname != A.OBJECT and cname in self.classes and cname not in seen:
             seen.add(cname)
-            for fn, ft in self.classes[cname].fields:
-                if fn == fname:
-                    return ft
+            yield self.classes[cname]
             cname = self.classes[cname].super_name
-        return None
+
+    def field_type(self, cname: str, fname: str):
+        return next((ft for c in self._chain(cname) for fn, ft in c.fields if fn == fname), None)
 
     def method_sig(self, cname: str, mname: str):
-        seen = set()
-        while cname and cname != A.OBJECT and cname in self.classes and cname not in seen:
-            seen.add(cname)
-            for m in self.classes[cname].methods:
-                if m.name == mname:
-                    return m
-            cname = self.classes[cname].super_name
-        return None
+        return next((m for c in self._chain(cname) for m in c.methods if m.name == mname), None)
 
 
 class _BodyLowerer:
@@ -85,7 +77,7 @@ class _BodyLowerer:
     @staticmethod
     def _first_free_tmp(body) -> int:
         mx = -1
-        for name in re.findall(r"\$tmp(\d+)", _names_blob(body)):
+        for name in re.findall(r"\$tmp(\d+)", repr(body)):
             mx = max(mx, int(name))
         return mx + 1
 
@@ -156,20 +148,23 @@ class _BodyLowerer:
             return A.InstanceTest(self.hoist(e.target, env, bindings), e.class_name, e.span)
         if isinstance(e, A.Cast):
             return A.Cast(e.class_name, self.hoist(e.target, env, bindings), e.span)
-        if isinstance(e, A.CallExpr):
+        if isinstance(e, (A.CallExpr, A.SuperCallExpr)):
             t = self.synth(e, env) or A.UNIT
-            recv = self.hoist(e.receiver, env, bindings)
-            args = tuple(self.hoist(a, env, bindings) for a in e.args)
+            call = self.hoist_call(e, env, bindings)
             name = self.fresh()
-            bindings.append((t, name, A.CallExpr(recv, e.method, args, e.span)))
-            return A.Var(name, e.span)
-        if isinstance(e, A.SuperCallExpr):
-            t = self.synth(e, env) or A.UNIT
-            args = tuple(self.hoist(a, env, bindings) for a in e.args)
-            name = self.fresh()
-            bindings.append((t, name, A.SuperCallExpr(e.method, args, e.span)))
+            bindings.append((t, name, call))
             return A.Var(name, e.span)
         raise TypeError(f"unexpected surface expression: {e!r}")
+
+    def hoist_call(self, call, env, bindings: List[Tuple[object, str, object]]):
+        """Hoist the calls in the receiver, then in the arguments, of `call`;
+        return `call` over the call-free forms."""
+        if isinstance(call, A.SuperCallExpr):
+            args = tuple(self.hoist(a, env, bindings) for a in call.args)
+            return A.SuperCallExpr(call.method, args, call.span)
+        recv = self.hoist(call.receiver, env, bindings)
+        args = tuple(self.hoist(a, env, bindings) for a in call.args)
+        return A.CallExpr(recv, call.method, args, call.span)
 
     def _call_assign(self, name, call):
         if isinstance(call, A.SuperCallExpr):
@@ -186,79 +181,67 @@ class _BodyLowerer:
     # -- statements
 
     def lower_seq(self, items: List[object], env) -> object:
-        if not items:
-            return A.Skip()
-        head, rest = items[0], items[1:]
-
-        if isinstance(head, SSeq):
-            # a braced group is a closed scope: locals inside it do not extend
-            # over the statements that follow the group
-            closed = self.lower_seq(list(head.items), env)
-            if rest:
-                return A.seq([closed, self.lower_seq(rest, env)])
-            return closed
-
-        if isinstance(head, SLocal):
-            scope_items = [head.body] if head.body is not None else rest
-            after = [] if head.body is None else rest
-            env2 = dict(env)
-            env2[head.name] = head.var_type
-            rhs = head.rhs
-            if isinstance(rhs, A.NewExpr):
-                body = A.seq([
-                    A.NewAssign(head.name, rhs.class_name, head.span),
-                    self.lower_seq(scope_items, env2),
-                ])
-                cmd = A.LocalBlock(head.var_type, head.name, default_literal(head.var_type), body, head.span)
-            elif isinstance(rhs, (A.CallExpr, A.SuperCallExpr)):
-                bindings: List[Tuple[object, str, object]] = []
-                if isinstance(rhs, A.CallExpr):
-                    recv = self.hoist(rhs.receiver, env, bindings)
-                    args = tuple(self.hoist(a, env, bindings) for a in rhs.args)
-                    call = A.CallExpr(recv, rhs.method, args, rhs.span)
+        """Lower a statement list. A local without `in` scopes over the rest
+        of the list, so each open local keeps the command list of the scope
+        around it; at the end the scopes close from the innermost out."""
+        outer: List[Tuple[List[object], Callable[[object], object]]] = []
+        cmds: List[object] = []
+        for s in items:
+            if isinstance(s, SSeq):
+                # a braced group is a closed scope: locals inside it do not
+                # extend over the statements that follow the group
+                cmds.append(self.lower_seq(list(s.items), env))
+            elif isinstance(s, SLocal):
+                close = self.lower_local(s, env)
+                inner = {**env, s.name: s.var_type}
+                if s.body is None:
+                    outer.append((cmds, close))
+                    cmds, env = [], inner
                 else:
-                    args = tuple(self.hoist(a, env, bindings) for a in rhs.args)
-                    call = A.SuperCallExpr(rhs.method, args, rhs.span)
-                body = A.seq([
-                    self._call_assign(head.name, call),
-                    self.lower_seq(scope_items, env2),
-                ])
-                cmd = self._wrap(
-                    bindings,
-                    A.LocalBlock(head.var_type, head.name, default_literal(head.var_type), body, head.span),
-                )
+                    cmds.append(close(self.lower_seq([s.body], inner)))
             else:
-                bindings = []
-                init = self.hoist(rhs, env, bindings)
-                cmd = self._wrap(
-                    bindings,
-                    A.LocalBlock(head.var_type, head.name, init, self.lower_seq(scope_items, env2), head.span),
-                )
-            if after:
-                return A.seq([cmd, self.lower_seq(after, env)])
-            return cmd
+                cmds.append(self.lower_one(s, env))
+        body = A.seq(cmds)
+        while outer:
+            cmds, close = outer.pop()
+            cmds.append(close(body))
+            body = A.seq(cmds)
+        return body
 
-        core = self.lower_one(head, env)
-        if rest:
-            return A.seq([core, self.lower_seq(rest, env)])
-        return core
+    def lower_local(self, s: SLocal, env) -> Callable[[object], object]:
+        """Hoist the initializer of local `s` now, before its scope is lowered,
+        so fresh locals are numbered left to right; return the function that
+        builds the local's block around its lowered scope."""
+        bindings: List[Tuple[object, str, object]] = []
+        rhs, init, first = s.rhs, default_literal(s.var_type), None
+        if isinstance(rhs, A.NewExpr):
+            first = A.NewAssign(s.name, rhs.class_name, s.span)
+        elif isinstance(rhs, (A.CallExpr, A.SuperCallExpr)):
+            first = self._call_assign(s.name, self.hoist_call(rhs, env, bindings))
+        else:
+            init = self.hoist(rhs, env, bindings)
+
+        def close(body):
+            if first is not None:
+                body = A.seq([first, body])
+            return self._wrap(bindings, A.LocalBlock(s.var_type, s.name, init, body, s.span))
+
+        return close
 
     def lower_one(self, s, env) -> object:
         if isinstance(s, SSkip):
             return A.Skip(s.span)
         if isinstance(s, SAbort):
             return A.Abort(s.span)
-        if isinstance(s, SSeq):
-            return self.lower_seq(list(s.items), env)
         if isinstance(s, SIf):
             bindings: List[Tuple[object, str, object]] = []
             cond = self.hoist(s.cond, env, bindings)
-            cmd = A.If(cond, self.lower_one(s.then_seq, env), self.lower_one(s.else_seq, env), s.span)
+            cmd = A.If(cond, self.lower_seq([s.then_seq], env), self.lower_seq([s.else_seq], env), s.span)
             return self._wrap(bindings, cmd)
         if isinstance(s, SWhile):
             bindings = []
             cond = self.hoist(s.cond, env, bindings)
-            body = self.lower_one(s.body, env)
+            body = self.lower_seq([s.body], env)
             if bindings:
                 # effectful guard: re-evaluate the hoisted calls at the end of
                 # each iteration so the loop observes a fresh guard value
@@ -267,18 +250,11 @@ class _BodyLowerer:
                 return self._wrap(bindings, loop)
             return A.While(cond, body, s.span)
         if isinstance(s, SCallStmt):
-            call = s.call
-            t = self.synth(call, env) or A.UNIT
+            t = self.synth(s.call, env) or A.UNIT
             bindings = []
-            if isinstance(call, A.CallExpr):
-                recv = self.hoist(call.receiver, env, bindings)
-                args = tuple(self.hoist(a, env, bindings) for a in call.args)
-                call2 = A.CallExpr(recv, call.method, args, call.span)
-            else:
-                args = tuple(self.hoist(a, env, bindings) for a in call.args)
-                call2 = A.SuperCallExpr(call.method, args, call.span)
+            call = self.hoist_call(s.call, env, bindings)
             name = self.fresh()
-            inner = A.seq([self._call_assign(name, call2), A.Skip()])
+            inner = A.seq([self._call_assign(name, call), A.Skip()])
             return self._wrap(bindings, A.LocalBlock(t, name, default_literal(t), inner, s.span))
         if isinstance(s, SAssign):
             return self.lower_assign(s, env)
@@ -291,13 +267,7 @@ class _BodyLowerer:
                 return A.NewAssign(lhs.name, rhs.class_name, s.span)
             if isinstance(rhs, (A.CallExpr, A.SuperCallExpr)):
                 bindings: List[Tuple[object, str, object]] = []
-                if isinstance(rhs, A.CallExpr):
-                    recv = self.hoist(rhs.receiver, env, bindings)
-                    args = tuple(self.hoist(a, env, bindings) for a in rhs.args)
-                    call = A.CallExpr(recv, rhs.method, args, rhs.span)
-                else:
-                    args = tuple(self.hoist(a, env, bindings) for a in rhs.args)
-                    call = A.SuperCallExpr(rhs.method, args, rhs.span)
+                call = self.hoist_call(rhs, env, bindings)
                 return self._wrap(bindings, self._call_assign(lhs.name, call))
             bindings = []
             e = self.hoist(rhs, env, bindings)
@@ -318,13 +288,7 @@ class _BodyLowerer:
             t = self.synth(rhs, env) or A.UNIT
             bindings = []
             target = self.hoist(lhs.target, env, bindings)
-            if isinstance(rhs, A.CallExpr):
-                recv = self.hoist(rhs.receiver, env, bindings)
-                args = tuple(self.hoist(a, env, bindings) for a in rhs.args)
-                call = A.CallExpr(recv, rhs.method, args, rhs.span)
-            else:
-                args = tuple(self.hoist(a, env, bindings) for a in rhs.args)
-                call = A.SuperCallExpr(rhs.method, args, rhs.span)
+            call = self.hoist_call(rhs, env, bindings)
             tmp = self.fresh()
             body = A.seq([
                 self._call_assign(tmp, call),
@@ -335,10 +299,6 @@ class _BodyLowerer:
         target = self.hoist(lhs.target, env, bindings)
         value = self.hoist(rhs, env, bindings)
         return self._wrap(bindings, A.FieldAssign(target, lhs.fieldname, value, s.span))
-
-
-def _names_blob(body) -> str:
-    return repr(body)
 
 
 def desugar(prog: SurfaceProgram) -> List[A.ClassDecl]:
@@ -364,6 +324,4 @@ def desugar(prog: SurfaceProgram) -> List[A.ClassDecl]:
 
 
 def parse_and_desugar(src: str) -> List[A.ClassDecl]:
-    from .parser import parse
-
     return desugar(parse(src))

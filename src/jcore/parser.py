@@ -4,7 +4,30 @@ Surface syntax is Java-like: class declarations with private fields, a
 parameterless constructor `con { ... }`, and public or `module` methods.
 Statements use `:=` for assignment, `if/then/else/fi`, `while/do/od`, and
 local declarations whose scope extends to the end of the enclosing sequence
-(an explicit `in` is also accepted). `//` comments run to end of line.
+(an explicit `in` is also accepted). A class has at most one constructor.
+
+Tokens, as `tokenize` reads them (a character class named by a `str`
+predicate means every code point for which it holds):
+
+* identifier or keyword: a letter (`isalpha`), `_` or `$`, then any run of
+  `isalnum` characters, `_` and `$`; the words in `KEYWORDS` are keywords;
+* integer literal: a run of decimal digits (`isdecimal`);
+* punctuation: `:=` `!=` `{` `}` `(` `)` `;` `,` `.` `=` `<` `+` `-` `!`;
+* spaces, tabs and carriage returns separate tokens; `\n` ends a line;
+  `//` starts a comment that runs to the end of the line;
+* any other character is a `ParseError` at its line and column. Columns
+  count code points from 1; the end-of-input token sits one past the last
+  character.
+
+Binary operators, loosest first, all left-associative:
+
+    =  !=
+    <
+    +  -
+    mod
+
+They bind looser than the prefix forms `!e` and `(C) e`, which bind looser
+than the postfix forms `e.f`, `e.m(...)` and `e is C`.
 
 The parser produces a surface tree in which method calls may appear inside
 expressions and `new` may initialize fields and locals; `desugar` lowers all
@@ -14,6 +37,7 @@ are accepted and represented with equality against `false`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -27,7 +51,17 @@ KEYWORDS = {
     "bool", "unit", "int", "mod",
 }
 
-_PUNCT = [":=", "!=", "{", "}", "(", ")", ";", ",", ".", "=", "<", "+", "-", "!"]
+# One alternative per token class, tried in this order: an int is matched
+# before a word, so `12ab` is the int `12` and then the identifier `ab`.
+_TOKEN_RE = re.compile(r"""
+    (?P<space>[ \t\r]+)
+  | (?P<comment>//[^\n]*)
+  | (?P<newline>\n)
+  | (?P<int>\d+)
+  | (?P<word>[\w$]+)
+  | (?P<punct>:=|!=|[{}();,.=<+\-!])
+  | (?P<other>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 class ParseError(Exception):
@@ -47,51 +81,29 @@ class Token:
 
 def tokenize(src: str) -> List[Token]:
     toks: List[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(src):
+        kind = m.lastgroup
+        if kind == "newline":
             line += 1
-            col = 1
+            line_start = m.end()
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        if kind == "space" or kind == "comment":
             continue
-        if src.startswith("//", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        start, sl, sc = i, line, col
-        if c.isalpha() or c == "_" or c == "$":
-            j = i + 1
-            while j < n and (src[j].isalnum() or src[j] in "_$"):
-                j += 1
-            text = src[i:j]
+        text, start = m.group(), m.start()
+        col = start - line_start + 1
+        if kind == "word":
+            # `\w` also matches digits and numerals that are not decimal
+            # (`²`, `½`); they start neither an identifier nor an int
+            c = text[0]
+            if not (c.isalpha() or c == "_" or c == "$"):
+                raise ParseError(f"unexpected character {c!r}", line, col)
             kind = "kw" if text in KEYWORDS else "ident"
-            toks.append(Token(kind, text, Span(start, j, sl, sc)))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i + 1
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Token("int", src[i:j], Span(start, j, sl, sc)))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if src.startswith(p, i):
-                toks.append(Token("punct", p, Span(start, i + len(p), sl, sc)))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", Span(n, n, line, col)))
+        elif kind == "other":
+            raise ParseError(f"unexpected character {text!r}", line, col)
+        toks.append(Token(kind, text, Span(start, m.end(), line, col)))
+    n = len(src)
+    toks.append(Token("eof", "", Span(n, n, line, n - line_start + 1)))
     return toks
 
 
@@ -180,6 +192,9 @@ class SurfaceProgram:
 
 _EXPR_START = {"null", "true", "false", "it", "new", "super"}
 
+# Binary operators, loosest first; all are left-associative.
+_BINARY = (("=", "!="), ("<",), ("+", "-"), ("mod",))
+
 
 class _Parser:
     def __init__(self, src: str):
@@ -242,11 +257,13 @@ class _Parser:
         methods: List[SurfaceMethod] = []
         ctor = None
         while not self.at("}"):
-            if self.accept("con"):
+            con = self.accept("con")
+            if con:
+                if ctor is not None:
+                    raise ParseError(f"class {name} has a second constructor", con.span.line, con.span.col)
                 self.expect("{")
-                body = self.stmt_seq()
+                ctor = self.stmt_seq()
                 self.expect("}")
-                ctor = body
                 continue
             mstart = self.peek().span
             module_scoped = bool(self.accept("module"))
@@ -360,46 +377,23 @@ class _Parser:
 
     # -- expressions
 
-    def expr(self):
-        return self.equality()
-
-    def equality(self):
+    def expr(self, level: int = 0):
+        """A left-associative chain of the operators of `_BINARY[level]`
+        over operands of the next tighter level."""
+        if level == len(_BINARY):
+            return self.unary()
         start = self.peek().span
-        e = self.relational()
-        while True:
-            if self.accept("="):
-                r = self.relational()
+        e = self.expr(level + 1)
+        # no identifier or integer is spelled like an operator
+        while self.peek().text in _BINARY[level]:
+            op = self.next().text
+            r = self.expr(level + 1)
+            if op == "=":
                 e = A.Eq(e, r, self.span_from(start))
-            elif self.accept("!="):
-                r = self.relational()
+            elif op == "!=":
                 e = A.Eq(A.Eq(e, r, self.span_from(start)), A.BoolLit(False), self.span_from(start))
             else:
-                return e
-
-    def relational(self):
-        start = self.peek().span
-        e = self.additive()
-        while self.accept("<"):
-            r = self.additive()
-            e = A.IntOp("<", e, r, self.span_from(start))
-        return e
-
-    def additive(self):
-        start = self.peek().span
-        e = self.multiplicative()
-        while True:
-            if self.accept("+"):
-                e = A.IntOp("+", e, self.multiplicative(), self.span_from(start))
-            elif self.accept("-"):
-                e = A.IntOp("-", e, self.multiplicative(), self.span_from(start))
-            else:
-                return e
-
-    def multiplicative(self):
-        start = self.peek().span
-        e = self.unary()
-        while self.accept("mod"):
-            e = A.IntOp("mod", e, self.unary(), self.span_from(start))
+                e = A.IntOp(op, e, r, self.span_from(start))
         return e
 
     def unary(self):

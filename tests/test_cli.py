@@ -20,6 +20,11 @@ def test_check_reports_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.jcore"
     bad.write_text("class C extends { }")
     assert main(["check", str(bad)]) == 1
+    # a digit that is not decimal starts no integer literal
+    bad.write_text("class Cell extends Object { int f; unit m() { self.f := ² } }", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", str(bad)]) == 1
+    assert capsys.readouterr().out == f"{bad}: 1:57: unexpected character '²'\n"
 
 
 def test_analyze_rejects_bad(capsys):

@@ -41,6 +41,19 @@ def test_field_new_becomes_local_block():
     )
 
 
+def test_local_as_a_whole_branch_or_loop_body():
+    src = """
+    class C extends Object {
+      unit m(bool b) { if b then int x := 1 else skip fi; while b do bool y := false in b := y od }
+    }
+    """
+    body = parse_and_desugar(src)[0].methods[0].body
+    assert body == A.Seq((
+        A.If(A.Var("b"), A.LocalBlock(A.INT, "x", A.IntLit(1), A.Skip()), A.Skip()),
+        A.While(A.Var("b"), A.LocalBlock(A.BOOL, "y", A.BoolLit(False), A.Assign("b", A.Var("y")))),
+    ))
+
+
 def test_receiver_call_hoisted_before_argument_calls():
     src = """
     class B extends Object {

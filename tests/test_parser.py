@@ -2,7 +2,7 @@ import pytest
 
 from jcore import ast as A
 from jcore.desugar import desugar
-from jcore.parser import ParseError, parse
+from jcore.parser import KEYWORDS, ParseError, parse, tokenize
 from jcore.pretty import program_str
 from jcore.corpus import load_corpus
 
@@ -54,6 +54,16 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as exc:
         parse("class C extends Object {\n  unit m() { x := }\n}")
     assert exc.value.line == 2
+    # input ending inside a comment: the end of input sits past the comment
+    with pytest.raises(ParseError) as exc:
+        parse("class C extends Object {\n  unit m() { skip } // open")
+    assert (exc.value.message, exc.value.line, exc.value.col) == ("expected type name, found 'end of input'", 2, 28)
+
+
+def test_second_constructor_is_parse_error():
+    with pytest.raises(ParseError) as exc:
+        parse("class C extends Object {\n  con { skip }\n  con { abort }\n}")
+    assert (exc.value.message, exc.value.line, exc.value.col) == ("class C has a second constructor", 3, 3)
 
 
 def test_spans_cover_node_text():
@@ -128,3 +138,41 @@ def test_explicit_in_keyword():
     block = core[0].methods[0].body
     assert isinstance(block, A.LocalBlock)
     assert block.body == A.Skip()
+
+
+def _token_or_error(src):
+    try:
+        return [(t.kind, t.text) for t in tokenize(src)[:-1]]
+    except ParseError as exc:
+        return exc.message, exc.line, exc.col
+
+
+def _expected_tokens(src):
+    """The token classes of the parser's docstring, written as `str`
+    predicates, for a one-line source without comments."""
+    toks, i = [], 0
+    while i < len(src):
+        c, j = src[i], i + 1
+        if c.isalpha() or c in "_$":
+            while j < len(src) and (src[j].isalnum() or src[j] in "_$"):
+                j += 1
+            toks.append(("kw" if src[i:j] in KEYWORDS else "ident", src[i:j]))
+        elif c.isdecimal():
+            while j < len(src) and src[j].isdecimal():
+                j += 1
+            toks.append(("int", src[i:j]))
+        elif c in " \t\r":
+            pass
+        elif c in "{}();,.=<+-!":
+            toks.append(("punct", c))
+        else:
+            return f"unexpected character {c!r}", 1, i + 1
+        i = j
+    return toks
+
+
+def test_character_classes_follow_the_str_predicates():
+    digits = [c for c in map(chr, range(0x110000)) if c.isdigit() != c.isdecimal()]
+    for c in [chr(i) for i in range(0x800) if i != 0x0A] + digits:
+        for src in (c, "a" + c, "1" + c):
+            assert _token_or_error(src) == _expected_tokens(src), repr(src)

@@ -5,9 +5,11 @@ anything but its own error type on mangled input."""
 import random
 
 from jcore import ast as A
+from jcore.classtable import build_class_table
 from jcore.desugar import desugar
 from jcore.parser import ParseError, parse
 from jcore.pretty import program_str
+from jcore.typecheck import check_table
 
 VARS = ["a", "b", "c", "result"]
 FIELDS = ["f", "g"]
@@ -88,6 +90,29 @@ def test_random_core_programs_roundtrip():
         assert reparsed == prog, f"case {i}:\n{printed}"
 
 
+def _long_body(statements):
+    """A method body of `statements` statements in one local's scope:
+    assignments, call statements, calls in expression position and nested
+    `if`/`while`."""
+    forms = [
+        "x := x + 1",
+        "self.g(x)",
+        "x := self.g(x) + 1",
+        "if x < 9 then x := x + 1 else while x < 5 do x := x + 2 od fi",
+    ]
+    body = ["int x := 0"] + [forms[i % len(forms)] for i in range(statements - 1)]
+    return (
+        "class K extends Object {\n  int g(int p) { result := p + 1 }\n"
+        "  unit main() {\n    " + ";\n    ".join(body) + "\n  }\n}\n"
+    )
+
+
+def test_long_body_checks_and_roundtrips():
+    core = desugar(parse(_long_body(5000)))
+    assert check_table(build_class_table(core)).ok
+    assert desugar(parse(program_str(core))) == core
+
+
 def test_parser_total_on_mangled_corpus():
     from jcore.corpus import load_corpus
 
@@ -124,10 +149,12 @@ def test_parser_total_on_mangled_corpus():
 
 def test_parser_total_on_noise():
     rng = random.Random(97)
-    alphabet = "classextendmodulnifwhoabrtskp {}();:=!<+-$0123456789\n"
+    alphabet = "classextendmodulnifwhoabrtskp {}();:=!<+-$0123456789\n²½é٣"
     for _ in range(400):
         src = "".join(rng.choice(alphabet) for _ in range(rng.randrange(120)))
-        try:
-            parse(src)
-        except ParseError:
-            pass
+        # the same noise once more in expression position
+        for text in (src, "class C extends Object { unit m() { result := " + src):
+            try:
+                parse(text)
+            except ParseError:
+                pass
