@@ -261,7 +261,7 @@ Command = (
 
 
 def seq(items) -> "Command":
-    """Sequence a list of commands, flattening and dropping redundant skips."""
+    """Sequence a list of commands, flattening nested sequences; skips are kept."""
     flat = []
     for it in items:
         if isinstance(it, Seq):

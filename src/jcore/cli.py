@@ -8,14 +8,17 @@ fact the text mode prints.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
+import os
 import sys
 
 from .classtable import Designations, WellFormednessError, load_table
-from .confine import confine_heap, to_dot, ConfinementViolation
+from .confine import ConfinementMonitor, ConfinementViolation, confine_heap, to_dot
+from .corpus import load_corpus, replay
 from .coupling import load_sim_manifest, run_sim_manifest
 from .equivalence import ComparabilityError, ManifestError, load_manifest, run_manifest
-from .interp import Bottom, collect, format_state, run
+from .interp import Bottom, HookChain, TraceHooks, collect, format_state, run
 from .parser import ParseError
 from .safety import safe_table
 from .typecheck import check_table
@@ -114,9 +117,6 @@ def _parse_entry(spec: str):
 
 
 def cmd_run(args) -> int:
-    from .confine import ConfinementMonitor
-    from .interp import HookChain, TraceHooks
-
     ct = _load_table(args.file, args)
     entry_class, entry_method = _parse_entry(args.entry)
     tracer = TraceHooks() if args.trace else None
@@ -219,11 +219,6 @@ def cmd_dot(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    import glob
-    import os
-
-    from .corpus import load_corpus, replay
-
     records = load_corpus()
     if args.action == "list":
         lines = [f"{r.name:28s} own={r.own} rep={r.rep} {r.notes}" for r in records]

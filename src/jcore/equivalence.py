@@ -2,10 +2,11 @@
 
 Two tables are comparable when they agree on everything except the owner
 class's declaration, with matching public (and subclass-visible module)
-method signatures. Client equivalence runs the same entry program against
-both tables with synchronized fuel, garbage-collects both finals, and decides
-equality of the collected states up to a type-preserving location bijection,
-built by one deterministic rooted traversal.
+method signatures. Client equivalence runs the same entry program once
+against each table at the budget, reports the larger of the two minimal
+fuels, garbage-collects both finals, and decides equality of the collected
+states up to a type-preserving location bijection, built by one
+deterministic rooted traversal.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .classtable import ClassTable, Designations, load_table
-from .interp import (
-    Bottom, Heap, Location, Store, collect, fuel_schedule, run, value_kind,
-)
+from .interp import Bottom, Heap, Location, Store, collect, run, value_kind
 
 
 class ComparabilityError(Exception):
@@ -217,29 +216,28 @@ def client_equiv(
     if not ct_a.is_client_class(entry_class):
         raise ComparabilityError([f"entry class {entry_class} must be a client class"])
 
-    for fuel in fuel_schedule(max_fuel):
-        res_a = run(ct_a, entry_class, entry_method, loop_cap=loop_cap, fixed_fuel=fuel)
-        res_b = run(ct_b, entry_class, entry_method, loop_cap=loop_cap, fixed_fuel=fuel)
-        bot_a = res_a.outcome if isinstance(res_a.outcome, Bottom) else None
-        bot_b = res_b.outcome if isinstance(res_b.outcome, Bottom) else None
-        if (bot_a and bot_a.is_fuel()) or (bot_b and bot_b.is_fuel()):
-            continue  # undetermined at this approximation; deepen
-        if bot_a and bot_b:
-            return EquivVerdict("equivalent", fuel, witness=f"both bottom: {bot_a.reason} / {bot_b.reason}")
-        if bot_a or bot_b:
-            return EquivVerdict(
-                "distinguished", fuel,
-                witness=f"one side bottoms ({(bot_a or bot_b).reason}), the other terminates",
-            )
-        ha, ea = collect(*res_a.outcome)
-        hb, eb = collect(*res_b.outcome)
-        if not own_free(ct_a, ha, ea) or not own_free(ct_b, hb, eb):
-            return EquivVerdict("owners-reachable", fuel, witness="an owner is reachable in a collected final state")
-        out = canonical_bijection(ct_a, (ha, ea), (hb, eb))
-        if isinstance(out, Distinguished):
-            return EquivVerdict("distinguished", fuel, witness=f"{out.path}: {out.message}")
-        return EquivVerdict("equivalent", fuel, sigma=tuple(sorted(out.items())))
-    return EquivVerdict("inconclusive", max_fuel, witness="fuel exhausted on at least one side at the budget")
+    res_a = run(ct_a, entry_class, entry_method, max_fuel=max_fuel, loop_cap=loop_cap)
+    res_b = run(ct_b, entry_class, entry_method, max_fuel=max_fuel, loop_cap=loop_cap)
+    bot_a = res_a.outcome if isinstance(res_a.outcome, Bottom) else None
+    bot_b = res_b.outcome if isinstance(res_b.outcome, Bottom) else None
+    if (bot_a and bot_a.is_fuel()) or (bot_b and bot_b.is_fuel()):
+        return EquivVerdict("inconclusive", max_fuel, witness="fuel exhausted on at least one side at the budget")
+    fuel = max(res_a.fuel_used, res_b.fuel_used)  # the least fuel that determines both sides
+    if bot_a and bot_b:
+        return EquivVerdict("equivalent", fuel, witness=f"both bottom: {bot_a.reason} / {bot_b.reason}")
+    if bot_a or bot_b:
+        return EquivVerdict(
+            "distinguished", fuel,
+            witness=f"one side bottoms ({(bot_a or bot_b).reason}), the other terminates",
+        )
+    ha, ea = collect(*res_a.outcome)
+    hb, eb = collect(*res_b.outcome)
+    if not own_free(ct_a, ha, ea) or not own_free(ct_b, hb, eb):
+        return EquivVerdict("owners-reachable", fuel, witness="an owner is reachable in a collected final state")
+    out = canonical_bijection(ct_a, (ha, ea), (hb, eb))
+    if isinstance(out, Distinguished):
+        return EquivVerdict("distinguished", fuel, witness=f"{out.path}: {out.message}")
+    return EquivVerdict("equivalent", fuel, sigma=tuple(sorted(out.items())))
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,14 @@ the location `fresh` finds from 0, at amortised O(1) cost.
 
 Method meanings are approximated by a fuel counter: a call executed with
 fuel j runs the callee body with fuel j-1, and any call at fuel 0 yields the
-fuel-exhausted bottom. A successful outcome at some fuel is identical at
-every larger fuel, so iterative deepening on the fuel computes the limit
-semantics whenever the program terminates.
+fuel-exhausted bottom. Fuel acts only at a call, so the execution at fuel f
+is the execution at any larger fuel up to its first call nested deeper than
+f, where it bottoms. A `Runtime` records the least fuel any call ran at; one
+execution at the budget then answers iterative deepening over 1, 2, 4, ...,
+budget: its minimal sufficient fuel is the first of these that reaches every
+call the execution made. A successful outcome at some fuel is identical at
+every larger fuel, so this is the limit semantics whenever the program
+terminates within the budget.
 
 Bottom outcomes carry a diagnostic reason. For equivalence purposes every
 reason is the same improper value; fuel exhaustion is kept separate because
@@ -26,6 +31,7 @@ it means "undetermined at this approximation" rather than a genuine error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -261,6 +267,7 @@ class Runtime:
         self._stack: List[str] = []
         self._next: Dict[str, int] = {}  # per class: no free index below this in the entry's heap
         self.steps = 0
+        self.low_fuel = math.inf  # least fuel at which any call ran its body
 
     def _bottom(self, reason, detail=""):
         return Bottom(reason, detail, tuple(self._stack))
@@ -373,6 +380,8 @@ class Runtime:
     def _invoke(self, loc: Location, mname: str, args, h: Heap, fuel: int, start_class: Optional[str] = None):
         if fuel <= 0:
             return self._bottom(FUEL_EXHAUSTED, f"call to {mname}")
+        if fuel < self.low_fuel:
+            self.low_fuel = fuel
         start = start_class or loc.class_name
         resolved = self.ct.resolve_method(mname, start)
         assert resolved is not None, f"unresolvable method {mname} on {start}"
@@ -534,14 +543,6 @@ class Runtime:
         raise TypeError(f"not a core command: {cmd!r}")
 
 
-def fuel_schedule(max_fuel: int):
-    f = 1
-    while f < max_fuel:
-        yield f
-        f *= 2
-    yield max_fuel
-
-
 def run(
     ct: ClassTable,
     entry_class: str,
@@ -549,10 +550,11 @@ def run(
     max_fuel: int = 1024,
     loop_cap: int = 100000,
     hooks: Optional[InterpHooks] = None,
-    fixed_fuel: Optional[int] = None,
 ) -> RunResult:
-    """Construct one entry object and execute the entry method body as the
-    program command, deepening the fuel until the outcome is determined."""
+    """Construct one entry object and execute the entry method body once, at
+    `max_fuel`, as the program command. The reported fuel is the least of 1,
+    2, 4, ..., `max_fuel` at which the execution is the same; a fuel bottom in
+    the body is reported at `max_fuel`."""
     if entry_class not in ct.decls:
         raise EntryClassError(f"unknown entry class {entry_class}")
     if ct.designations is not None and not ct.is_client_class(entry_class):
@@ -564,22 +566,21 @@ def run(
     if m.params:
         raise EntryClassError(f"entry method {entry_method} must take no parameters")
 
-    schedule = [fixed_fuel] if fixed_fuel is not None else list(fuel_schedule(max_fuel))
-    last = None
-    for fuel in schedule:
-        rt = Runtime(ct, loop_cap=loop_cap, hooks=hooks)
-        res = rt.new_object(entry_class, {})
-        if isinstance(res, Bottom):
-            return RunResult(res, fuel, steps=rt.steps)
-        h, loc = res
+    rt = Runtime(ct, loop_cap=loop_cap, hooks=hooks)
+    out = rt.new_object(entry_class, {})
+    if not isinstance(out, Bottom):
+        h, loc = out
         gamma = {"self": ClassType(decl_class), "result": m.return_type}
         eta = {"self": loc, "result": default_value(m.return_type)}
         # h is the heap new_object made for this entry; run on it, cursors intact
-        out = rt._exec_command(gamma, m.body, h, eta, fuel)
-        last = RunResult(out, fuel, steps=rt.steps)
-        if not (isinstance(out, Bottom) and out.is_fuel()):
-            return last
-    return last
+        out = rt._exec_command(gamma, m.body, h, eta, max_fuel)
+        if isinstance(out, Bottom) and out.is_fuel():
+            return RunResult(out, max_fuel, steps=rt.steps)
+    # a call that ran at fuel j is nested max_fuel - j + 1 deep; constructor calls never run
+    need, fuel = max_fuel - rt.low_fuel + 1, 1
+    while fuel < need:
+        fuel *= 2
+    return RunResult(out, min(fuel, max_fuel), steps=rt.steps)
 
 
 def format_state(ct: ClassTable, h: Heap, eta: Store) -> str:
@@ -616,7 +617,7 @@ def _fmt_value(v) -> str:
 
 
 def state_digest(h: Heap, eta: Store) -> str:
-    import hashlib
+    import hashlib  # here, not at module level: it loads OpenSSL, ~4 MB resident, for traces only
 
     blob = repr(sorted((str(k), sorted((f, str(v)) for f, v in s.items())) for k, s in h.items()))
     blob += repr(sorted((k, str(v)) for k, v in eta.items()))

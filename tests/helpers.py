@@ -1,6 +1,7 @@
 """Shared oracles and generators: brute-force partition search, typed
-bijection enumeration, random heap/state construction, and the
-confine_heap oracle for the monitor's followed partition."""
+bijection enumeration, random heap/state construction, the confine_heap
+oracle for the monitor's followed partition, and iterative deepening as the
+oracle for single-execution `run` and `client_equiv`."""
 
 from __future__ import annotations
 
@@ -11,8 +12,10 @@ from jcore import ast as A
 from jcore.classtable import Designations, build_class_table
 from jcore.confine import ConfinementViolation, confine_heap, partition_clauses_hold
 from jcore.desugar import parse_and_desugar
-from jcore.equivalence import value_equiv
-from jcore.interp import IT, Bottom, InterpHooks, Location
+from jcore.equivalence import (
+    Distinguished, EquivVerdict, canonical_bijection, own_free, value_equiv,
+)
+from jcore.interp import IT, Bottom, InterpHooks, Location, Runtime, RunResult, collect, run
 
 
 def _cls(name, sup, fields, methods=()):
@@ -145,8 +148,6 @@ def client_table():
 
 def random_client_state(ct, rng: random.Random, max_locs: int = 6):
     """Random collected owner-free state over the client table."""
-    from jcore.interp import collect
-
     classes = ["P", "Q"]
     n = rng.randint(1, max_locs)
     locs = []
@@ -248,3 +249,69 @@ class PartitionOracle(InterpHooks):
     def after_call(self, caller_gamma, callee_class, callee_store, outcome, site, mscoped):
         if not isinstance(outcome, Bottom):
             self._agree(outcome[0])
+
+
+# ---------------------------------------------------------------------------
+# Iterative deepening: re-execute from scratch at fuel 1, 2, 4, ..., budget
+
+
+def fuel_schedule(max_fuel):
+    f = 1
+    while f < max_fuel:
+        yield f
+        f *= 2
+    yield max_fuel
+
+
+def _undetermined(outcome):
+    return isinstance(outcome, Bottom) and outcome.is_fuel()
+
+
+def deepening_run(ct, entry_class, entry_method, max_fuel=1024, loop_cap=100000, hooks=None):
+    """Oracle for `run`: one execution at each fuel of the schedule, all
+    sharing `hooks`, keeping the first outcome that is not a fuel bottom (or
+    the last) with that attempt's fuel and steps. A bottom while constructing
+    the entry object, the same at every fuel, settles the first attempt."""
+    constructs = not isinstance(Runtime(ct, loop_cap=loop_cap).new_object(entry_class, {}), Bottom)
+    for fuel in fuel_schedule(max_fuel):
+        res = run(ct, entry_class, entry_method, max_fuel=fuel, loop_cap=loop_cap, hooks=hooks)
+        if not (constructs and _undetermined(res.outcome)):
+            break
+    return RunResult(res.outcome, fuel, steps=res.steps)
+
+
+def deepening_equiv(ct_a, ct_b, entry_class, entry_method, max_fuel=1024, loop_cap=100000):
+    """Oracle for `client_equiv` on comparable tables: both sides at each
+    fuel of the schedule until neither is a fuel bottom."""
+    for fuel in fuel_schedule(max_fuel):
+        out_a = run(ct_a, entry_class, entry_method, max_fuel=fuel, loop_cap=loop_cap).outcome
+        out_b = run(ct_b, entry_class, entry_method, max_fuel=fuel, loop_cap=loop_cap).outcome
+        if _undetermined(out_a) or _undetermined(out_b):
+            continue
+        bot_a = out_a if isinstance(out_a, Bottom) else None
+        bot_b = out_b if isinstance(out_b, Bottom) else None
+        if bot_a and bot_b:
+            return EquivVerdict("equivalent", fuel, witness=f"both bottom: {bot_a.reason} / {bot_b.reason}")
+        if bot_a or bot_b:
+            return EquivVerdict(
+                "distinguished", fuel,
+                witness=f"one side bottoms ({(bot_a or bot_b).reason}), the other terminates",
+            )
+        ha, ea = collect(*out_a)
+        hb, eb = collect(*out_b)
+        if not own_free(ct_a, ha, ea) or not own_free(ct_b, hb, eb):
+            return EquivVerdict("owners-reachable", fuel, witness="an owner is reachable in a collected final state")
+        out = canonical_bijection(ct_a, (ha, ea), (hb, eb))
+        if isinstance(out, Distinguished):
+            return EquivVerdict("distinguished", fuel, witness=f"{out.path}: {out.message}")
+        return EquivVerdict("equivalent", fuel, sigma=tuple(sorted(out.items())))
+    return EquivVerdict("inconclusive", max_fuel, witness="fuel exhausted on at least one side at the budget")
+
+
+def run_facts(res, violations=()):
+    """What a run reports: outcome (a bottom with its stack), fuel, steps and
+    the rendered violations."""
+    out = res.outcome
+    if isinstance(out, Bottom):
+        out = (out.reason, out.detail, out.stack)
+    return out, res.fuel_used, res.steps, [v.render() for v in violations]

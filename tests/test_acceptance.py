@@ -184,7 +184,7 @@ def test_criterion_7_interpreter_invariants(corpus, tables):
         for e in rec.entries:
             settled = None
             for fuel in range(1, 33):
-                out = run(ct, e.entry_class, e.entry_method, fixed_fuel=fuel).outcome
+                out = run(ct, e.entry_class, e.entry_method, max_fuel=fuel).outcome
                 if isinstance(out, Bottom) and out.is_fuel():
                     assert settled is None, (name, fuel)
                     continue

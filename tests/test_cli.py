@@ -171,6 +171,17 @@ def test_run_trace(capsys):
     assert all("@" in t for t in traces)
 
 
+def test_run_trace_lists_only_the_executed_run(capsys):
+    from jcore.classtable import load_table
+    from jcore.interp import run
+
+    path = _c("observer_v1.jcore")
+    assert main(["--format", "json", "run", "--entry", "Main.main", "--trace", path]) == 0
+    trace = json.loads(capsys.readouterr().out)["trace"]
+    assert len(trace) == run(load_table(path), "Main", "main").steps
+    assert not any("bottom:fuel-exhausted" in t for t in trace)
+
+
 def test_corpus_list_extra_dir(tmp_path, capsys):
     (tmp_path / "mine.jcore").write_text("class C extends Object { }")
     assert main(["corpus", "list", "--extra", str(tmp_path)]) == 0

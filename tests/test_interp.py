@@ -330,7 +330,7 @@ def test_fuel_monotonicity_on_corpus(corpus, tables):
         for e in rec.entries:
             settled = None
             for fuel in range(1, 17):
-                res = run(ct, e.entry_class, e.entry_method, fixed_fuel=fuel)
+                res = run(ct, e.entry_class, e.entry_method, max_fuel=fuel)
                 out = res.outcome
                 if isinstance(out, Bottom) and out.is_fuel():
                     assert settled is None, f"{name}: outcome regressed at fuel {fuel}"
@@ -438,9 +438,9 @@ def test_obool_versions_agree_after_init(tables):
 
 
 def test_observer_client_succeeds_at_fuel_two(tables):
-    res = run(tables["observer_v1"], "Main", "main", fixed_fuel=2)
+    res = run(tables["observer_v1"], "Main", "main", max_fuel=2)
     assert res.ok
-    res1 = run(tables["observer_v1"], "Main", "main", fixed_fuel=1)
+    res1 = run(tables["observer_v1"], "Main", "main", max_fuel=1)
     assert isinstance(res1.outcome, Bottom) and res1.outcome.is_fuel()
 
 

@@ -5,6 +5,7 @@ confinement-clean under the dynamic monitor on generated drivers."""
 
 import random
 
+from helpers import deepening_run, run_facts
 from jcore.classtable import Designations, build_class_table
 from jcore.confine import ConfinementMonitor, run_with_monitor
 from jcore.coupling import _exec_step, generate_scripts
@@ -170,3 +171,21 @@ def test_monitor_partition_agrees_with_confine_heap_on_the_fuzz_runs(partition_o
     test_accepted_compositions_are_monitor_clean()
     test_monitor_catches_what_the_analysis_rejects()
     assert sum(o.checks for o in partition_oracles) > 10000
+
+
+def test_monitored_fuzz_runs_match_deepening():
+    """`run_with_monitor` on the compositions of the monitor tests above, safe
+    and unsafe, reports what iterative deepening with one monitor reports."""
+    rng = random.Random(99)
+    accepted = violating = 0
+    while accepted < 25:
+        src, all_safe = _compose(rng)
+        ct = build_class_table(parse_and_desugar(src), Designations("Own2", "Rep2"))
+        for checkpoints in ("every", "calls"):
+            got = run_with_monitor(ct, "Main", "main", checkpoints=checkpoints)
+            monitor = ConfinementMonitor(ct, checkpoints)
+            want = deepening_run(ct, "Main", "main", hooks=monitor)
+            assert run_facts(*got) == run_facts(want, monitor.violations), src
+            violating += bool(got[1])
+        accepted += all_safe and safe_table(ct).ok
+    assert violating
