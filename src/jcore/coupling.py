@@ -7,7 +7,9 @@ owners, a total bijection between the client blocks, and field-wise value
 equivalence for client objects. The harness replays identical call scripts
 against both tables, rebuilding the bijection after every step by a rooted
 traversal over non-rep structure (rep correspondence is the coupling's own
-business), and reports which steps preserve the relation at which fuels.
+business), and reports which steps preserve the relation at which fuels. It
+executes each distinct script prefix once per side, at the largest fuel, and
+derives every other fuel from the least fuel a call of that step ran at.
 
 The evidence is bounded: scripts are finite and fuels are finite, so a clean
 report is not a proof, and the report says so.
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import ast as A
 from .classtable import ClassTable, load_table
@@ -27,7 +29,8 @@ from .equivalence import (
     pair_reachable, value_equiv,
 )
 from .interp import (
-    IT, Bottom, Heap, Location, Runtime, Store, collect, default_value, fresh, value_kind,
+    FUEL_EXHAUSTED, IT, Bottom, Heap, Location, Runtime, Store, collect, default_value, fresh,
+    value_kind,
 )
 
 
@@ -217,13 +220,8 @@ def _arg_candidates(ct: ClassTable, ptype, pool: Dict[str, str]):
 def _concrete_client_arg_class(ct: ClassTable, pname: str) -> str:
     """Most-derived client subclass of `pname`, preferring proper subclasses
     (abstract-style base classes often have aborting stub methods)."""
-    best, best_depth = pname, 0
-    for cname in sorted(ct.decls):
-        if ct.subtype_names(cname, pname) and ct.is_client_class(cname):
-            depth = sum(1 for _ in ct.ancestors(cname))
-            if depth > best_depth:
-                best, best_depth = cname, depth
-    return best
+    subs = [c for c in sorted(ct.decls) if ct.subtype_names(c, pname) and ct.is_client_class(c)]
+    return max(subs, key=lambda c: sum(1 for _ in ct.ancestors(c)), default=pname)
 
 
 def generate_scripts(ct: ClassTable, owner_class: str, max_len: int = 4, max_scripts: int = 120):
@@ -305,25 +303,20 @@ def generate_scripts(ct: ClassTable, owner_class: str, max_len: int = 4, max_scr
 
 def _exec_step(rt: Runtime, heap: Heap, roots: Store, st: Step, cls_of: Dict[str, str], fuel: int):
     if st.op == "new":
-        res = rt.new_object(cls_of[st.target], heap)
-        if isinstance(res, Bottom):
-            return res, heap
-        h, loc = res
-        roots[st.target] = loc
-        return None, h
-    recv = roots.get(st.target)
-    if not isinstance(recv, Location):
-        return Bottom("nil-dereference", f"script target {st.target} is not an object"), heap
-    args = [roots.get(a[1]) if a[0] == "root" else a[1] for a in st.args]
-    # script fuel selects the approximant the method BODIES run under, so a
-    # step at fuel i tests the meaning built over the i-th method environment
-    res = rt.invoke(recv, st.method, args, heap, fuel + 1)
+        res, bind = rt.new_object(cls_of[st.target], heap), st.target
+    else:
+        recv = roots.get(st.target)
+        if not isinstance(recv, Location):
+            return Bottom("nil-dereference", f"script target {st.target} is not an object"), heap
+        args = [roots.get(a[1]) if a[0] == "root" else a[1] for a in st.args]
+        # script fuel selects the approximant the method BODIES run under, so a
+        # step at fuel i tests the meaning built over the i-th method environment
+        res, bind = rt.invoke(recv, st.method, args, heap, fuel + 1), st.bind
     if isinstance(res, Bottom):
         return res, heap
-    h, d = res
-    if st.bind:
-        roots[st.bind] = d
-    return None, h
+    if bind:
+        roots[bind] = res[1]
+    return None, res[0]
 
 
 @dataclass
@@ -362,33 +355,63 @@ class CouplingReport:
         return [v for v in self.vectors if v.status == "fail"]
 
 
-def run_vector(ct_a: ClassTable, ct_b: ClassTable, bc: BasicCoupling, script, fuel: int) -> VectorResult:
-    rt_a, rt_b = Runtime(ct_a), Runtime(ct_b)
-    h_a: Heap = {}
-    h_b: Heap = {}
-    roots_a: Store = {}
-    roots_b: Store = {}
-    cls_of = {st.target: st.method for st in script if st.op == "new"}
-    methods = _own_methods_of(ct_a, script)
+class _Prefix(NamedTuple):
+    sides: tuple  # per side after the prefix: heap, roots, bottom or None, low_fuel
+    verdict: str  # the coupling failure after it; "" if it holds or a side bottomed
+    children: dict  # by next step
+
+
+class PrefixMemo:
+    """The script prefixes of one table pair, each executed once per side at
+    `fuel`; a memo answers every fuel up to its own."""
+
+    def __init__(self, ct_a: ClassTable, ct_b: ClassTable, bc: BasicCoupling, fuel: int):
+        self.ct_a, self.ct_b, self.bc, self.fuel = ct_a, ct_b, bc, fuel
+        self.root = _Prefix((({}, {}, None, 0), ({}, {}, None, 0)), "", {})
+        self.methods: Dict[tuple, Tuple[str, ...]] = {}
+
+    def extend(self, node: _Prefix, st: Step) -> _Prefix:
+        """Execute `st` after `node`, keeping the child only once it is built:
+        a step that raises runs again for the next vector."""
+        sides = []
+        for ct, (heap, roots, _, _) in zip((self.ct_a, self.ct_b), node.sides):
+            rt, roots = Runtime(ct), dict(roots)  # the entry copies the heap itself
+            bot, heap = _exec_step(rt, heap, roots, st, {st.target: st.method}, self.fuel)  # `new` names its class
+            sides.append((heap, roots, bot, rt.low_fuel))
+        (h_a, roots_a, bot_a, _), (h_b, roots_b, bot_b, _) = sides
+        verdict = ""
+        if bot_a is None and bot_b is None:
+            sigma = root_sigma(self.ct_a, self.ct_b, roots_a, roots_b, h_a, h_b)
+            if not isinstance(sigma, CouplingFailure):
+                sigma = induced_heap_coupling(self.ct_a, self.ct_b, sigma, h_a, h_b, self.bc)
+            if isinstance(sigma, CouplingFailure):
+                verdict = f"{sigma.where}: {sigma.message}"
+        node.children[st] = out = _Prefix(tuple(sides), verdict, {})
+        return out
+
+
+def run_vector(ct_a: ClassTable, ct_b: ClassTable, bc: BasicCoupling, script, fuel: int, *,
+               memo: Optional[PrefixMemo] = None) -> VectorResult:
+    """Replay `script` on both tables at `fuel`, checking the coupling after
+    every step, from `memo` (this pair's, at a fuel F >= `fuel`) or from a
+    private memo at `fuel`. A step runs `invoke(..., fuel + 1)`, so a side does
+    what it did at F exactly when `fuel >= F + 1 - low_fuel`; below, its
+    deepest call bottoms."""
+    memo = memo or PrefixMemo(ct_a, ct_b, bc, fuel)
+    methods, node = memo.methods.get(script), memo.root
+    if methods is None:
+        methods = memo.methods[script] = _own_methods_of(ct_a, script)
     for i, st in enumerate(script):
-        bot_a, h_a = _exec_step(rt_a, h_a, roots_a, st, cls_of, fuel)
-        bot_b, h_b = _exec_step(rt_b, h_b, roots_b, st, cls_of, fuel)
+        node = node.children.get(st) or memo.extend(node, st)
+        bot_a, bot_b = (b if fuel >= memo.fuel + 1 - low else Bottom(FUEL_EXHAUSTED) for *_, b, low in node.sides)
         if bot_a is not None and bot_b is not None:
             return VectorResult(script, fuel, "pass", i, "both sides bottom", methods)
-        if (bot_a is None) != (bot_b is None):
-            side = "A" if bot_a is not None else "B"
-            reason = (bot_a or bot_b).reason
-            return VectorResult(
-                script, fuel, "fail", i,
-                f"outcomes unrelated: side {side} bottoms ({reason}), the other side terminates",
-                methods,
-            )
-        sigma = root_sigma(ct_a, ct_b, roots_a, roots_b, h_a, h_b)
-        if isinstance(sigma, CouplingFailure):
-            return VectorResult(script, fuel, "fail", i, f"{sigma.where}: {sigma.message}", methods)
-        out = induced_heap_coupling(ct_a, ct_b, sigma, h_a, h_b, bc)
-        if isinstance(out, CouplingFailure):
-            return VectorResult(script, fuel, "fail", i, f"{out.where}: {out.message}", methods)
+        if bot_a is not None or bot_b is not None:
+            side, reason = ("A", bot_a.reason) if bot_a is not None else ("B", bot_b.reason)
+            msg = f"outcomes unrelated: side {side} bottoms ({reason}), the other side terminates"
+            return VectorResult(script, fuel, "fail", i, msg, methods)
+        if node.verdict:
+            return VectorResult(script, fuel, "fail", i, node.verdict, methods)
     return VectorResult(script, fuel, "pass", len(script) - 1, "", methods)
 
 
@@ -439,20 +462,18 @@ def test_simulation(
     if owner_classes is None:
         subs = [c for c in sorted(ct_a.decls) if c != own and ct_a.subtype_names(c, own)]
         owner_classes = [own] + subs[:1]
-    establishment = []
+    establishment, vectors = [], []
     for oc in owner_classes:
         try:
             ok, msg = check_establishment(ct_a, ct_b, bc, oc)
         except Exception as exc:  # never throw; report instead
             ok, msg = False, f"internal error: {exc}"
         establishment.append((oc, ok, msg))
-    vectors: List[VectorResult] = []
-    for oc in owner_classes:
-        scripts = generate_scripts(ct_a, oc, max_len=max_len, max_scripts=max_scripts)
-        for script in scripts:
+        memo = PrefixMemo(ct_a, ct_b, bc, max(fuels, default=0))
+        for script in generate_scripts(ct_a, oc, max_len=max_len, max_scripts=max_scripts):
             for fuel in fuels:
                 try:
-                    vectors.append(run_vector(ct_a, ct_b, bc, script, fuel))
+                    vectors.append(run_vector(ct_a, ct_b, bc, script, fuel, memo=memo))
                 except Exception as exc:
                     vectors.append(VectorResult(script, fuel, "fail", -1, f"internal error: {exc}"))
     return CouplingReport(bc.name, establishment, vectors)

@@ -76,10 +76,18 @@ class _BodyLowerer:
 
     @staticmethod
     def _first_free_tmp(body) -> int:
-        mx = -1
-        for name in re.findall(r"\$tmp(\d+)", repr(body)):
-            mx = max(mx, int(name))
-        return mx + 1
+        """One past the largest N of a `$tmpN` name in the body, by a walk that skips spans."""
+        nums, stack = [-1], [body]
+        while stack:
+            node = stack.pop()
+            t = type(node)
+            if t is str and "$" in node:
+                nums += map(int, re.findall(r"\$tmp(\d+)", node))
+            elif t is tuple:
+                stack.extend(node)
+            elif t is not A.Span and hasattr(node, "__dict__"):
+                stack.extend(vars(node).values())
+        return max(nums) + 1
 
     def fresh(self) -> str:
         name = f"$tmp{self.counter}"

@@ -199,13 +199,14 @@ _BINARY = (("=", "!="), ("<",), ("+", "-"), ("mod",))
 class _Parser:
     def __init__(self, src: str):
         self.src = src
-        self.toks = tokenize(src)
+        toks = tokenize(src)
+        self.toks = toks + toks[-1:] * 3  # the deepest lookahead is peek(3)
         self.pos = 0
 
     # -- token helpers
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos + ahead]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -214,7 +215,7 @@ class _Parser:
         return t
 
     def at(self, text: str) -> bool:
-        t = self.peek()
+        t = self.toks[self.pos]
         return t.text == text and t.kind in ("punct", "kw")
 
     def accept(self, text: str) -> Optional[Token]:

@@ -1,7 +1,8 @@
 """Shared oracles and generators: brute-force partition search, typed
 bijection enumeration, random heap/state construction, the confine_heap
-oracle for the monitor's followed partition, and iterative deepening as the
-oracle for single-execution `run` and `client_equiv`."""
+oracle for the monitor's followed partition, iterative deepening as the
+oracle for single-execution `run` and `client_equiv`, and per-fuel replay as
+the oracle for the simulation harness's prefix memo."""
 
 from __future__ import annotations
 
@@ -9,13 +10,19 @@ import itertools
 import random
 
 from jcore import ast as A
-from jcore.classtable import Designations, build_class_table
+from jcore.classtable import ClassTable, Designations, build_class_table
 from jcore.confine import ConfinementViolation, confine_heap, partition_clauses_hold
+from jcore.coupling import (
+    BasicCoupling, CouplingFailure, CouplingReport, VectorResult, _exec_step, _own_methods_of,
+    check_establishment, generate_scripts, induced_heap_coupling, root_sigma,
+)
 from jcore.desugar import parse_and_desugar
 from jcore.equivalence import (
     Distinguished, EquivVerdict, canonical_bijection, own_free, value_equiv,
 )
-from jcore.interp import IT, Bottom, InterpHooks, Location, Runtime, RunResult, collect, run
+from jcore.interp import (
+    IT, Bottom, Heap, InterpHooks, Location, Runtime, RunResult, Store, collect, run,
+)
 
 
 def _cls(name, sup, fields, methods=()):
@@ -315,3 +322,66 @@ def run_facts(res, violations=()):
     if isinstance(out, Bottom):
         out = (out.reason, out.detail, out.stack)
     return out, res.fuel_used, res.steps, [v.render() for v in violations]
+
+
+# ---------------------------------------------------------------------------
+# Per-fuel replay: every (script, fuel) vector from empty heaps
+
+
+def replay_vector(ct_a: ClassTable, ct_b: ClassTable, bc: BasicCoupling, script, fuel: int) -> VectorResult:
+    """Oracle for `run_vector`: execute the script from empty heaps at `fuel`,
+    checking the coupling after every step."""
+    rt_a, rt_b = Runtime(ct_a), Runtime(ct_b)
+    h_a: Heap = {}
+    h_b: Heap = {}
+    roots_a: Store = {}
+    roots_b: Store = {}
+    cls_of = {st.target: st.method for st in script if st.op == "new"}
+    methods = _own_methods_of(ct_a, script)
+    for i, st in enumerate(script):
+        bot_a, h_a = _exec_step(rt_a, h_a, roots_a, st, cls_of, fuel)
+        bot_b, h_b = _exec_step(rt_b, h_b, roots_b, st, cls_of, fuel)
+        if bot_a is not None and bot_b is not None:
+            return VectorResult(script, fuel, "pass", i, "both sides bottom", methods)
+        if (bot_a is None) != (bot_b is None):
+            side = "A" if bot_a is not None else "B"
+            reason = (bot_a or bot_b).reason
+            return VectorResult(
+                script, fuel, "fail", i,
+                f"outcomes unrelated: side {side} bottoms ({reason}), the other side terminates",
+                methods,
+            )
+        sigma = root_sigma(ct_a, ct_b, roots_a, roots_b, h_a, h_b)
+        if isinstance(sigma, CouplingFailure):
+            return VectorResult(script, fuel, "fail", i, f"{sigma.where}: {sigma.message}", methods)
+        out = induced_heap_coupling(ct_a, ct_b, sigma, h_a, h_b, bc)
+        if isinstance(out, CouplingFailure):
+            return VectorResult(script, fuel, "fail", i, f"{out.where}: {out.message}", methods)
+    return VectorResult(script, fuel, "pass", len(script) - 1, "", methods)
+
+
+def replay_simulation(ct_a, ct_b, bc, fuels, max_len, max_scripts, replayed=None):
+    """Oracle for `test_simulation` with its default owner classes: the same
+    report, each vector from `replay_vector`. `replayed`, a dict keyed by
+    (script, fuel), keeps vectors for the next call; a vector whose replay
+    raised is not kept."""
+    replayed = {} if replayed is None else replayed
+    own = ct_a.designations.own
+    owner_classes = [own] + [c for c in sorted(ct_a.decls) if c != own and ct_a.subtype_names(c, own)][:1]
+    establishment, vectors = [], []
+    for oc in owner_classes:
+        try:
+            ok, msg = check_establishment(ct_a, ct_b, bc, oc)
+        except Exception as exc:
+            ok, msg = False, f"internal error: {exc}"
+        establishment.append((oc, ok, msg))
+        for script in generate_scripts(ct_a, oc, max_len=max_len, max_scripts=max_scripts):
+            for fuel in fuels:
+                v = replayed.get((script, fuel))
+                if v is None:
+                    try:
+                        v = replayed[script, fuel] = replay_vector(ct_a, ct_b, bc, script, fuel)
+                    except Exception as exc:
+                        v = VectorResult(script, fuel, "fail", -1, f"internal error: {exc}")
+                vectors.append(v)
+    return CouplingReport(bc.name, establishment, vectors)

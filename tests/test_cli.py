@@ -27,6 +27,14 @@ def test_check_reports_parse_error(tmp_path, capsys):
     assert capsys.readouterr().out == f"{bad}: 1:57: unexpected character '²'\n"
 
 
+def test_check_accepts_a_long_negation_chain(tmp_path, capsys):
+    # 500 nested `!`: finding the first free `$tmpN` must not recurse per level
+    src = tmp_path / "bang.jcore"
+    src.write_text("class A extends Object { bool out; unit m() { self.out := " + "!" * 500 + "true } }\n")
+    assert main(["check", str(src)]) == 0
+    assert capsys.readouterr().out == f"{src}: ok\n"
+
+
 def test_analyze_rejects_bad(capsys):
     code = main(["analyze", "--own", "OBool", "--rep", "Bool", _c("obool_bad_v1.jcore")])
     out = capsys.readouterr().out

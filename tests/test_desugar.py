@@ -236,6 +236,27 @@ def test_fresh_names_avoid_existing_tmp_names():
     assert "$tmp3" in names and "$tmp4" in names
 
 
+def test_first_free_tmp_matches_a_scan_of_the_body_repr(corpus):
+    """Every name counts, wherever it stands: locals, fields, methods,
+    classes, types, and `$tmpN` inside a longer name."""
+    import re
+
+    from jcore.desugar import _BodyLowerer
+
+    src = """
+    class $tmp5 extends Object { $tmp5 $tmp7; unit $tmp9() { skip } }
+    class C extends Object {
+      unit m($tmp5 z) { int x$tmp12y := 0; z.$tmp7 := ($tmp5) z; z.$tmp9(); if z is $tmp5 then skip else skip fi }
+    }
+    """
+    progs = [parse(src)] + [parse(rec.source()) for rec in corpus.values()]
+    bodies = [b for p in progs for c in p.classes for b in [c.constructor, *(m.body for m in c.methods)]]
+    for body in bodies:
+        want = max([-1, *map(int, re.findall(r"\$tmp(\d+)", repr(body)))]) + 1
+        assert _BodyLowerer._first_free_tmp(body) == want
+    assert _BodyLowerer._first_free_tmp(progs[0].classes[1].methods[0].body) == 13
+
+
 def test_effectful_while_guard_reevaluated():
     src = """
     class Counter extends Object {
