@@ -167,7 +167,6 @@ Expr = (
     " | InstanceTest | Cast | CallExpr | SuperCallExpr | NewExpr"
 )
 
-CORE_EXPRS = (Var, NullLit, BoolLit, IntLit, UnitLit, FieldAccess, Eq, IntOp, InstanceTest, Cast)
 SURFACE_ONLY_EXPRS = (CallExpr, SuperCallExpr, NewExpr)
 
 

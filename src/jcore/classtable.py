@@ -136,7 +136,7 @@ class ClassTable:
     def _check_constructor_dependence(self):
         # B < C  iff  `x := new B` occurs in the constructor of C or an ancestor
         direct: Dict[str, Set[str]] = {}
-        for name, d in self.decls.items():
+        for name in self.decls:
             news = set()
             cur = name
             while cur != OBJECT:
@@ -184,14 +184,11 @@ class ClassTable:
                         )
                 if not m.module_scoped:
                     continue
-                des = self.designations
-                inside = self.subtype_names(d.name, des.own) or any(
-                    self.subtype_names(d.name, r) for r in des.rep_names()
-                )
-                if not inside:
+                if self.is_client_class(d.name):
                     raise WellFormednessError(
                         "BadModuleScope", f"module-scoped {d.name}.{m.name} outside owner/rep classes"
                     )
+                des = self.designations
                 for b in (des.own,) + des.rep_names():
                     cur = self.decls[b].super_name
                     while cur != OBJECT:
@@ -250,12 +247,6 @@ class ClassTable:
         if name == OBJECT:
             return ()
         return self.decls[name].fields
-
-    def field_type(self, cname: str, fname: str):
-        for f, t in self.fields(cname):
-            if f == fname:
-                return t
-        return None
 
     def resolve_method(self, mname: str, cname: str) -> Optional[Tuple[str, MethodDecl]]:
         """Least ancestor of `cname` declaring `mname`, with its declaration."""
@@ -370,13 +361,8 @@ class ClassTable:
                     if m.name in mscoped:
                         result.add((m.name, own))
                     for cmd in A.walk_commands(m.body):
-                        called = None
-                        if isinstance(cmd, A.CallAssign):
-                            called = cmd.method
-                        elif isinstance(cmd, A.SuperCallAssign):
-                            called = cmd.method
-                        if called in mscoped:
-                            result.add((called, own))
+                        if isinstance(cmd, (A.CallAssign, A.SuperCallAssign)) and cmd.method in mscoped:
+                            result.add((cmd.method, own))
         self._prot = result
         return result
 

@@ -56,58 +56,51 @@ def _issue_json(path, issue):
     }
 
 
-def _emit_diagnostics(args, path, ok, records, text_lines):
-    """Diagnostics go out as JSON lines: a per-file summary record followed by
-    one record per diagnostic."""
-    if args.format == "json":
-        print(json.dumps({"file": path, "ok": ok}))
-        for rec in records:
-            print(json.dumps(rec))
-    else:
-        for line in text_lines:
-            print(line)
+def _report_files(args, verdict) -> int:
+    """Load each file and report what `verdict(path, table)` finds, a headline
+    and a list of diagnostics; a file that does not load reports its error.
+    JSON mode prints a per-file summary record, then one record per
+    diagnostic."""
+    failed = False
+    for path in args.files:
+        try:
+            ct = _load_table(path, args)
+        except (ParseError, WellFormednessError) as exc:
+            ok, records, lines = False, [{"file": path, "error": str(exc)}], [f"{path}: {exc}"]
+        else:
+            head, issues = verdict(path, ct)
+            ok, records = not issues, [_issue_json(path, i) for i in issues]
+            lines = [head] + [f"  {i.render()}" for i in issues]
+        if args.format == "json":
+            print(json.dumps({"file": path, "ok": ok}))
+            for rec in records:
+                print(json.dumps(rec))
+        else:
+            for line in lines:
+                print(line)
+        failed = failed or not ok
+    return 1 if failed else 0
 
 
 def cmd_check(args) -> int:
-    failed = False
-    for path in args.files:
-        try:
-            ct = _load_table(path, args)
-        except (ParseError, WellFormednessError) as exc:
-            _emit_diagnostics(args, path, False, [{"file": path, "error": str(exc)}], [f"{path}: {exc}"])
-            failed = True
-            continue
-        report = check_table(ct)
-        lines = [f"{path}: ok" if report.ok else f"{path}: {len(report.issues)} issue(s)"]
-        lines += [f"  {i.render()}" for i in report.issues]
-        _emit_diagnostics(args, path, report.ok, [_issue_json(path, i) for i in report.issues], lines)
-        failed = failed or not report.ok
-    return 1 if failed else 0
+    def verdict(path, ct):
+        issues = check_table(ct).issues
+        return (f"{path}: {len(issues)} issue(s)" if issues else f"{path}: ok"), issues
+
+    return _report_files(args, verdict)
 
 
 def cmd_analyze(args) -> int:
-    failed = False
-    for path in args.files:
-        try:
-            ct = _load_table(path, args)
-        except (ParseError, WellFormednessError) as exc:
-            _emit_diagnostics(args, path, False, [{"file": path, "error": str(exc)}], [f"{path}: {exc}"])
-            failed = True
-            continue
+    def verdict(path, ct):
         if ct.designations is None:
             raise SystemExit2("analyze requires --own and --rep")
-        treport = check_table(ct)
-        if not treport.ok:
-            lines = [f"{path}: ill-typed"] + [f"  {i.render()}" for i in treport.issues]
-            _emit_diagnostics(args, path, False, [_issue_json(path, i) for i in treport.issues], lines)
-            failed = True
-            continue
-        sreport = safe_table(ct)
-        lines = [f"{path}: safe" if sreport.ok else f"{path}: {len(sreport.diagnostics)} diagnostic(s)"]
-        lines += [f"  {d.render()}" for d in sreport.diagnostics]
-        _emit_diagnostics(args, path, sreport.ok, [_issue_json(path, d) for d in sreport.diagnostics], lines)
-        failed = failed or not sreport.ok
-    return 1 if failed else 0
+        issues = check_table(ct).issues
+        if issues:
+            return f"{path}: ill-typed", issues
+        diags = safe_table(ct).diagnostics
+        return (f"{path}: {len(diags)} diagnostic(s)" if diags else f"{path}: safe"), diags
+
+    return _report_files(args, verdict)
 
 
 def _parse_entry(spec: str):

@@ -229,8 +229,6 @@ def generate_scripts(ct: ClassTable, owner_class: str, max_len: int = 4, max_scr
     argument objects, then all call sequences of public owner methods up to
     `max_len`, each optionally capped by one direct module-method probe.
     Results of public calls become roots and may be called on in later steps."""
-    des = ct.designations
-    own = des.own
     prelude: List[Step] = [Step("new", "o", owner_class)]
     pool: Dict[str, str] = {"o": owner_class}
     public = [m for m in ct.method_names(owner_class) if not ct.mscope(m, owner_class)]

@@ -6,8 +6,9 @@ paper's value semantics: each public `Runtime` entry (`invoke`, `new_object`,
 `exec_constructor`, `exec_command`; `run` goes through `new_object`) copies
 the caller's heap once, state dicts included, so the caller keeps a heap it
 owns whatever the outcome. Inside an entry field writes and allocations
-update that copy in place; no rollback is needed because every bottom
-propagates straight to the top. Stores are still copied on update.
+update that copy in place. A bottom is raised as an exception where it
+arises and unwinds to the public entry, which returns it; nothing after it
+runs, so no rollback is needed. Stores are still copied on update.
 
 The heap of an entry only grows, so allocation resumes the least-index scan
 of `fresh` from a per-class cursor that every public entry resets. It finds
@@ -259,6 +260,13 @@ class RunResult:
         return not isinstance(self.outcome, Bottom)
 
 
+class _Stop(Exception):
+    """A bottom unwinding to the public entry, which returns it."""
+
+    def __init__(self, bottom: Bottom):
+        self.bottom = bottom
+
+
 class Runtime:
     def __init__(self, ct: ClassTable, loop_cap: int = 100000, hooks: Optional[InterpHooks] = None):
         self.ct = ct
@@ -269,17 +277,44 @@ class Runtime:
         self.steps = 0
         self.low_fuel = math.inf  # least fuel at which any call ran its body
 
-    def _bottom(self, reason, detail=""):
-        return Bottom(reason, detail, tuple(self._stack))
+    def _stop(self, reason, detail=""):
+        return _Stop(Bottom(reason, detail, tuple(self._stack)))
 
-    def _enter(self, h: Heap) -> Heap:
-        """Start a public entry: own a copy of the caller's heap, reset the cursors."""
+    def _entry(self, h: Heap, body):
+        """Run `body` on a copy of the caller's heap with the cursors reset;
+        a bottom raised inside is the result."""
         self._next = {}
-        return {loc: dict(state) for loc, state in h.items()}
+        try:
+            return body({loc: dict(state) for loc, state in h.items()})
+        except _Stop as stop:
+            return stop.bottom
 
-    # -- expressions
+    # -- public entries: each works on its own copy of the caller's heap
+
+    def new_object(self, class_name: str, h: Heap):
+        return self._entry(h, lambda h: (h, self._new_object(class_name, h)))
+
+    def exec_constructor(self, class_name: str, h: Heap, loc: Location):
+        """Run the constructor chain of `class_name` on `loc`, root first."""
+        return self._entry(h, lambda h: self._exec_constructor(class_name, h, loc))
+
+    def invoke(self, loc: Location, mname: str, args, h: Heap, fuel: int, start_class: Optional[str] = None):
+        return self._entry(h, lambda h: (h, self._invoke(loc, mname, args, h, fuel, start_class)))
+
+    def exec_command(self, gamma, cmd, h: Heap, eta: Store, fuel: int):
+        return self._entry(h, lambda h: (h, self._exec_command(gamma, cmd, h, eta, fuel)))
 
     def eval_expr(self, h: Heap, eta: Store, e):
+        """Expressions write nothing, so this entry needs no heap copy."""
+        try:
+            return self._eval(h, eta, e)
+        except _Stop as stop:
+            return stop.bottom
+
+    # Inside an entry the heap is updated in place: the steps below return
+    # only the new store or value, and raise `_Stop` at a bottom.
+
+    def _eval(self, h: Heap, eta: Store, e):
         ct = self.ct
         if isinstance(e, A.Var):
             return eta[e.name]
@@ -292,20 +327,9 @@ class Runtime:
         if isinstance(e, A.UnitLit):
             return IT
         if isinstance(e, A.Eq):
-            d1 = self.eval_expr(h, eta, e.left)
-            if isinstance(d1, Bottom):
-                return d1
-            d2 = self.eval_expr(h, eta, e.right)
-            if isinstance(d2, Bottom):
-                return d2
-            return values_equal(d1, d2)
+            return values_equal(self._eval(h, eta, e.left), self._eval(h, eta, e.right))
         if isinstance(e, A.IntOp):
-            d1 = self.eval_expr(h, eta, e.left)
-            if isinstance(d1, Bottom):
-                return d1
-            d2 = self.eval_expr(h, eta, e.right)
-            if isinstance(d2, Bottom):
-                return d2
+            d1, d2 = self._eval(h, eta, e.left), self._eval(h, eta, e.right)
             if e.op == "+":
                 return d1 + d2
             if e.op == "-":
@@ -314,72 +338,49 @@ class Runtime:
                 return d1 % d2 if d2 != 0 else 0
             return d1 < d2
         if isinstance(e, A.FieldAccess):
-            l = self.eval_expr(h, eta, e.target)
-            if isinstance(l, Bottom):
-                return l
+            l = self._eval(h, eta, e.target)
             if l is None:
-                return self._bottom(NIL_DEREF, f"field {e.fieldname} of null")
+                raise self._stop(NIL_DEREF, f"field {e.fieldname} of null")
             assert l in h, "expression produced a dangling location"
             return h[l][e.fieldname]
         if isinstance(e, A.Cast):
-            l = self.eval_expr(h, eta, e.target)
-            if isinstance(l, Bottom):
-                return l
+            l = self._eval(h, eta, e.target)
             if l is None or ct.subtype_names(l.class_name, e.class_name):
                 return l
-            return self._bottom(CAST_FAILURE, f"{l.class_name} is not a {e.class_name}")
+            raise self._stop(CAST_FAILURE, f"{l.class_name} is not a {e.class_name}")
         if isinstance(e, A.InstanceTest):
-            l = self.eval_expr(h, eta, e.target)
-            if isinstance(l, Bottom):
-                return l
+            l = self._eval(h, eta, e.target)
             return l is not None and ct.subtype_names(l.class_name, e.class_name)
         raise TypeError(f"not a core expression: {e!r}")
 
     # -- construction
 
-    def new_object(self, class_name: str, h: Heap):
-        return self._new_object(class_name, self._enter(h))
-
-    def _new_object(self, class_name: str, h: Heap):
+    def _new_object(self, class_name: str, h: Heap) -> Location:
         loc = fresh(class_name, h, self._next.get(class_name, 0))
         self._next[class_name] = loc.index + 1
         h[loc] = {f: default_value(t) for f, t in self.ct.fields(class_name)}
         if self.hooks:
             self.hooks.after_alloc(h, loc)
-        h0 = self._exec_constructor(class_name, h, loc)
-        if isinstance(h0, Bottom):
-            return h0
-        return h0, loc
+        self._exec_constructor(class_name, h, loc)
+        return loc
 
-    def exec_constructor(self, class_name: str, h: Heap, loc: Location):
-        """Run the constructor chain of `class_name` on `loc`, root first."""
-        return self._exec_constructor(class_name, self._enter(h), loc)
-
-    def _exec_constructor(self, class_name: str, h: Heap, loc: Location):
+    def _exec_constructor(self, class_name: str, h: Heap, loc: Location) -> Heap:
         sup = self.ct.super_of(class_name)
         if sup is not None and sup != OBJECT:
-            h = self._exec_constructor(sup, h, loc)
-            if isinstance(h, Bottom):
-                return h
-        decl = self.ct.decls[class_name]
+            self._exec_constructor(sup, h, loc)
         gamma = {"self": ClassType(class_name)}
         self._stack.append(f"{class_name}.con")
         try:
-            res = self._exec_command(gamma, decl.constructor, h, {"self": loc}, 0)
+            self._exec_command(gamma, self.ct.decls[class_name].constructor, h, {"self": loc}, 0)
         finally:
             self._stack.pop()
-        if isinstance(res, Bottom):
-            return res
-        return res[0]
+        return h
 
     # -- method invocation (fuel j: body runs with fuel j-1)
 
-    def invoke(self, loc: Location, mname: str, args, h: Heap, fuel: int, start_class: Optional[str] = None):
-        return self._invoke(loc, mname, args, self._enter(h), fuel, start_class)
-
     def _invoke(self, loc: Location, mname: str, args, h: Heap, fuel: int, start_class: Optional[str] = None):
         if fuel <= 0:
-            return self._bottom(FUEL_EXHAUSTED, f"call to {mname}")
+            raise self._stop(FUEL_EXHAUSTED, f"call to {mname}")
         if fuel < self.low_fuel:
             self.low_fuel = fuel
         start = start_class or loc.class_name
@@ -394,152 +395,97 @@ class Runtime:
         gamma["result"] = m.return_type
         self._stack.append(f"{decl_class}.{mname}")
         try:
-            res = self._exec_command(gamma, m.body, h, eta, fuel - 1)
+            return self._exec_command(gamma, m.body, h, eta, fuel - 1)["result"]
         finally:
             self._stack.pop()
-        if isinstance(res, Bottom):
-            return res
-        h0, eta0 = res
-        return h0, eta0["result"]
 
     def _call(self, gamma, cmd, h, eta, fuel, loc, start_class, mscoped):
-        args = []
-        for a in cmd.args:
-            d = self.eval_expr(h, eta, a)
-            if isinstance(d, Bottom):
-                return d
-            args.append(d)
+        args = [self._eval(h, eta, a) for a in cmd.args]
         if fuel <= 0:
-            return self._bottom(FUEL_EXHAUSTED, f"call to {cmd.method}")
+            raise self._stop(FUEL_EXHAUSTED, f"call to {cmd.method}")
+        if not self.hooks:
+            return self._invoke(loc, cmd.method, args, h, fuel, start_class)
         callee_class = start_class or loc.class_name
-        if self.hooks:
-            resolved = self.ct.resolve_method(cmd.method, callee_class)
-            pars = [x for x, _ in resolved[1].params] if resolved else []
-            callee_store = dict(zip(pars, args))
-            callee_store["self"] = loc
-            self.hooks.before_call(gamma, callee_class, callee_store, h, cmd, mscoped)
-        res = self._invoke(loc, cmd.method, args, h, fuel, start_class)
-        if self.hooks:
-            self.hooks.after_call(gamma, callee_class, callee_store, res, cmd, mscoped)
-        return res
+        resolved = self.ct.resolve_method(cmd.method, callee_class)
+        pars = [x for x, _ in resolved[1].params] if resolved else []
+        callee_store = dict(zip(pars, args))
+        callee_store["self"] = loc
+        self.hooks.before_call(gamma, callee_class, callee_store, h, cmd, mscoped)
+        try:
+            d = self._invoke(loc, cmd.method, args, h, fuel, start_class)
+        except _Stop as stop:
+            self.hooks.after_call(gamma, callee_class, callee_store, stop.bottom, cmd, mscoped)
+            raise
+        self.hooks.after_call(gamma, callee_class, callee_store, (h, d), cmd, mscoped)
+        return d
 
     # -- commands
 
-    def exec_command(self, gamma, cmd, h: Heap, eta: Store, fuel: int):
-        return self._exec_command(gamma, cmd, self._enter(h), eta, fuel)
-
-    def _exec_command(self, gamma, cmd, h: Heap, eta: Store, fuel: int):
+    def _exec_command(self, gamma, cmd, h: Heap, eta: Store, fuel: int) -> Store:
         self.steps += 1
-        res = self._exec(gamma, cmd, h, eta, fuel)
-        if self.hooks:
-            self.hooks.after_command(gamma, cmd, res)
-        return res
+        if not self.hooks:
+            return self._exec(gamma, cmd, h, eta, fuel)
+        try:
+            eta = self._exec(gamma, cmd, h, eta, fuel)
+        except _Stop as stop:
+            self.hooks.after_command(gamma, cmd, stop.bottom)
+            raise
+        self.hooks.after_command(gamma, cmd, (h, eta))
+        return eta
 
     def _exec(self, gamma, cmd, h, eta, fuel):
         ct = self.ct
         if isinstance(cmd, A.Skip):
-            return h, eta
+            return eta
         if isinstance(cmd, A.Abort):
-            return self._bottom(ABORT)
+            raise self._stop(ABORT)
         if isinstance(cmd, A.Assign):
-            d = self.eval_expr(h, eta, cmd.expr)
-            if isinstance(d, Bottom):
-                return d
-            eta2 = dict(eta)
-            eta2[cmd.name] = d
-            return h, eta2
+            return {**eta, cmd.name: self._eval(h, eta, cmd.expr)}
         if isinstance(cmd, A.FieldAssign):
-            l = self.eval_expr(h, eta, cmd.target)
-            if isinstance(l, Bottom):
-                return l
+            l = self._eval(h, eta, cmd.target)
             if l is None:
-                return self._bottom(NIL_DEREF, f"update of field {cmd.fieldname} of null")
-            d = self.eval_expr(h, eta, cmd.expr)
-            if isinstance(d, Bottom):
-                return d
+                raise self._stop(NIL_DEREF, f"update of field {cmd.fieldname} of null")
+            d = self._eval(h, eta, cmd.expr)
             if self.hooks:
                 self.hooks.before_write(h, l, cmd.fieldname, d)
             h[l][cmd.fieldname] = d
-            return h, eta
+            return eta
         if isinstance(cmd, A.NewAssign):
-            res = self._new_object(cmd.class_name, h)
-            if isinstance(res, Bottom):
-                return res
-            h0, loc = res
-            eta2 = dict(eta)
-            eta2[cmd.name] = loc
-            return h0, eta2
+            return {**eta, cmd.name: self._new_object(cmd.class_name, h)}
         if isinstance(cmd, A.CallAssign):
-            l = self.eval_expr(h, eta, cmd.receiver)
-            if isinstance(l, Bottom):
-                return l
+            l = self._eval(h, eta, cmd.receiver)
             if l is None:
-                return self._bottom(NIL_DEREF, f"call of {cmd.method} on null")
-            mscoped = ct.mscope(cmd.method, l.class_name)
-            res = self._call(gamma, cmd, h, eta, fuel, l, None, mscoped)
-            if isinstance(res, Bottom):
-                return res
-            h1, d1 = res
-            eta2 = dict(eta)
-            eta2[cmd.name] = d1
-            return h1, eta2
+                raise self._stop(NIL_DEREF, f"call of {cmd.method} on null")
+            d = self._call(gamma, cmd, h, eta, fuel, l, None, ct.mscope(cmd.method, l.class_name))
+            return {**eta, cmd.name: d}
         if isinstance(cmd, A.SuperCallAssign):
-            l = eta["self"]
             sup = ct.super_of(gamma["self"].name)
-            mscoped = ct.mscope(cmd.method, sup)
-            res = self._call(gamma, cmd, h, eta, fuel, l, sup, mscoped)
-            if isinstance(res, Bottom):
-                return res
-            h1, d1 = res
-            eta2 = dict(eta)
-            eta2[cmd.name] = d1
-            return h1, eta2
+            d = self._call(gamma, cmd, h, eta, fuel, eta["self"], sup, ct.mscope(cmd.method, sup))
+            return {**eta, cmd.name: d}
         if isinstance(cmd, A.LocalBlock):
-            d = self.eval_expr(h, eta, cmd.init)
-            if isinstance(d, Bottom):
-                return d
-            eta1 = dict(eta)
-            eta1[cmd.name] = d
-            gamma1 = dict(gamma)
-            gamma1[cmd.name] = cmd.var_type
-            res = self._exec_command(gamma1, cmd.body, h, eta1, fuel)
-            if isinstance(res, Bottom):
-                return res
-            h1, eta2 = res
-            out = dict(eta2)
+            eta1 = {**eta, cmd.name: self._eval(h, eta, cmd.init)}
+            gamma1 = {**gamma, cmd.name: cmd.var_type}
+            out = dict(self._exec_command(gamma1, cmd.body, h, eta1, fuel))  # a hook may hold the body's store
             if cmd.name in eta:
                 out[cmd.name] = eta[cmd.name]  # restore the shadowed variable
             else:
                 del out[cmd.name]
-            return h1, out
+            return out
         if isinstance(cmd, A.If):
-            b = self.eval_expr(h, eta, cmd.cond)
-            if isinstance(b, Bottom):
-                return b
-            branch = cmd.then_cmd if b else cmd.else_cmd
+            branch = cmd.then_cmd if self._eval(h, eta, cmd.cond) else cmd.else_cmd
             return self._exec_command(gamma, branch, h, eta, fuel)
         if isinstance(cmd, A.While):
             iterations = 0
-            while True:
-                b = self.eval_expr(h, eta, cmd.cond)
-                if isinstance(b, Bottom):
-                    return b
-                if not b:
-                    return h, eta
+            while self._eval(h, eta, cmd.cond):
                 iterations += 1
                 if iterations > self.loop_cap:
-                    return self._bottom(FUEL_EXHAUSTED, "loop iteration cap exceeded")
-                res = self._exec_command(gamma, cmd.body, h, eta, fuel)
-                if isinstance(res, Bottom):
-                    return res
-                h, eta = res
+                    raise self._stop(FUEL_EXHAUSTED, "loop iteration cap exceeded")
+                eta = self._exec_command(gamma, cmd.body, h, eta, fuel)
+            return eta
         if isinstance(cmd, A.Seq):
             for it in cmd.items:
-                res = self._exec_command(gamma, it, h, eta, fuel)
-                if isinstance(res, Bottom):
-                    return res
-                h, eta = res
-            return h, eta
+                eta = self._exec_command(gamma, it, h, eta, fuel)
+            return eta
         raise TypeError(f"not a core command: {cmd!r}")
 
 
@@ -572,10 +518,12 @@ def run(
         h, loc = out
         gamma = {"self": ClassType(decl_class), "result": m.return_type}
         eta = {"self": loc, "result": default_value(m.return_type)}
-        # h is the heap new_object made for this entry; run on it, cursors intact
-        out = rt._exec_command(gamma, m.body, h, eta, max_fuel)
-        if isinstance(out, Bottom) and out.is_fuel():
-            return RunResult(out, max_fuel, steps=rt.steps)
+        try:  # h is the heap new_object made for this entry; run on it, cursors intact
+            out = h, rt._exec_command(gamma, m.body, h, eta, max_fuel)
+        except _Stop as stop:
+            out = stop.bottom
+            if out.is_fuel():
+                return RunResult(out, max_fuel, steps=rt.steps)
     # a call that ran at fuel j is nested max_fuel - j + 1 deep; constructor calls never run
     need, fuel = max_fuel - rt.low_fuel + 1, 1
     while fuel < need:

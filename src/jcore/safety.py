@@ -11,13 +11,13 @@ stops at the first finding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Set
 
 from . import ast as A
 from .ast import ClassType
 from .classtable import ClassTable
-from .typecheck import TypeCheckError, method_context, type_of_expr
+from .typecheck import Diagnostic, TypeCheckError, method_context, type_of_expr
 
 NEW_REP_IN_CLIENT = "NewRepInClient"
 NEW_OWNER_IN_REP = "NewOwnerInRep"
@@ -32,23 +32,9 @@ OWNER_INHERITS_REP_PARAMS = "OwnerInheritsRepParams"
 REP_INHERITS_FOREIGN = "RepInheritsForeign"
 
 
-@dataclass(frozen=True)
-class SafetyDiagnostic:
-    rule: str
-    message: str
-    span: object = field(default=None, compare=False)
-    class_name: str = ""
-    method_name: str = ""
-
-    def render(self) -> str:
-        where = f"{self.class_name}.{self.method_name}" if self.method_name else self.class_name
-        at = f" at {self.span}" if self.span else ""
-        return f"{where}{at}: {self.rule}: {self.message}"
-
-
 @dataclass
 class SafetyReport:
-    diagnostics: List[SafetyDiagnostic]
+    diagnostics: List[Diagnostic]
 
     @property
     def ok(self) -> bool:
@@ -74,12 +60,12 @@ class _Analysis:
         assert ct.designations is not None, "safety analysis requires designations"
         self.ct = ct
         self.own = ct.designations.own
-        self.out: List[SafetyDiagnostic] = []
+        self.out: List[Diagnostic] = []
         self._cls = ""
         self._meth = ""
 
     def diag(self, rule, message, span):
-        self.out.append(SafetyDiagnostic(rule, message, span, self._cls, self._meth))
+        self.out.append(Diagnostic(rule, message, span, self._cls, self._meth))
 
     # context predicates; C is the class of the code under analysis
     def _c_is_own(self, c: str) -> bool:
@@ -154,7 +140,7 @@ class _Analysis:
             if mt is None:
                 return
             param_types, _ = mt
-            in_module = ct.is_owner_class(c) or ct.is_rep_class(c)
+            in_module = not ct.is_client_class(c)
             if ct.mscope(cmd.method, d.name) and not in_module:
                 self.diag(
                     MODULE_SCOPE_VIOLATION,
@@ -214,14 +200,14 @@ class _Analysis:
         raise TypeError(f"not a core command: {cmd!r}")
 
 
-def safe_expr(ct: ClassTable, gamma: Dict[str, object], e) -> List[SafetyDiagnostic]:
+def safe_expr(ct: ClassTable, gamma: Dict[str, object], e) -> List[Diagnostic]:
     an = _Analysis(ct)
     an._cls = gamma["self"].name
     an.expr(gamma, e)
     return an.out
 
 
-def safe_command(ct: ClassTable, gamma: Dict[str, object], cmd) -> List[SafetyDiagnostic]:
+def safe_command(ct: ClassTable, gamma: Dict[str, object], cmd) -> List[Diagnostic]:
     an = _Analysis(ct)
     an._cls = gamma["self"].name
     an.command(gamma, cmd)

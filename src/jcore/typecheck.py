@@ -26,7 +26,9 @@ class TypeCheckError(Exception):
 
 
 @dataclass(frozen=True)
-class TypeIssue:
+class Diagnostic:
+    """A finding of the type checker or the safety analysis."""
+
     rule: str
     message: str
     span: object = field(default=None, compare=False)
@@ -41,7 +43,7 @@ class TypeIssue:
 
 @dataclass
 class TypeReport:
-    issues: List[TypeIssue]
+    issues: List[Diagnostic]
 
     @property
     def ok(self) -> bool:
@@ -170,12 +172,7 @@ def check_command(ct: ClassTable, gamma: Dict[str, object], cmd) -> None:
         _check_assignable(ct, gamma, cmd.name, ret, cmd.span, f"result of {cmd.method}")
         if ct.mscope(cmd.method, t.name):
             self_t = gamma["self"]
-            des = ct.designations
-            inside = des is not None and (
-                ct.subtype_names(self_t.name, des.own)
-                or any(ct.subtype_names(self_t.name, r) for r in des.rep_names())
-            )
-            if not inside:
+            if ct.is_client_class(self_t.name):
                 _fail(
                     "ModuleScopeViolation",
                     f"{cmd.method} is module-scoped and not visible in {self_t}",
@@ -236,10 +233,10 @@ def method_context(ct: ClassTable, cname: str, m: A.MethodDecl) -> Dict[str, obj
 
 def check_table(ct: ClassTable) -> TypeReport:
     """Check every method body, override invariance, and constructor typing."""
-    issues: List[TypeIssue] = []
+    issues: List[Diagnostic] = []
 
     def record(exc: TypeCheckError, cname: str, mname: str):
-        issues.append(TypeIssue(exc.rule, exc.message, exc.span, cname, mname))
+        issues.append(Diagnostic(exc.rule, exc.message, exc.span, cname, mname))
 
     for cname in sorted(ct.decls):
         decl = ct.decls[cname]
@@ -250,14 +247,14 @@ def check_table(ct: ClassTable) -> TypeReport:
                 if inherited is not None:
                     own_sig = (tuple(t for _, t in m.params), m.return_type)
                     if inherited != own_sig:
-                        issues.append(TypeIssue(
+                        issues.append(Diagnostic(
                             "InvalidOverride",
                             f"{cname}.{m.name} changes the inherited signature",
                             m.span, cname, m.name,
                         ))
                         continue
                     if ct.pars(m.name, sup) != tuple(x for x, _ in m.params):
-                        issues.append(TypeIssue(
+                        issues.append(Diagnostic(
                             "InvalidOverride",
                             f"{cname}.{m.name} renames inherited parameters",
                             m.span, cname, m.name,
@@ -271,7 +268,7 @@ def check_table(ct: ClassTable) -> TypeReport:
         ctor = decl.constructor
         for sub in A.walk_commands(ctor):
             if isinstance(sub, (A.CallAssign, A.SuperCallAssign)):
-                issues.append(TypeIssue(
+                issues.append(Diagnostic(
                     "CallInConstructor",
                     f"constructor of {cname} contains a method call",
                     sub.span, cname, "con",

@@ -10,7 +10,7 @@ from jcore.ast import BOOL, INT, UNIT, ClassType
 from jcore.classtable import Designations, build_class_table
 from jcore.desugar import parse_and_desugar
 from jcore.interp import (
-    IT, Bottom, EntryClassError, Location, Runtime, collect, fresh,
+    IT, Bottom, EntryClassError, InterpHooks, Location, Runtime, collect, fresh,
     heap_closed, heap_well_typed, run, store_closed, value_in_type, values_equal,
 )
 
@@ -470,3 +470,107 @@ def test_call_checks_receiver_before_arguments(tables):
     out = rt.exec_command(gamma, cmd, {}, {"r": None, "y": None, "x": IT, "self": None}, 4)
     assert isinstance(out, Bottom) and out.reason == "nil-dereference"
     assert "setOb" in out.detail
+
+
+BOTTOM_SRC = """
+class Cell extends Object { int v; }
+class Main extends Object {
+  int n;
+  Cell c;
+  unit touch() { self.n := self.n + 1 }
+  unit d1(int mode) { self.touch(); Cell k := new Cell; self.d2(mode); self.n := 0 }
+  unit d2(int mode) { if true then self.d3(mode) else skip fi }
+  unit d3(int mode) { int j := mode; self.fail(mode); self.n := j }
+  unit fail(int mode) {
+    self.n := 7;
+    Cell x := null;
+    self.c := new Cell;
+    if mode = 0 then abort else
+    if mode = 1 then x.v := 1 else
+    if mode = 2 then Object o := new Cell; Main m := (Main)(o); skip else
+    if mode = 3 then self.fail(mode) else
+    while true do self.n := self.n + 1 od
+    fi fi fi fi;
+    self.n := 8
+  }
+}
+"""
+
+# mode: the bottom's reason and the kind of command that raises it
+BOTTOM_MODES = {
+    0: ("explicit-abort", A.Abort),
+    1: ("nil-dereference", A.FieldAssign),
+    2: ("cast-failure", A.LocalBlock),
+    3: ("fuel-exhausted", A.CallAssign),
+    4: ("fuel-exhausted", A.While),
+}
+
+
+class _Recorder(InterpHooks):
+    def __init__(self):
+        self.events = []
+
+    def after_command(self, gamma, cmd, outcome):
+        self.events.append(("command", cmd, outcome))
+
+    def before_call(self, caller_gamma, callee_class, callee_store, heap, site, mscoped):
+        self.events.append(("before", site, None))
+
+    def after_call(self, caller_gamma, callee_class, callee_store, outcome, site, mscoped):
+        self.events.append(("after", site, outcome))
+
+
+def _children(cmd):
+    if isinstance(cmd, A.Seq):
+        return cmd.items
+    if isinstance(cmd, A.If):
+        return (cmd.then_cmd, cmd.else_cmd)
+    if isinstance(cmd, (A.While, A.LocalBlock)):
+        return (cmd.body,)
+    return ()
+
+
+@pytest.mark.parametrize("mode", sorted(BOTTOM_MODES))
+@pytest.mark.parametrize("entry,fuel,stack", [
+    ("fail", 1, ("Main.fail",)),
+    ("d1", 4, ("Main.d1", "Main.d2", "Main.d3", "Main.fail")),
+])
+def test_hooks_see_each_bottom_on_its_way_out(mode, entry, fuel, stack):
+    # a bottom at the entry's top level or three calls deep: it closes every
+    # open call and every enclosing command, innermost first, and the
+    # caller's heap is left as it was
+    ct = build_class_table(parse_and_desugar(BOTTOM_SRC))
+    hooks = _Recorder()
+    rt = Runtime(ct, loop_cap=3, hooks=hooks)
+    h, main = Runtime(ct).new_object("Main", {})
+    before = copy.deepcopy(h)
+    out = rt.invoke(main, entry, [mode], h, fuel)
+    reason, failing = BOTTOM_MODES[mode]
+    assert isinstance(out, Bottom) and out.reason == reason
+    assert out.stack == stack
+    assert h == before
+
+    open_calls, bottomed_calls = [], []
+    for kind, site, outcome in hooks.events:
+        if kind == "before":
+            open_calls.append(site)
+        elif kind == "after":
+            assert open_calls.pop() is site
+            if isinstance(outcome, Bottom):
+                assert outcome is out
+                bottomed_calls.append(site)
+    assert open_calls == [] and len(bottomed_calls) == len(stack) - 1
+
+    bodies = {id(ct.resolve_method(m, "Main")[1].body): m for m in ("d1", "d2", "d3", "fail")}
+    chain = [(cmd, outcome) for kind, cmd, outcome in hooks.events
+             if kind == "command" and isinstance(outcome, Bottom)]
+    assert all(outcome is out for _, outcome in chain)
+    cmds = [cmd for cmd, _ in chain]
+    assert type(cmds[0]) is failing
+    calls = iter(bottomed_calls)
+    for inner, outer in zip(cmds, cmds[1:]):
+        if id(inner) in bodies:  # a callee's body: next comes its call site
+            assert outer is next(calls) and outer.method == bodies[id(inner)]
+        else:
+            assert any(inner is c for c in _children(outer))
+    assert next(calls, None) is None and bodies[id(cmds[-1])] == entry
