@@ -46,17 +46,17 @@ class ClassTable:
                 raise WellFormednessError("DuplicateMember", f"class {d.name} declared twice")
             self.decls[d.name] = d
         self.designations = designations
-        self._subtype_cache: Dict[Tuple[str, str], bool] = {}
-        self._resolve_cache: Dict[Tuple[str, str], Optional[Tuple[str, MethodDecl]]] = {}
-        self._roles: Dict[str, str] = {}
         self._check_hierarchy()
+        self._ancestors: Dict[str, Tuple[str, ...]] = {OBJECT: (OBJECT,)}
+        self._methods: Dict[str, Dict[str, Tuple[str, MethodDecl]]] = {OBJECT: {}}
+        self._build_relations()
         self._fields: Dict[str, Tuple[Tuple[str, object], ...]] = {}
         self._build_fields()
         self._check_members()
         self._check_designations()
         self._check_constructor_dependence()
         self._check_mscope()
-        self._prot: Optional[Set[Tuple[str, str]]] = None
+        self._prot = self._build_prot()
 
     # -- construction-time checks
 
@@ -72,6 +72,26 @@ class ClassTable:
                     raise WellFormednessError("CyclicInheritance", f"cycle through class {name}")
                 seen.add(cur)
                 cur = self.decls[cur].super_name
+
+    def _build_relations(self):
+        """Each class's ancestors, its method table (name -> declaring class
+        and declaration, filled root first, so a name keeps the position of
+        its first declaration) and its role."""
+        for name in self.decls:
+            chain = []
+            while name not in self._ancestors:
+                chain.append(name)
+                name = self.decls[name].super_name
+            for c in reversed(chain):
+                sup = self.decls[c].super_name
+                self._ancestors[c] = (c,) + self._ancestors[sup]
+                self._methods[c] = {**self._methods[sup], **{m.name: (c, m) for m in self.decls[c].methods}}
+        d = self.designations
+        self._roles = {
+            name: "client" if d is None else "owner" if d.own in anc
+            else "rep" if any(r in anc for r in d.rep_names()) else "client"
+            for name, anc in self._ancestors.items()
+        }
 
     def _build_fields(self):
         def fields_of(name: str):
@@ -209,20 +229,12 @@ class ClassTable:
             return None
         return self.decls[name].super_name
 
-    def ancestors(self, name: str):
+    def ancestors(self, name: str) -> Tuple[str, ...]:
         """`name` and its proper ancestors up to and including Object."""
-        cur = name
-        while cur is not None:
-            yield cur
-            cur = self.super_of(cur)
+        return self._ancestors[name]
 
     def subtype_names(self, c: str, d: str) -> bool:
-        key = (c, d)
-        cached = self._subtype_cache.get(key)
-        if cached is None:
-            cached = d in self.ancestors(c)
-            self._subtype_cache[key] = cached
-        return cached
+        return c == d or d in self._ancestors[c]
 
     def subtype(self, t, u) -> bool:
         if isinstance(t, NullType):
@@ -250,19 +262,7 @@ class ClassTable:
 
     def resolve_method(self, mname: str, cname: str) -> Optional[Tuple[str, MethodDecl]]:
         """Least ancestor of `cname` declaring `mname`, with its declaration."""
-        key = (mname, cname)
-        if key in self._resolve_cache:
-            return self._resolve_cache[key]
-        result = None
-        for anc in self.ancestors(cname):
-            if anc == OBJECT:
-                break
-            m = self.decls[anc].method(mname)
-            if m is not None:
-                result = (anc, m)
-                break
-        self._resolve_cache[key] = result
-        return result
+        return self._methods[cname].get(mname)
 
     def mtype(self, mname: str, cname: str):
         r = self.resolve_method(mname, cname)
@@ -290,31 +290,15 @@ class ClassTable:
         return 0
 
     def method_names(self, cname: str) -> List[str]:
-        names: List[str] = []
-        for anc in reversed(list(self.ancestors(cname))):
-            if anc == OBJECT:
-                continue
-            for m in self.decls[anc].methods:
-                if m.name not in names:
-                    names.append(m.name)
-        return names
+        """Root first, each name at its first declaration."""
+        return list(self._methods[cname])
 
     # -- roles (meaningful only with designations)
 
     def role(self, name: str) -> str:
         """"owner" below the owner class, else "rep" below a rep class, else
         "client"; every class is a client without designations."""
-        role = self._roles.get(name)
-        if role is None:
-            d = self.designations
-            if d is not None and self.subtype_names(name, d.own):
-                role = "owner"
-            elif d is not None and any(self.subtype_names(name, r) for r in d.rep_names()):
-                role = "rep"
-            else:
-                role = "client"
-            self._roles[name] = role
-        return role
+        return self._roles[name]
 
     def is_owner_class(self, name: str) -> bool:
         return self.role(name) == "owner"
@@ -344,12 +328,12 @@ class ClassTable:
     def prot_methods(self) -> Set[Tuple[str, str]]:
         """Module-scoped methods of the owner class that some proper subclass
         of the owner calls or overrides."""
-        if self._prot is not None:
-            return self._prot
+        return self._prot
+
+    def _build_prot(self) -> Set[Tuple[str, str]]:
         result: Set[Tuple[str, str]] = set()
         d = self.designations
         if d is None:
-            self._prot = result
             return result
         own = d.own
         mscoped = {m for m in self.method_names(own) if self.mscope(m, own)}
@@ -363,7 +347,6 @@ class ClassTable:
                     for cmd in A.walk_commands(m.body):
                         if isinstance(cmd, (A.CallAssign, A.SuperCallAssign)) and cmd.method in mscoped:
                             result.add((cmd.method, own))
-        self._prot = result
         return result
 
 

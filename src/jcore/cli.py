@@ -37,6 +37,23 @@ class SystemExit2(Exception):
     pass
 
 
+class IllTyped(Exception):
+    """A program `run` and `dot` will not interpret; the message lists its
+    type issues as `check` prints them."""
+
+
+def _check_head(path, issues):
+    return f"{path}: {len(issues)} issue(s)" if issues else f"{path}: ok"
+
+
+def _load_well_typed(path, args):
+    ct = _load_table(path, args)
+    issues = check_table(ct).issues
+    if issues:
+        raise IllTyped("\n".join([_check_head(path, issues)] + [f"  {i.render()}" for i in issues]))
+    return ct
+
+
 def _emit(args, payload, text_lines):
     if args.format == "json":
         print(json.dumps(payload, indent=2))
@@ -85,7 +102,7 @@ def _report_files(args, verdict) -> int:
 def cmd_check(args) -> int:
     def verdict(path, ct):
         issues = check_table(ct).issues
-        return (f"{path}: {len(issues)} issue(s)" if issues else f"{path}: ok"), issues
+        return _check_head(path, issues), issues
 
     return _report_files(args, verdict)
 
@@ -110,7 +127,7 @@ def _parse_entry(spec: str):
 
 
 def cmd_run(args) -> int:
-    ct = _load_table(args.file, args)
+    ct = _load_well_typed(args.file, args)
     entry_class, entry_method = _parse_entry(args.entry)
     tracer = TraceHooks() if args.trace else None
     monitor = None
@@ -189,7 +206,7 @@ def cmd_simtest(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    ct = _load_table(args.file, args)
+    ct = _load_well_typed(args.file, args)
     if ct.designations is None:
         raise SystemExit2("dot requires --own and --rep")
     entry_class, entry_method = _parse_entry(args.entry)
@@ -298,7 +315,7 @@ def main(argv=None) -> int:
     except SystemExit2 as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, WellFormednessError, ComparabilityError) as exc:
+    except (ParseError, WellFormednessError, ComparabilityError, IllTyped) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ManifestError, FileNotFoundError) as exc:

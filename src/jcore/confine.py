@@ -18,6 +18,10 @@ state. While it is dropped, checkpoints ask `confine_heap`, which gives the
 canonical violation, and the state is rebuilt once the heap is confined
 again. The extension check at a call's return reads a log of forced-owner
 changes instead of a partition taken before the call.
+
+Each owner has one island, so an island is named by its owner. Both the
+spec's Partition and the followed state answer one lookup, `forced_owner`:
+the owner a rep is forced to, or None for a flexible rep.
 """
 
 from __future__ import annotations
@@ -61,20 +65,12 @@ class Partition:
     clients: frozenset
     flexible: frozenset
 
-    def owner_index(self, owner: Location) -> Optional[int]:
-        for i, (o, _) in enumerate(self.islands):
-            if o == owner:
-                return i
-        return None
-
-    def forced_island_of(self, rep: Location) -> Optional[int]:
-        for i, (_, reps) in enumerate(self.islands):
+    def forced_owner(self, rep: Location) -> Optional[Location]:
+        """The owner whose island `rep` is forced into; None for a flexible rep."""
+        for o, reps in self.islands:
             if rep in reps:
-                return i
+                return o
         return None
-
-    def block_count(self) -> int:
-        return len(self.islands)
 
 
 def role_of(ct: ClassTable, loc: Location) -> str:
@@ -219,9 +215,7 @@ def partition_clauses_hold(ct: ClassTable, h: Heap, assignment: Dict[Location, i
 
 
 def confined_store(ct: ClassTable, class_name: str, eta: Store, h: Heap, partition: Partition):
-    """Check store confinement for code of `class_name`; None means ok.
-    `partition` is a Partition or the monitor's followed state: only the
-    results of its `owner_index` and `forced_island_of` are compared."""
+    """Check store confinement for code of `class_name`; None means ok."""
     if ct.is_client_class(class_name):
         for x in sorted(eta):
             v = eta[x]
@@ -230,37 +224,30 @@ def confined_store(ct: ClassTable, class_name: str, eta: Store, h: Heap, partiti
                     STORE_VIOLATION, f"client store of {class_name} holds rep {v} in {x}", (x, v)
                 )
         return None
-    self_loc = eta.get("self")
     if ct.is_owner_class(class_name):
-        j = partition.owner_index(self_loc)
+        mine = (None, eta.get("self"))
         for x in sorted(eta):
             v = eta[x]
-            if isinstance(v, Location) and role_of(ct, v) == "rep":
-                k = partition.forced_island_of(v)
-                if k is not None and k != j:
-                    return ConfinementViolation(
-                        STORE_VIOLATION,
-                        f"owner store of {class_name} holds rep {v} from a foreign island in {x}",
-                        (x, v),
-                    )
+            if isinstance(v, Location) and role_of(ct, v) == "rep" and partition.forced_owner(v) not in mine:
+                return ConfinementViolation(
+                    STORE_VIOLATION,
+                    f"owner store of {class_name} holds rep {v} from a foreign island in {x}",
+                    (x, v),
+                )
         return None
-    # rep code: every owner or rep in range must fit one island, self's own
-    constraints: Set[int] = set()
+    # rep code: every owner or forced rep in range must name one owner, self's own
+    owners: Set[Location] = set()
     witnesses = []
     for x in sorted(eta):
         v = eta[x]
         if not isinstance(v, Location):
             continue
         r = role_of(ct, v)
-        if r == "owner":
-            constraints.add(partition.owner_index(v))
+        o = v if r == "owner" else partition.forced_owner(v) if r == "rep" else None
+        if o is not None:
+            owners.add(o)
             witnesses.append((x, v))
-        elif r == "rep":
-            k = partition.forced_island_of(v)
-            if k is not None:
-                constraints.add(k)
-                witnesses.append((x, v))
-    if len(constraints) > 1:
+    if len(owners) > 1:
         return ConfinementViolation(
             STORE_VIOLATION,
             f"rep store of {class_name} reaches into several islands via {witnesses}",
@@ -276,25 +263,17 @@ def check_hext(ct: ClassTable, pre: Partition, h_post: Heap):
         return post
     if not (pre.clients <= post.clients):
         gone = sorted(pre.clients - post.clients)
-        return ConfinementViolation(
-            EXTENSION_VIOLATION, f"client block shrank, lost {gone}", tuple(gone)
-        )
-    post_owner_idx = {o: i for i, (o, _) in enumerate(post.islands)}
+        return ConfinementViolation(EXTENSION_VIOLATION, f"client block shrank, lost {gone}", tuple(gone))
+    post_owners = {o for o, _ in post.islands}
     for o, forced in pre.islands:
-        if o not in post_owner_idx:
-            return ConfinementViolation(
-                EXTENSION_VIOLATION, f"island of owner {o} vanished", (o,)
-            )
+        if o not in post_owners:
+            return ConfinementViolation(EXTENSION_VIOLATION, f"island of owner {o} vanished", (o,))
         for r in sorted(forced):
-            k = post.forced_island_of(r)
             if r not in h_post:
-                return ConfinementViolation(
-                    EXTENSION_VIOLATION, f"rep {r} vanished from the heap", (r,)
-                )
-            if k is not None and post.islands[k][0] != o:
-                return _rep_moved(r, o, post.islands[k][0])
-    if post.block_count() < pre.block_count():
-        return ConfinementViolation(EXTENSION_VIOLATION, "island count decreased", ())
+                return ConfinementViolation(EXTENSION_VIOLATION, f"rep {r} vanished from the heap", (r,))
+            now = post.forced_owner(r)
+            if now not in (None, o):
+                return _rep_moved(r, o, now)
     return None
 
 
@@ -315,8 +294,8 @@ class _Islands:
     the reps. A group root may carry one owner and the number of forcing
     edges between them (owner->rep through a private field, rep->owner): the
     group's reps are that owner's forced reps. The reps of an untied group
-    are flexible. Answers the two lookups of `confined_store` and the result
-    checks, keyed by owner location instead of island index.
+    are flexible. Like a Partition, it answers `forced_owner`, the one lookup
+    of `confined_store` and the monitor's checks.
     """
 
     def __init__(self, ct: ClassTable):
@@ -336,10 +315,7 @@ class _Islands:
         assert ok, "confine_heap accepted a heap the followed partition rejects"
         return isl
 
-    def owner_index(self, owner: Location) -> Location:
-        return owner
-
-    def forced_island_of(self, rep: Location) -> Optional[Location]:
+    def forced_owner(self, rep: Location) -> Optional[Location]:
         tie = self.tie.get(self.groups.find(rep))
         return tie[0] if tie else None
 
@@ -394,14 +370,13 @@ class _Islands:
                 root = self.groups.find(x)
                 if root not in touched:
                     members = self.groups.members[root]
-                    tie = self.tie.get(root)
-                    touched[root] = (members, len(members), tie[0] if tie else None)
+                    touched[root] = (members, len(members), self.forced_owner(x))
         ok = (not isinstance(old, Location) or self.remove(loc, old)) and (
             not isinstance(new, Location) or self.add(loc, f, new)
         )
         if log is not None:
             for members, n, was in touched.values():
-                if self.forced_island_of(members[0]) != was:
+                if self.forced_owner(members[0]) != was:
                     log.extend((m, was) for m in members[:n])
         return ok
 
@@ -518,12 +493,12 @@ class ConfinementMonitor(InterpHooks):
             before.setdefault(rep, was)
         moved = [
             (was, rep) for rep, was in before.items()
-            if was is not None and part.forced_island_of(rep) not in (None, was)
+            if was is not None and part.forced_owner(rep) not in (None, was)
         ]
         if not moved:
             return None
         was, rep = min(moved)
-        return _rep_moved(rep, was, part.forced_island_of(rep))
+        return _rep_moved(rep, was, part.forced_owner(rep))
 
     # -- checkpoints
 
@@ -565,35 +540,21 @@ class ConfinementMonitor(InterpHooks):
         part = self._check_state(callee_class, callee_store, h0, at, mark)
         if part is None or not isinstance(d, Location):
             return
-        drole = role_of(ct, d)
-        if ct.is_client_class(callee_class) or (ct.is_owner_class(callee_class) and not mscoped):
-            if drole == "rep":
-                self._record(
-                    ConfinementViolation(
-                        RESULT_VIOLATION,
-                        f"method {site.method} of {callee_class} returns rep {d}",
-                        (d,),
-                    ),
-                    at,
-                )
-        elif ct.is_owner_class(callee_class) and mscoped:
-            if drole == "rep":
-                j = part.owner_index(callee_store.get("self"))
-                k = part.forced_island_of(d)
-                if k is not None and k != j:
-                    self._record(
-                        ConfinementViolation(
-                            RESULT_VIOLATION,
-                            f"module-scoped {site.method} returns rep {d} from a foreign island",
-                            (d,),
-                        ),
-                        at,
-                    )
-        else:  # rep code
-            if drole in ("owner", "rep"):
-                probe = dict(callee_store)
-                probe["$result"] = d
+        role, drole = ct.role(callee_class), role_of(ct, d)
+        if role == "rep":
+            if drole != "client":
+                probe = {**callee_store, "$result": d}
                 self._record(confined_store(ct, callee_class, probe, h0, part), at)
+            return
+        if drole != "rep":
+            return
+        if role == "owner" and mscoped:
+            if part.forced_owner(d) in (None, callee_store.get("self")):
+                return
+            message = f"module-scoped {site.method} returns rep {d} from a foreign island"
+        else:
+            message = f"method {site.method} of {callee_class} returns rep {d}"
+        self._record(ConfinementViolation(RESULT_VIOLATION, message, (d,)), at)
 
 
 def run_with_monitor(
@@ -615,31 +576,21 @@ def run_with_monitor(
 
 def to_dot(h: Heap, partition: Partition) -> str:
     """Deterministic DOT rendering: one cluster per island, one for clients."""
-    lines = ["digraph heap {", "  node [shape=box];"]
-    for i, (owner, reps) in enumerate(partition.islands):
-        lines.append(f"  subgraph cluster_island_{i} {{")
-        lines.append(f'    label="island {i}";')
-        lines.append("    style=dashed;")
-        for loc in [owner] + sorted(reps):
-            lines.append(f'    "{loc}";')
-        lines.append("  }")
+    clusters = [
+        (f"island_{i}", f"island {i}", "dashed", [owner, *sorted(reps)])
+        for i, (owner, reps) in enumerate(partition.islands)
+    ]
     if partition.clients:
-        lines.append("  subgraph cluster_clients {")
-        lines.append('    label="clients";')
-        lines.append("    style=dashed;")
-        for loc in sorted(partition.clients):
-            lines.append(f'    "{loc}";')
-        lines.append("  }")
+        clusters.append(("clients", "clients", "dashed", sorted(partition.clients)))
     if partition.flexible:
-        lines.append("  subgraph cluster_unplaced {")
-        lines.append('    label="unplaced reps";')
-        lines.append("    style=dotted;")
-        for loc in sorted(partition.flexible):
-            lines.append(f'    "{loc}";')
+        clusters.append(("unplaced", "unplaced reps", "dotted", sorted(partition.flexible)))
+    lines = ["digraph heap {", "  node [shape=box];"]
+    for name, label, style, locs in clusters:
+        lines += [f"  subgraph cluster_{name} {{", f'    label="{label}";', f"    style={style};"]
+        lines += [f'    "{loc}";' for loc in locs]
         lines.append("  }")
     for loc in sorted(h):
-        for f in h[loc]:
-            v = h[loc][f]
+        for f, v in h[loc].items():
             if isinstance(v, Location):
                 lines.append(f'  "{loc}" -> "{v}" [label="{f}"];')
     lines.append("}")

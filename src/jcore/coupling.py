@@ -22,16 +22,13 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import ast as A
-from .classtable import ClassTable, load_table
+from .classtable import ClassTable
 from .confine import ConfinementViolation, confine_heap, role_of
 from .equivalence import (
     Distinguished, Manifest, ManifestError, canonical_bijection, load_manifest, own_free,
     pair_reachable, value_equiv,
 )
-from .interp import (
-    FUEL_EXHAUSTED, IT, Bottom, Heap, Location, Runtime, Store, collect, default_value, fresh,
-    value_kind,
-)
+from .interp import FUEL_EXHAUSTED, IT, Bottom, Heap, Location, Runtime, Store, collect, value_kind
 
 
 @dataclass(frozen=True)
@@ -154,10 +151,7 @@ def induced_heap_coupling(ct_a: ClassTable, ct_b: ClassTable, sigma, h_a: Heap, 
         return CouplingFailure("clients", "the bijection does not match the client blocks")
     for c in sorted(part_a.clients):
         for f, _ in ct_a.fields(c.class_name):
-            va, vb = h_a[c][f], h_b[sigma[c]][f]
-            if value_kind(va) == "loc" and role_of(ct_a, va) == "rep":
-                continue  # confined heaps cannot reach here; defensive
-            if not value_equiv(sigma, va, vb):
+            if not value_equiv(sigma, h_a[c][f], h_b[sigma[c]][f]):
                 return CouplingFailure(f"client {c}", f"field {f} differs")
     return sigma
 
@@ -221,7 +215,7 @@ def _concrete_client_arg_class(ct: ClassTable, pname: str) -> str:
     """Most-derived client subclass of `pname`, preferring proper subclasses
     (abstract-style base classes often have aborting stub methods)."""
     subs = [c for c in sorted(ct.decls) if ct.subtype_names(c, pname) and ct.is_client_class(c)]
-    return max(subs, key=lambda c: sum(1 for _ in ct.ancestors(c)), default=pname)
+    return max(subs, key=lambda c: len(ct.ancestors(c)), default=pname)
 
 
 def generate_scripts(ct: ClassTable, owner_class: str, max_len: int = 4, max_scripts: int = 120):
@@ -299,9 +293,9 @@ def generate_scripts(ct: ClassTable, owner_class: str, max_len: int = 4, max_scr
     return scripts + probed
 
 
-def _exec_step(rt: Runtime, heap: Heap, roots: Store, st: Step, cls_of: Dict[str, str], fuel: int):
+def _exec_step(rt: Runtime, heap: Heap, roots: Store, st: Step, fuel: int):
     if st.op == "new":
-        res, bind = rt.new_object(cls_of[st.target], heap), st.target
+        res, bind = rt.new_object(st.method, heap), st.target
     else:
         recv = roots.get(st.target)
         if not isinstance(recv, Location):
@@ -374,7 +368,7 @@ class PrefixMemo:
         sides = []
         for ct, (heap, roots, _, _) in zip((self.ct_a, self.ct_b), node.sides):
             rt, roots = Runtime(ct), dict(roots)  # the entry copies the heap itself
-            bot, heap = _exec_step(rt, heap, roots, st, {st.target: st.method}, self.fuel)  # `new` names its class
+            bot, heap = _exec_step(rt, heap, roots, st, self.fuel)
             sides.append((heap, roots, bot, rt.low_fuel))
         (h_a, roots_a, bot_a, _), (h_b, roots_b, bot_b, _) = sides
         verdict = ""
@@ -433,15 +427,11 @@ def _own_methods_of(ct: ClassTable, script) -> Tuple[str, ...]:
 def check_establishment(ct_a: ClassTable, ct_b: ClassTable, bc: BasicCoupling, owner_class: str):
     """Constructors of the owner class establish the coupling from empty,
     trivially related seed heaps at bijection-related fresh locations."""
-    la, lb = fresh(owner_class, {}), fresh(owner_class, {})
-    sigma = {la: lb}
-    h_a = {la: {f: default_value(t) for f, t in ct_a.fields(owner_class)}}
-    h_b = {lb: {f: default_value(t) for f, t in ct_b.fields(owner_class)}}
-    ra = Runtime(ct_a).exec_constructor(owner_class, h_a, la)
-    rb = Runtime(ct_b).exec_constructor(owner_class, h_b, lb)
+    ra, rb = Runtime(ct_a).new_object(owner_class, {}), Runtime(ct_b).new_object(owner_class, {})
     if isinstance(ra, Bottom) or isinstance(rb, Bottom):
         return False, "constructor bottomed"
-    out = induced_heap_coupling(ct_a, ct_b, sigma, ra, rb, bc)
+    (h_a, la), (h_b, lb) = ra, rb
+    out = induced_heap_coupling(ct_a, ct_b, {la: lb}, h_a, h_b, bc)
     if isinstance(out, CouplingFailure):
         return False, f"{out.where}: {out.message}"
     return True, ""
@@ -454,12 +444,12 @@ def test_simulation(
     fuels: Sequence[int] = (1, 2, 4, 8),
     max_len: int = 4,
     max_scripts: int = 120,
-    owner_classes: Optional[List[str]] = None,
 ) -> CouplingReport:
+    """Establishment and every (script, fuel) vector for the owner class and
+    its first proper subclass."""
     own = ct_a.designations.own
-    if owner_classes is None:
-        subs = [c for c in sorted(ct_a.decls) if c != own and ct_a.subtype_names(c, own)]
-        owner_classes = [own] + subs[:1]
+    subs = [c for c in sorted(ct_a.decls) if c != own and ct_a.subtype_names(c, own)]
+    owner_classes = [own] + subs[:1]
     establishment, vectors = [], []
     for oc in owner_classes:
         try:
@@ -609,9 +599,7 @@ def run_sim_manifest(manifest: Manifest) -> CouplingReport:
             manifest.path,
             f"unknown coupling {manifest.coupling!r}; builtins: {', '.join(BUILTIN_COUPLINGS)}",
         )
-    des = manifest.designations()
-    ct_a = load_table(manifest.table_a, des)
-    ct_b = load_table(manifest.table_b, des)
+    ct_a, ct_b = manifest.tables()
     return test_simulation(
         ct_a, ct_b, bc,
         fuels=manifest.fuels, max_len=manifest.max_len, max_scripts=manifest.max_scripts,

@@ -300,6 +300,11 @@ class Manifest:
         rep2 = self.rep_b if self.rep_b != self.rep_a else None
         return Designations(self.own, self.rep_a, rep2)
 
+    def tables(self) -> Tuple[ClassTable, ClassTable]:
+        """Build both tables under the shared designations."""
+        des = self.designations()
+        return load_table(self.table_a, des), load_table(self.table_b, des)
+
 
 def load_manifest(path: str) -> Manifest:
     """Read a manifest of either kind; no table is built here."""
@@ -321,9 +326,7 @@ def load_manifest(path: str) -> Manifest:
 def run_manifest(manifest: Manifest) -> EquivVerdict:
     if manifest.entry_class is None:
         raise ManifestError(manifest.path, "missing key 'entry'")
-    des = manifest.designations()
-    ct_a = load_table(manifest.table_a, des)
-    ct_b = load_table(manifest.table_b, des)
+    ct_a, ct_b = manifest.tables()
     return client_equiv(
         ct_a, ct_b, manifest.entry_class, manifest.entry_method,
         max_fuel=manifest.max_fuel, loop_cap=manifest.loop_cap,

@@ -336,11 +336,10 @@ def replay_vector(ct_a: ClassTable, ct_b: ClassTable, bc: BasicCoupling, script,
     h_b: Heap = {}
     roots_a: Store = {}
     roots_b: Store = {}
-    cls_of = {st.target: st.method for st in script if st.op == "new"}
     methods = _own_methods_of(ct_a, script)
     for i, st in enumerate(script):
-        bot_a, h_a = _exec_step(rt_a, h_a, roots_a, st, cls_of, fuel)
-        bot_b, h_b = _exec_step(rt_b, h_b, roots_b, st, cls_of, fuel)
+        bot_a, h_a = _exec_step(rt_a, h_a, roots_a, st, fuel)
+        bot_b, h_b = _exec_step(rt_b, h_b, roots_b, st, fuel)
         if bot_a is not None and bot_b is not None:
             return VectorResult(script, fuel, "pass", i, "both sides bottom", methods)
         if (bot_a is None) != (bot_b is None):

@@ -168,11 +168,10 @@ def test_criterion_7_interpreter_invariants(corpus, tables):
                     hooks = _InvariantHooks(ct)
                     rt = Runtime(ct, hooks=hooks)
                     heap, roots = {}, {}
-                    cls_of = {st.target: st.method for st in script if st.op == "new"}
                     for st in script:
                         from jcore.coupling import _exec_step
 
-                        bot, heap = _exec_step(rt, heap, roots, st, cls_of, fuel)
+                        bot, heap = _exec_step(rt, heap, roots, st, fuel)
                         if bot is not None:
                             break
                     executions += 1

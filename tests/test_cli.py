@@ -122,6 +122,31 @@ def test_dot_golden(capsys, tmp_path):
         assert out_path.read_text() == f.read()
 
 
+ILL_TYPED = """\
+class Own extends Object { int g; }
+class Rep extends Object { int f; }
+class Main extends Object { int n; unit main() { int x := 3; self.n := x.n } }
+"""
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", [
+    ["run"], ["run", "--monitor", "every"], ["dot"],
+], ids=["run", "run-monitor", "dot"])
+def test_run_and_dot_refuse_ill_typed_programs(tmp_path, capsys, fmt, command):
+    # interpreting `x.n` on an int would crash the interpreter
+    src = tmp_path / "ill.jcore"
+    src.write_text(ILL_TYPED)
+    des = ["--own", "Own", "--rep", "Rep"]
+    assert main(["check", str(src)]) == 1
+    issues = capsys.readouterr().out
+    assert "PrivateFieldAccess" in issues
+    assert main(["--format", fmt, *command, "--entry", "Main.main", *des, str(src)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: " + issues
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["run", _c("observer_v1.jcore")]) == 2  # missing --entry
     assert main(["nonsense"]) == 2

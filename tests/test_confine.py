@@ -379,9 +379,8 @@ def test_monitor_clean_on_generated_drivers(tables):
                 monitor = ConfinementMonitor(ct, "every")
                 rt = Runtime(ct, hooks=monitor)
                 heap, roots = {}, {}
-                cls_of = {st.target: st.method for st in script if st.op == "new"}
                 for st in script:
-                    bot, heap = _exec_step(rt, heap, roots, st, cls_of, 8)
+                    bot, heap = _exec_step(rt, heap, roots, st, 8)
                     if bot is not None:
                         break
                 assert not monitor.violations, (
@@ -424,15 +423,49 @@ def _write(monitor, h, loc, f, v):
     h[loc][f] = v
 
 
+def _seeded_stores(ct, h, rng):
+    """A store each for client, owner and rep code over the locations of `h`:
+    `self`, unless the heap has no object of that role, plus a few variables."""
+    locs = sorted(h)
+    for role, cls in (("client", "Cli"), ("owner", "Own"), ("rep", "Rep")):
+        selves = [l for l in locs if ct.role(l.class_name) == role]
+        if role != "client" and not selves:
+            continue  # owner and rep code always run on a self
+        eta = {}
+        if selves:
+            eta["self"] = rng.choice(selves)
+            cls = eta["self"].class_name
+        for i in range(rng.randint(1, 3)):
+            eta[f"x{i}"] = rng.choice(locs + [None, 1])
+        yield cls, eta
+
+
+def _store_ok_by_islands(ct, cls, eta, part):
+    """Store confinement read off a Partition's islands by their index."""
+    island = {l: i for i, (o, reps) in enumerate(part.islands) for l in (o, *reps)}
+    held = [v for v in eta.values() if isinstance(v, Location)]
+    role = ct.role(cls)
+    if role == "client":
+        return not any(ct.is_rep_class(v.class_name) for v in held)
+    if role == "owner":
+        mine = island[eta["self"]]
+        return all(island.get(v, mine) == mine for v in held if ct.is_rep_class(v.class_name))
+    return len({island[v] for v in held if v in island}) <= 1
+
+
 def test_followed_partition_matches_confine_heap_on_random_walks():
     """Drive a monitor's hooks with random allocations, field writes, swaps
     of a field's values between two objects, and call windows. After every
-    step its partition is confine_heap's, and the extension verdict of each
-    open window is check_hext's on the pre-call partition stacked here."""
+    step its partition is confine_heap's, the extension verdict of each open
+    window is check_hext's on the pre-call partition stacked here, and
+    confined_store gives one verdict, the islands' own, on seeded client,
+    owner and rep stores whichever of the two partitions it is handed."""
     ct = roles_table()
     classes = sorted(ct.decls)
     rng = random.Random(2024)
+    stores = random.Random(7)  # apart from `rng`, so the walk is the same
     moved = 0
+    refused = {"client": 0, "owner": 0, "rep": 0}
     for _ in range(3000):
         h = _confined_heap(ct, rng)
         monitor = ConfinementMonitor(ct, "calls")
@@ -481,12 +514,19 @@ def test_followed_partition_matches_confine_heap_on_random_walks():
             assert_partition_agrees(ct, h, part)
             if isinstance(part, ConfinementViolation):
                 continue
+            spec = confine_heap(ct, h)
+            for cls, eta in _seeded_stores(ct, h, stores):
+                got = confined_store(ct, cls, eta, h, part)
+                assert confined_store(ct, cls, eta, h, spec) == got, (cls, eta, h)
+                assert (got is None) == _store_ok_by_islands(ct, cls, eta, spec), (cls, eta, h)
+                refused[ct.role(cls)] += got is not None
             for pre, mark in zip(pres, monitor._marks):
                 if isinstance(pre, Partition):
                     want = check_hext(ct, pre, h)
                     assert monitor._moved(mark, part) == want, h
                     moved += want is not None
     assert moved >= 40, moved
+    assert min(refused.values()) >= 500, refused
 
 
 def test_monitor_partition_agrees_at_every_checkpoint_of_the_corpus(partition_oracles, corpus, tables):

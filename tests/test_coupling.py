@@ -200,10 +200,9 @@ def test_sigma_search_agrees_with_brute_force(obool_pair):
             ra, rb = {}, {}
             from jcore.coupling import _exec_step
 
-            cls_of = {"o": "OBool"}
             for st in script:
-                _, ha = _exec_step(rt_a, ha, ra, st, cls_of, fuel)
-                _, hb = _exec_step(rt_b, hb, rb, st, cls_of, fuel)
+                _, ha = _exec_step(rt_a, ha, ra, st, fuel)
+                _, hb = _exec_step(rt_b, hb, rb, st, fuel)
             sigma = root_sigma(ct_a, ct_b, ra, rb, ha, hb)
             ours = isinstance(sigma, dict) and isinstance(
                 induced_heap_coupling(ct_a, ct_b, sigma, ha, hb, bc), dict
@@ -277,10 +276,9 @@ def test_identity_reduction_on_obool(obool_pair):
     rt_a, rt_b = Runtime(ct_a), Runtime(ct_b)
     ha = hb = {}
     ra, rb = {}, {}
-    cls_of = {"o": "OBool"}
     for st in script:
-        _, ha = _exec_step(rt_a, ha, ra, st, cls_of, 4)
-        _, hb = _exec_step(rt_b, hb, rb, st, cls_of, 4)
+        _, ha = _exec_step(rt_a, ha, ra, st, 4)
+        _, hb = _exec_step(rt_b, hb, rb, st, 4)
     sigma = root_sigma(ct_a, ct_b, ra, rb, ha, hb)
     assert isinstance(sigma, dict)
     for a, b in sigma.items():

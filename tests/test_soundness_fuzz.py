@@ -130,9 +130,8 @@ def test_accepted_compositions_are_monitor_clean():
                 monitor = ConfinementMonitor(ct, "every")
                 rt = Runtime(ct, hooks=monitor)
                 heap, roots = {}, {}
-                cls_of = {st.target: st.method for st in script if st.op == "new"}
                 for st in script:
-                    bot, heap = _exec_step(rt, heap, roots, st, cls_of, 8)
+                    bot, heap = _exec_step(rt, heap, roots, st, 8)
                     if bot is not None:
                         break
                 assert not monitor.violations, (
