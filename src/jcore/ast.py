@@ -9,13 +9,12 @@ carried for diagnostics but excluded from equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 OBJECT = "Object"  # built-in root class: no fields, no methods, not instantiable
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """Half-open character range [start, end) with 1-based line/col of start."""
 
     start: int

@@ -18,7 +18,7 @@ from .confine import ConfinementMonitor, ConfinementViolation, confine_heap, to_
 from .corpus import load_corpus, replay
 from .coupling import load_sim_manifest, run_sim_manifest
 from .equivalence import ComparabilityError, ManifestError, load_manifest, run_manifest
-from .interp import Bottom, HookChain, TraceHooks, collect, format_state, run
+from .interp import Bottom, EntryClassError, HookChain, TraceHooks, collect, format_state, run
 from .parser import ParseError
 from .safety import safe_table
 from .typecheck import check_table
@@ -318,7 +318,7 @@ def main(argv=None) -> int:
     except (ParseError, WellFormednessError, ComparabilityError, IllTyped) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ManifestError, FileNotFoundError) as exc:
+    except (ManifestError, EntryClassError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal error

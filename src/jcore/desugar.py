@@ -85,7 +85,7 @@ class _BodyLowerer:
                 nums += map(int, re.findall(r"\$tmp(\d+)", node))
             elif t is tuple:
                 stack.extend(node)
-            elif t is not A.Span and hasattr(node, "__dict__"):
+            elif hasattr(node, "__dict__"):
                 stack.extend(vars(node).values())
         return max(nums) + 1
 

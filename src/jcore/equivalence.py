@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .classtable import ClassTable, Designations, load_table
-from .interp import Bottom, Heap, Location, Store, collect, run, value_kind
+from .interp import Bottom, EntryClassError, Heap, Location, Store, collect, run, value_kind
 
 
 class ComparabilityError(Exception):
@@ -213,7 +213,8 @@ def client_equiv(
     problems = check_comparable(ct_a, ct_b)
     if problems:
         raise ComparabilityError(problems)
-    if not ct_a.is_client_class(entry_class):
+    # `run` rejects an unknown entry class or method before either side executes
+    if entry_class in ct_a.decls and not ct_a.is_client_class(entry_class):
         raise ComparabilityError([f"entry class {entry_class} must be a client class"])
 
     res_a = run(ct_a, entry_class, entry_method, max_fuel=max_fuel, loop_cap=loop_cap)
@@ -246,7 +247,7 @@ def client_equiv(
 
 class ManifestError(Exception):
     """A manifest that is not a JSON object, lacks a key its comparison
-    needs, or names an unknown coupling."""
+    needs, or names an unknown coupling or an entry point `run` refuses."""
 
     def __init__(self, path: str, problem: str):
         super().__init__(f"manifest {path}: {problem}")
@@ -327,7 +328,10 @@ def run_manifest(manifest: Manifest) -> EquivVerdict:
     if manifest.entry_class is None:
         raise ManifestError(manifest.path, "missing key 'entry'")
     ct_a, ct_b = manifest.tables()
-    return client_equiv(
-        ct_a, ct_b, manifest.entry_class, manifest.entry_method,
-        max_fuel=manifest.max_fuel, loop_cap=manifest.loop_cap,
-    )
+    try:
+        return client_equiv(
+            ct_a, ct_b, manifest.entry_class, manifest.entry_method,
+            max_fuel=manifest.max_fuel, loop_cap=manifest.loop_cap,
+        )
+    except EntryClassError as exc:
+        raise ManifestError(manifest.path, str(exc)) from None

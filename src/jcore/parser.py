@@ -19,12 +19,17 @@ predicate means every code point for which it holds):
   count code points from 1; the end-of-input token sits one past the last
   character.
 
-Binary operators, loosest first, all left-associative:
+`tokenize` makes one regex match per token, which skips blanks, newlines
+and comments and then reads the token; its line and column count the
+newlines skipped. A `Token` is a tuple `(kind, text, start, end, line, col)`.
 
-    =  !=
-    <
-    +  -
-    mod
+Binary operators by precedence, `_PREC`, all left-associative; `expr`
+parses them by precedence climbing, one call per operand:
+
+    0  =  !=
+    1  <
+    2  +  -
+    3  mod
 
 They bind looser than the prefix forms `!e` and `(C) e`, which bind looser
 than the postfix forms `e.f`, `e.m(...)` and `e is C`.
@@ -39,7 +44,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from . import ast as A
 from .ast import Span
@@ -51,16 +56,16 @@ KEYWORDS = {
     "bool", "unit", "int", "mod",
 }
 
-# One alternative per token class, tried in this order: an int is matched
-# before a word, so `12ab` is the int `12` and then the identifier `ab`.
+# Skip blanks, newlines and comments, then try one alternative per token class
+# in order (`12ab` is the int `12`, then the identifier `ab`). One of them
+# matches wherever the skip stops, so it never backtracks and needs no `*+`.
 _TOKEN_RE = re.compile(r"""
-    (?P<space>[ \t\r]+)
-  | (?P<comment>//[^\n]*)
-  | (?P<newline>\n)
-  | (?P<int>\d+)
-  | (?P<word>[\w$]+)
-  | (?P<punct>:=|!=|[{}();,.=<+\-!])
-  | (?P<other>.)
+    (?:[ \t\r\n]+|//[^\n]*)*
+    (?:(?P<int>\d+)
+      |(?P<word>[\w$]+)
+      |(?P<punct>:=|!=|[{}();,.=<+\-!])
+      |(?P<other>.)
+      |(?P<eof>\Z))
 """, re.VERBOSE | re.DOTALL)
 
 
@@ -72,26 +77,28 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'ident' | 'int' | 'punct' | 'kw' | 'eof'
     text: str
-    span: Span
+    start: int
+    end: int
+    line: int
+    col: int
 
 
 def tokenize(src: str) -> List[Token]:
     toks: List[Token] = []
-    line, line_start = 1, 0
+    line, line_start, prev = 1, 0, 0
     for m in _TOKEN_RE.finditer(src):
         kind = m.lastgroup
-        if kind == "newline":
-            line += 1
-            line_start = m.end()
-            continue
-        if kind == "space" or kind == "comment":
-            continue
-        text, start = m.group(), m.start()
+        start, end = m.span(kind)
+        nl = src.count("\n", prev, start)  # newlines skipped since the previous token
+        if nl:
+            line += nl
+            line_start = src.rfind("\n", prev, start) + 1
+        prev = end
         col = start - line_start + 1
+        text = m.group(kind)
         if kind == "word":
             # `\w` also matches digits and numerals that are not decimal
             # (`²`, `½`); they start neither an identifier nor an int
@@ -101,10 +108,9 @@ def tokenize(src: str) -> List[Token]:
             kind = "kw" if text in KEYWORDS else "ident"
         elif kind == "other":
             raise ParseError(f"unexpected character {text!r}", line, col)
-        toks.append(Token(kind, text, Span(start, m.end(), line, col)))
-    n = len(src)
-    toks.append(Token("eof", "", Span(n, n, line, n - line_start + 1)))
-    return toks
+        toks.append(Token(kind, text, start, end, line, col))
+        if kind == "eof":
+            return toks
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +198,12 @@ class SurfaceProgram:
 
 _EXPR_START = {"null", "true", "false", "it", "new", "super"}
 
-# Binary operators, loosest first; all are left-associative.
-_BINARY = (("=", "!="), ("<",), ("+", "-"), ("mod",))
+# Binary operators and their precedence, loosest lowest; all left-associative.
+_PREC = {"=": 0, "!=": 0, "<": 1, "+": 2, "-": 2, "mod": 3}
+
+# Texts that start a keyword statement; texts that end a sequence (eof's is "").
+_STMT_START = {"skip", "abort", "{", "if", "while"}
+_SEQ_END = {"}", "else", "fi", "od", ""}
 
 
 class _Parser:
@@ -215,8 +225,8 @@ class _Parser:
         return t
 
     def at(self, text: str) -> bool:
-        t = self.toks[self.pos]
-        return t.text == text and t.kind in ("punct", "kw")
+        # no identifier or integer is spelled like a keyword or punctuation
+        return self.toks[self.pos].text == text
 
     def accept(self, text: str) -> Optional[Token]:
         if self.at(text):
@@ -227,18 +237,18 @@ class _Parser:
         t = self.peek()
         if not self.at(text):
             msg = what or f"expected {text!r}, found {t.text or 'end of input'!r}"
-            raise ParseError(msg, t.span.line, t.span.col)
+            raise ParseError(msg, t.line, t.col)
         return self.next()
 
     def expect_ident(self, what: str) -> Token:
         t = self.peek()
         if t.kind != "ident":
-            raise ParseError(f"expected {what}, found {t.text or 'end of input'!r}", t.span.line, t.span.col)
+            raise ParseError(f"expected {what}, found {t.text or 'end of input'!r}", t.line, t.col)
         return self.next()
 
-    def span_from(self, start: Span) -> Span:
-        end = self.toks[self.pos - 1].span if self.pos > 0 else start
-        return Span(start.start, end.end, start.line, start.col)
+    def span_from(self, start: Token) -> Span:
+        """The span from token `start` to the last token consumed."""
+        return Span(start.start, self.toks[self.pos - 1].end, start.line, start.col)
 
     # -- program structure
 
@@ -249,7 +259,7 @@ class _Parser:
         return SurfaceProgram(tuple(classes), self.src)
 
     def class_decl(self) -> SurfaceClass:
-        start = self.expect("class").span
+        start = self.expect("class")
         name = self.expect_ident("class name").text
         self.expect("extends")
         sup = self.expect_ident("superclass name").text
@@ -261,12 +271,12 @@ class _Parser:
             con = self.accept("con")
             if con:
                 if ctor is not None:
-                    raise ParseError(f"class {name} has a second constructor", con.span.line, con.span.col)
+                    raise ParseError(f"class {name} has a second constructor", con.line, con.col)
                 self.expect("{")
                 ctor = self.stmt_seq()
                 self.expect("}")
                 continue
-            mstart = self.peek().span
+            mstart = self.peek()
             module_scoped = bool(self.accept("module"))
             t = self.type_expr()
             member = self.expect_ident("member name").text
@@ -297,7 +307,7 @@ class _Parser:
     def type_expr(self):
         t = self.peek()
         if t.text in A.PRIM_NAMES:
-            self.next()
+            self.pos += 1
             return A.PRIM_NAMES[t.text]
         tok = self.expect_ident("type name")
         return A.ClassType(tok.text)
@@ -307,9 +317,7 @@ class _Parser:
     def stmt_seq(self):
         """Parse statements up to the enclosing terminator ('}', else, fi, od)."""
         items: List[object] = []
-        while True:
-            if self.peek().kind == "eof" or self.at("}") or self.at("else") or self.at("fi") or self.at("od"):
-                break
+        while self.toks[self.pos].text not in _SEQ_END:
             items.append(self.stmt())
             if not self.accept(";"):
                 break
@@ -319,45 +327,39 @@ class _Parser:
             return items[0]
         return SSeq(tuple(items))
 
-    def _at_local_decl(self) -> bool:
-        t0, t1 = self.peek(), self.peek(1)
-        if t0.text in A.PRIM_NAMES and t0.kind == "kw":
-            return t1.kind == "ident"
-        return t0.kind == "ident" and t1.kind == "ident"
-
     def stmt(self):
-        start = self.peek().span
-        if self.accept("skip"):
-            return SSkip(self.span_from(start))
-        if self.accept("abort"):
-            return SAbort(self.span_from(start))
-        if self.accept("{"):
-            body = self.stmt_seq()
-            self.expect("}")
-            return body
-        if self.accept("if"):
+        start = self.toks[self.pos]
+        kind, text = start.kind, start.text
+        if text in _STMT_START:
+            self.pos += 1
+            if text == "skip":
+                return SSkip(self.span_from(start))
+            if text == "abort":
+                return SAbort(self.span_from(start))
+            if text == "{":
+                body = self.stmt_seq()
+                self.expect("}")
+                return body
             cond = self.expr()
-            self.expect("then")
-            then_seq = self.stmt_seq()
-            self.expect("else")
-            else_seq = self.stmt_seq()
-            self.expect("fi")
-            return SIf(cond, then_seq, else_seq, self.span_from(start))
-        if self.accept("while"):
-            cond = self.expr()
+            if text == "if":
+                self.expect("then")
+                then_seq = self.stmt_seq()
+                self.expect("else")
+                else_seq = self.stmt_seq()
+                self.expect("fi")
+                return SIf(cond, then_seq, else_seq, self.span_from(start))
             self.expect("do")
             body = self.stmt_seq()
             self.expect("od")
             return SWhile(cond, body, self.span_from(start))
-        if self._at_local_decl():
+        # a local declaration: a type, then the variable's name
+        if (kind == "ident" or text in A.PRIM_NAMES) and self.toks[self.pos + 1].kind == "ident":
             t = self.type_expr()
             name = self.expect_ident("variable name").text
             self.expect(":=", "expected ':=' in local declaration")
             rhs = self.rhs()
-            if self.accept("in"):
-                body = self.stmt_seq()
-                return SLocal(t, name, rhs, body, self.span_from(start))
-            return SLocal(t, name, rhs, None, self.span_from(start))
+            body = self.stmt_seq() if self.accept("in") else None
+            return SLocal(t, name, rhs, body, self.span_from(start))
         # assignment or call statement
         e = self.expr()
         if self.accept(":="):
@@ -370,66 +372,71 @@ class _Parser:
         raise ParseError("expected ':=' or a method call statement", start.line, start.col)
 
     def rhs(self):
-        start = self.peek().span
-        if self.accept("new"):
+        start = self.toks[self.pos]
+        if start.text == "new":
+            self.pos += 1
             name = self.expect_ident("class name after 'new'").text
             return A.NewExpr(name, self.span_from(start))
         return self.expr()
 
     # -- expressions
 
-    def expr(self, level: int = 0):
-        """A left-associative chain of the operators of `_BINARY[level]`
-        over operands of the next tighter level."""
-        if level == len(_BINARY):
-            return self.unary()
-        start = self.peek().span
-        e = self.expr(level + 1)
-        # no identifier or integer is spelled like an operator
-        while self.peek().text in _BINARY[level]:
-            op = self.next().text
-            r = self.expr(level + 1)
+    def expr(self, min_prec: int = 0):
+        """Precedence climbing: an operand, then a left-associative chain of
+        the operators of `_PREC` that bind at least as tight as `min_prec`.
+        Every node spans from the start of its chain."""
+        start = self.toks[self.pos]
+        e = self.unary()
+        while True:
+            op = self.toks[self.pos].text
+            prec = _PREC.get(op)
+            if prec is None or prec < min_prec:
+                return e
+            self.pos += 1
+            r = self.expr(prec + 1)
+            span = self.span_from(start)
             if op == "=":
-                e = A.Eq(e, r, self.span_from(start))
+                e = A.Eq(e, r, span)
             elif op == "!=":
-                e = A.Eq(A.Eq(e, r, self.span_from(start)), A.BoolLit(False), self.span_from(start))
+                e = A.Eq(A.Eq(e, r, span), A.BoolLit(False), span)
             else:
-                e = A.IntOp(op, e, r, self.span_from(start))
-        return e
+                e = A.IntOp(op, e, r, span)
 
     def unary(self):
-        start = self.peek().span
-        if self.accept("!"):
+        start = self.toks[self.pos]
+        if start.text == "!":
+            self.pos += 1
             e = self.unary()
             return A.Eq(e, A.BoolLit(False), self.span_from(start))
-        if self._at_cast():
-            self.expect("(")
-            name = self.expect_ident("class name in cast").text
-            self.expect(")")
+        if start.text == "(" and self._at_cast():
+            name = self.toks[self.pos + 1].text
+            self.pos += 3  # `(`, the class name and `)`, as `_at_cast` saw them
             e = self.unary()
             return A.Cast(name, e, self.span_from(start))
         return self.postfix()
 
     def _at_cast(self) -> bool:
-        if not self.at("("):
-            return False
+        """At `(`: is this `(C)` followed by the start of an operand?"""
         t1, t2, t3 = self.peek(1), self.peek(2), self.peek(3)
         if t1.kind != "ident" or t2.text != ")":
             return False
         return t3.kind in ("ident", "int") or t3.text in _EXPR_START or t3.text in ("(", "!")
 
     def postfix(self):
-        start = self.peek().span
+        start = self.toks[self.pos]
         e = self.primary()
         while True:
-            if self.accept("."):
+            text = self.toks[self.pos].text
+            if text == ".":
+                self.pos += 1
                 name = self.expect_ident("member name").text
                 if self.accept("("):
                     args = self.call_args()
                     e = A.CallExpr(e, name, tuple(args), self.span_from(start))
                 else:
                     e = A.FieldAccess(e, name, self.span_from(start))
-            elif self.accept("is"):
+            elif text == "is":
+                self.pos += 1
                 name = self.expect_ident("class name after 'is'").text
                 e = A.InstanceTest(e, name, self.span_from(start))
             else:
@@ -446,33 +453,30 @@ class _Parser:
         return args
 
     def primary(self):
-        t = self.peek()
-        start = t.span
-        if self.accept("null"):
-            return A.NullLit(self.span_from(start))
-        if self.accept("true"):
-            return A.BoolLit(True, self.span_from(start))
-        if self.accept("false"):
-            return A.BoolLit(False, self.span_from(start))
-        if self.accept("it"):
-            return A.UnitLit(self.span_from(start))
-        if t.kind == "int":
-            self.next()
-            return A.IntLit(int(t.text), self.span_from(start))
-        if self.accept("super"):
+        t = self.toks[self.pos]
+        kind, text = t.kind, t.text
+        self.pos += 1  # every operand but a ParseError starts by consuming `t`
+        if kind == "ident":
+            return A.Var(text, self.span_from(t))
+        if kind == "int":
+            return A.IntLit(int(text), self.span_from(t))
+        if text == "(":
+            e = self.expr()
+            self.expect(")")
+            return e
+        if text == "true" or text == "false":
+            return A.BoolLit(text == "true", self.span_from(t))
+        if text == "null":
+            return A.NullLit(self.span_from(t))
+        if text == "it":
+            return A.UnitLit(self.span_from(t))
+        if text == "super":
             self.expect(".", "expected '.' after 'super'")
             name = self.expect_ident("method name").text
             self.expect("(", "super calls require an argument list")
             args = self.call_args()
-            return A.SuperCallExpr(name, tuple(args), self.span_from(start))
-        if self.accept("("):
-            e = self.expr()
-            self.expect(")")
-            return e
-        if t.kind == "ident":
-            self.next()
-            return A.Var(t.text, self.span_from(start))
-        raise ParseError(f"expected an expression, found {t.text or 'end of input'!r}", t.span.line, t.span.col)
+            return A.SuperCallExpr(name, tuple(args), self.span_from(t))
+        raise ParseError(f"expected an expression, found {text or 'end of input'!r}", t.line, t.col)
 
 
 def parse(src: str) -> SurfaceProgram:

@@ -1,8 +1,9 @@
 """Shared oracles and generators: brute-force partition search, typed
 bijection enumeration, random heap/state construction, the confine_heap
 oracle for the monitor's followed partition, iterative deepening as the
-oracle for single-execution `run` and `client_equiv`, and per-fuel replay as
-the oracle for the simulation harness's prefix memo."""
+oracle for single-execution `run` and `client_equiv`, per-fuel replay as
+the oracle for the simulation harness's prefix memo, and the mangled and
+noise sources the tokenizer and parser are fuzzed with."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import random
 from jcore import ast as A
 from jcore.classtable import ClassTable, Designations, build_class_table
 from jcore.confine import ConfinementViolation, confine_heap, partition_clauses_hold
+from jcore.corpus import load_corpus
 from jcore.coupling import (
     BasicCoupling, CouplingFailure, CouplingReport, VectorResult, _exec_step, _own_methods_of,
     check_establishment, generate_scripts, induced_heap_coupling, root_sigma,
@@ -384,3 +386,41 @@ def replay_simulation(ct_a, ct_b, bc, fuels, max_len, max_scripts, replayed=None
                         v = VectorResult(script, fuel, "fail", -1, f"internal error: {exc}")
                 vectors.append(v)
     return CouplingReport(bc.name, establishment, vectors)
+
+
+def mangled_sources(count: int = 400, seed: int = 31):
+    """`count` corpus programs, each cut short, with one punctuation character
+    inserted or one character deleted, or with two words swapped."""
+    rng = random.Random(seed)
+    sources = [r.source() for r in load_corpus()]
+    for _ in range(count):
+        src = rng.choice(sources)
+        mode = rng.randrange(4)
+        if mode == 0:
+            cut = rng.randrange(len(src))
+            src = src[:cut]
+        elif mode == 1:
+            pos = rng.randrange(len(src))
+            src = src[:pos] + rng.choice(";{}():=<+-!") + src[pos:]
+        elif mode == 2:
+            pos = rng.randrange(len(src))
+            src = src[:pos] + src[pos + 1:]
+        else:
+            words = src.split()
+            if len(words) > 2:
+                a, b = rng.randrange(len(words)), rng.randrange(len(words))
+                words[a], words[b] = words[b], words[a]
+            src = " ".join(words)
+        yield src
+
+
+def noise_sources(count: int = 400, seed: int = 97):
+    """`count` random strings over keyword letters, punctuation, digits and
+    non-ASCII letters and numerals, each once alone and once more in
+    expression position."""
+    rng = random.Random(seed)
+    alphabet = "classextendmodulnifwhoabrtskp {}();:=!<+-$0123456789\n²½é٣"
+    for _ in range(count):
+        src = "".join(rng.choice(alphabet) for _ in range(rng.randrange(120)))
+        yield src
+        yield "class C extends Object { unit m() { result := " + src

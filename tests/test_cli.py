@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import pytest
 
@@ -154,6 +155,37 @@ def test_usage_error_exit_2(capsys):
 
 def test_missing_file_exit_2(capsys):
     assert main(["equiv", "/nonexistent/manifest.json"]) == 2
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("entry, message", [
+    ("Nope.main", "unknown entry class Nope"),
+    ("Main.nope", "Main has no method nope"),
+    ("Bool.set", "entry method set must take no parameters"),
+], ids=["unknown-class", "missing-method", "parameterised-method"])
+def test_run_bad_entry_is_a_clean_error(capsys, fmt, entry, message):
+    assert main(["--format", fmt, "run", "--entry", entry, _c("bool_v1.jcore")]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"class": "Nope", "method": "main"}, "unknown entry class Nope"),
+    ({"class": "Main", "method": "nope"}, "Main has no method nope"),
+], ids=["unknown-class", "missing-method"])
+def test_equiv_bad_entry_is_a_manifest_error(tmp_path, capsys, entry, message):
+    with open(_c("manifests/obool_pair.json")) as f:
+        data = json.load(f)
+    for side in ("tableA", "tableB"):
+        name = os.path.basename(data[side])
+        shutil.copy(_c(name), tmp_path / name)
+        data[side] = name
+    data["entry"] = entry
+    path = tmp_path / "bad_entry.json"
+    path.write_text(json.dumps(data))
+    assert main(["equiv", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: manifest {path}: {message}\n")
 
 
 def _unknown_coupling(tmp_path):

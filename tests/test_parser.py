@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import mangled_sources, noise_sources
 from jcore import ast as A
 from jcore.desugar import desugar
 from jcore.parser import KEYWORDS, ParseError, parse, tokenize
@@ -140,39 +141,58 @@ def test_explicit_in_keyword():
     assert block.body == A.Skip()
 
 
+def _token_tuple(t):
+    p = getattr(t, "span", t)  # a token's positions: its own fields, or its `span`'s
+    return t.kind, t.text, p.start, p.end, p.line, p.col
+
+
 def _token_or_error(src):
     try:
-        return [(t.kind, t.text) for t in tokenize(src)[:-1]]
+        return [_token_tuple(t) for t in tokenize(src)]
     except ParseError as exc:
         return exc.message, exc.line, exc.col
 
 
-def _expected_tokens(src):
+def _reference_tokens(src):
     """The token classes of the parser's docstring, written as `str`
-    predicates, for a one-line source without comments."""
-    toks, i = [], 0
-    while i < len(src):
-        c, j = src[i], i + 1
-        if c.isalpha() or c in "_$":
-            while j < len(src) and (src[j].isalnum() or src[j] in "_$"):
-                j += 1
-            toks.append(("kw" if src[i:j] in KEYWORDS else "ident", src[i:j]))
-        elif c.isdecimal():
-            while j < len(src) and src[j].isdecimal():
-                j += 1
-            toks.append(("int", src[i:j]))
+    predicates and read one character at a time: (kind, text, start, end,
+    line, col) per token with the end of input last, or the (message, line,
+    col) of the first character that starts no token."""
+    toks, i, n, line, line_start = [], 0, len(src), 1, 0
+    while i < n:
+        c, j, col = src[i], i + 1, i - line_start + 1
+        if c == "\n":
+            line, line_start = line + 1, j
         elif c in " \t\r":
             pass
-        elif c in "{}();,.=<+-!":
-            toks.append(("punct", c))
+        elif src.startswith("//", i):
+            j = src.find("\n", i)
+            j = n if j < 0 else j
+        elif c.isalpha() or c in "_$":
+            while j < n and (src[j].isalnum() or src[j] in "_$"):
+                j += 1
+            toks.append(("kw" if src[i:j] in KEYWORDS else "ident", src[i:j], i, j, line, col))
+        elif c.isdecimal():
+            while j < n and src[j].isdecimal():
+                j += 1
+            toks.append(("int", src[i:j], i, j, line, col))
+        elif c in "{}();,.=<+-!" or src.startswith(":=", i):
+            j += src[i:i + 2] in (":=", "!=")
+            toks.append(("punct", src[i:j], i, j, line, col))
         else:
-            return f"unexpected character {c!r}", 1, i + 1
+            return f"unexpected character {c!r}", line, col
         i = j
-    return toks
+    return toks + [("eof", "", n, n, line, n - line_start + 1)]
 
 
 def test_character_classes_follow_the_str_predicates():
     digits = [c for c in map(chr, range(0x110000)) if c.isdigit() != c.isdecimal()]
     for c in [chr(i) for i in range(0x800) if i != 0x0A] + digits:
         for src in (c, "a" + c, "1" + c):
-            assert _token_or_error(src) == _expected_tokens(src), repr(src)
+            assert _token_or_error(src) == _reference_tokens(src), repr(src)
+
+
+def test_tokenize_matches_the_reference_scanner():
+    sources = [r.source() for r in load_corpus()]
+    for src in [*sources, *mangled_sources(), *noise_sources()]:
+        assert _token_or_error(src) == _reference_tokens(src), repr(src)

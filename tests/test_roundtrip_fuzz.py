@@ -4,10 +4,12 @@ anything but its own error type on mangled input."""
 
 import random
 
+from helpers import mangled_sources, noise_sources
 from jcore import ast as A
 from jcore.classtable import build_class_table
+from jcore.corpus import load_corpus
 from jcore.desugar import desugar
-from jcore.parser import ParseError, parse
+from jcore.parser import ParseError, parse, tokenize
 from jcore.pretty import program_str
 from jcore.typecheck import check_table
 
@@ -114,29 +116,8 @@ def test_long_body_checks_and_roundtrips():
 
 
 def test_parser_total_on_mangled_corpus():
-    from jcore.corpus import load_corpus
-
-    rng = random.Random(31)
-    sources = [r.source() for r in load_corpus()]
     crashes = 0
-    for i in range(400):
-        src = rng.choice(sources)
-        mode = rng.randrange(4)
-        if mode == 0:
-            cut = rng.randrange(len(src))
-            src = src[:cut]
-        elif mode == 1:
-            pos = rng.randrange(len(src))
-            src = src[:pos] + rng.choice(";{}():=<+-!") + src[pos:]
-        elif mode == 2:
-            pos = rng.randrange(len(src))
-            src = src[:pos] + src[pos + 1:]
-        else:
-            words = src.split()
-            if len(words) > 2:
-                a, b = rng.randrange(len(words)), rng.randrange(len(words))
-                words[a], words[b] = words[b], words[a]
-            src = " ".join(words)
+    for src in mangled_sources():
         try:
             desugar(parse(src))
         except ParseError:
@@ -148,13 +129,60 @@ def test_parser_total_on_mangled_corpus():
 
 
 def test_parser_total_on_noise():
-    rng = random.Random(97)
-    alphabet = "classextendmodulnifwhoabrtskp {}();:=!<+-$0123456789\n²½é٣"
-    for _ in range(400):
-        src = "".join(rng.choice(alphabet) for _ in range(rng.randrange(120)))
-        # the same noise once more in expression position
-        for text in (src, "class C extends Object { unit m() { result := " + src):
-            try:
-                parse(text)
-            except ParseError:
-                pass
+    for text in noise_sources():
+        try:
+            parse(text)
+        except ParseError:
+            pass
+
+
+def _spanned_nodes(node, parent):
+    """(node, nearest spanned ancestor) for every surface node below `node`
+    that carries a span, top down."""
+    stack = [(node, parent)]
+    while stack:
+        node, parent = stack.pop()
+        if isinstance(node, tuple):
+            stack.extend((x, parent) for x in node)
+        elif hasattr(node, "__dataclass_fields__"):
+            if getattr(node, "span", None) is not None:
+                yield node, parent
+                parent = node
+            stack.extend((getattr(node, f), parent) for f in node.__dataclass_fields__ if f != "span")
+
+
+def assert_span_invariants(src):
+    """Every span starts at a token's start and ends at a token's end, its
+    line and column agree with its start, it nests in its parent's span, and
+    a binary node starts where its left operand does, up to `(`s; both `Eq`s
+    of a `!=` share one span, and every other `Eq` against a spanless `false`
+    is a `!`."""
+    toks = [getattr(t, "span", t) for t in tokenize(src)]
+    at = {t.start: i for i, t in enumerate(toks)}
+    texts = [src[t.start:t.end] for t in toks]
+    ends = {t.end for t in toks}
+    for node, parent in _spanned_nodes(parse(src).classes, None):
+        s = node.span
+        assert s.start in at and s.end in ends, node
+        assert (s.line, s.col) == (src.count("\n", 0, s.start) + 1, s.start - src.rfind("\n", 0, s.start)), node
+        if parent is not None:
+            assert parent.span.start <= s.start and s.end <= parent.span.end, node
+        if isinstance(node, (A.Eq, A.IntOp)) and node.right.span is not None:
+            left, op = at[node.left.span.start], at[node.right.span.start] - 1
+            assert set(texts[at[s.start]:left]) <= {"("}, node
+            while texts[op] == "(":
+                op -= 1
+            assert texts[op] in ((node.op,) if isinstance(node, A.IntOp) else ("=", "!=")), node
+            if texts[op] == "!=":
+                assert parent.left is node and parent.right == A.BoolLit(False) and parent.span == s
+        elif isinstance(node, A.Eq):
+            assert node.right == A.BoolLit(False) and node.right.span is None, node
+            assert texts[at[s.start]] == "!" or node.left.span == s, node
+
+
+def test_spans_of_corpus_and_fuzz_programs():
+    for rec in load_corpus():
+        assert_span_invariants(rec.source())
+    rng = random.Random(2718)
+    for _ in range(100):
+        assert_span_invariants(program_str(gen_program(rng)))
