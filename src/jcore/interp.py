@@ -1,18 +1,20 @@
 """Definitional interpreter: heaps, stores, allocation, and method meanings.
 
 A heap is a dict from locations to object states (dicts from field names to
-values); a store is a dict from variables to values. The public API keeps the
-paper's value semantics: each public `Runtime` entry (`invoke`, `new_object`,
-`exec_constructor`, `exec_command`; `run` goes through `new_object`) copies
-the caller's heap once, state dicts included, so the caller keeps a heap it
-owns whatever the outcome. Inside an entry field writes and allocations
-update that copy in place. A bottom is raised as an exception where it
-arises and unwinds to the public entry, which returns it; nothing after it
-runs, so no rollback is needed. Stores are still copied on update.
+values); a store is a dict from variables to values. Each public `Runtime`
+entry (`invoke`, `new_object`, `exec_constructor`, `exec_command`; `run` goes
+through `new_object`) copies the caller's heap once, so the caller keeps a
+heap it owns whatever the outcome: the paper's value semantics. Inside an
+entry field writes and allocations update that copy in place, allocation
+resuming the least-index scan of `fresh` from per-class cursors; stores are
+copied on update. A bottom is raised where it arises and unwinds to the
+public entry, which returns it.
 
-The heap of an entry only grows, so allocation resumes the least-index scan
-of `fresh` from a per-class cursor that every public entry resets. It finds
-the location `fresh` finds from 0, at amortised O(1) cost.
+A class table keeps the code of each method body, constructor and command it
+runs: closures compiled on first use by `_compile`, the one place that
+dispatches on a node's type (Feeley and Lapalme, "Using closures for code
+generation", 1987). Plain and hooked runs share this code, which tests for
+hooks at the hook points; the tree walker it replaced is the test oracle.
 
 Method meanings are approximated by a fuel counter: a call executed with
 fuel j runs the callee body with fuel j-1, and any call at fuel 0 yields the
@@ -33,11 +35,12 @@ it means "undetermined at this approximation" rather than a genuine error.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import ast as A
-from .ast import OBJECT, BOOL, INT, UNIT, ClassType, NullType, PrimType
+from .ast import BOOL, INT, UNIT, ClassType, NullType, PrimType
 from .classtable import ClassTable
 
 NIL_DEREF = "nil-dereference"
@@ -61,8 +64,7 @@ class Unit:
 IT = Unit()
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Location:
+class Location(NamedTuple):
     class_name: str
     index: int
 
@@ -272,6 +274,7 @@ class Runtime:
         self.ct = ct
         self.loop_cap = loop_cap
         self.hooks = hooks
+        self._code = vars(ct).setdefault("_code", {})  # the table's compiled code, see `_compiled`
         self._stack: List[str] = []
         self._next: Dict[str, int] = {}  # per class: no free index below this in the entry's heap
         self.steps = 0
@@ -307,186 +310,233 @@ class Runtime:
     def eval_expr(self, h: Heap, eta: Store, e):
         """Expressions write nothing, so this entry needs no heap copy."""
         try:
-            return self._eval(h, eta, e)
+            return self._compiled(e)(self, h, eta)
         except _Stop as stop:
             return stop.bottom
+
+    # -- the table's code, compiled on first use, keyed by a node's id (the entry
+    # holds the node, so the id is not reused), (method, start class) or class
+
+    def _compiled(self, node):
+        entry = self._code.get(id(node)) or self._code.setdefault(id(node), (node, _compile(node)))
+        return entry[1]
+
+    def _method(self, mname: str, start: str):
+        """`mname` resolved from class `start`, with all that a call of it needs."""
+        entry = self._code.get((mname, start))
+        if entry is None:
+            resolved = self.ct.resolve_method(mname, start)
+            assert resolved is not None, f"unresolvable method {mname} on {start}"
+            decl_class, m = resolved
+            entry = self._code[mname, start] = (
+                tuple(x for x, _ in m.params), default_value(m.return_type),
+                dict(m.params, self=ClassType(decl_class), result=m.return_type),
+                f"{decl_class}.{mname}", m.module_scoped, self._compiled(m.body), m.body,
+            )
+        return entry
+
+    def _class(self, class_name: str):
+        """The default state of a `class_name` object; its constructor chain, root first."""
+        entry = self._code.get(class_name)
+        if entry is None:
+            entry = self._code[class_name] = (
+                {f: default_value(t) for f, t in self.ct.fields(class_name)},
+                [(f"{c}.con", {"self": ClassType(c)}, self.ct.decls[c].constructor)
+                 for c in reversed(self.ct.ancestors(class_name)[:-1])],
+            )
+        return entry
 
     # Inside an entry the heap is updated in place: the steps below return
     # only the new store or value, and raise `_Stop` at a bottom.
 
-    def _eval(self, h: Heap, eta: Store, e):
-        ct = self.ct
-        if isinstance(e, A.Var):
-            return eta[e.name]
-        if isinstance(e, A.NullLit):
-            return None
-        if isinstance(e, A.BoolLit):
-            return e.value
-        if isinstance(e, A.IntLit):
-            return e.value
-        if isinstance(e, A.UnitLit):
-            return IT
-        if isinstance(e, A.Eq):
-            return values_equal(self._eval(h, eta, e.left), self._eval(h, eta, e.right))
-        if isinstance(e, A.IntOp):
-            d1, d2 = self._eval(h, eta, e.left), self._eval(h, eta, e.right)
-            if e.op == "+":
-                return d1 + d2
-            if e.op == "-":
-                return d1 - d2
-            if e.op == "mod":
-                return d1 % d2 if d2 != 0 else 0
-            return d1 < d2
-        if isinstance(e, A.FieldAccess):
-            l = self._eval(h, eta, e.target)
-            if l is None:
-                raise self._stop(NIL_DEREF, f"field {e.fieldname} of null")
-            assert l in h, "expression produced a dangling location"
-            return h[l][e.fieldname]
-        if isinstance(e, A.Cast):
-            l = self._eval(h, eta, e.target)
-            if l is None or ct.subtype_names(l.class_name, e.class_name):
-                return l
-            raise self._stop(CAST_FAILURE, f"{l.class_name} is not a {e.class_name}")
-        if isinstance(e, A.InstanceTest):
-            l = self._eval(h, eta, e.target)
-            return l is not None and ct.subtype_names(l.class_name, e.class_name)
-        raise TypeError(f"not a core expression: {e!r}")
-
-    # -- construction
-
-    def _new_object(self, class_name: str, h: Heap) -> Location:
-        loc = fresh(class_name, h, self._next.get(class_name, 0))
-        self._next[class_name] = loc.index + 1
-        h[loc] = {f: default_value(t) for f, t in self.ct.fields(class_name)}
-        if self.hooks:
-            self.hooks.after_alloc(h, loc)
-        self._exec_constructor(class_name, h, loc)
-        return loc
-
-    def _exec_constructor(self, class_name: str, h: Heap, loc: Location) -> Heap:
-        sup = self.ct.super_of(class_name)
-        if sup is not None and sup != OBJECT:
-            self._exec_constructor(sup, h, loc)
-        gamma = {"self": ClassType(class_name)}
-        self._stack.append(f"{class_name}.con")
+    def _observed(self, c, cmd, gamma, h: Heap, eta: Store, fuel: int) -> Store:
+        """Run `cmd`, compiled to `c`, and report its outcome to `after_command`."""
         try:
-            self._exec_command(gamma, self.ct.decls[class_name].constructor, h, {"self": loc}, 0)
-        finally:
-            self._stack.pop()
-        return h
-
-    # -- method invocation (fuel j: body runs with fuel j-1)
-
-    def _invoke(self, loc: Location, mname: str, args, h: Heap, fuel: int, start_class: Optional[str] = None):
-        if fuel <= 0:
-            raise self._stop(FUEL_EXHAUSTED, f"call to {mname}")
-        if fuel < self.low_fuel:
-            self.low_fuel = fuel
-        start = start_class or loc.class_name
-        resolved = self.ct.resolve_method(mname, start)
-        assert resolved is not None, f"unresolvable method {mname} on {start}"
-        decl_class, m = resolved
-        eta = {x: v for (x, _), v in zip(m.params, args)}
-        eta["self"] = loc
-        eta["result"] = default_value(m.return_type)
-        gamma = {x: t for x, t in m.params}
-        gamma["self"] = ClassType(decl_class)
-        gamma["result"] = m.return_type
-        self._stack.append(f"{decl_class}.{mname}")
-        try:
-            return self._exec_command(gamma, m.body, h, eta, fuel - 1)["result"]
-        finally:
-            self._stack.pop()
-
-    def _call(self, gamma, cmd, h, eta, fuel, loc, start_class, mscoped):
-        args = [self._eval(h, eta, a) for a in cmd.args]
-        if fuel <= 0:
-            raise self._stop(FUEL_EXHAUSTED, f"call to {cmd.method}")
-        if not self.hooks:
-            return self._invoke(loc, cmd.method, args, h, fuel, start_class)
-        callee_class = start_class or loc.class_name
-        resolved = self.ct.resolve_method(cmd.method, callee_class)
-        pars = [x for x, _ in resolved[1].params] if resolved else []
-        callee_store = dict(zip(pars, args))
-        callee_store["self"] = loc
-        self.hooks.before_call(gamma, callee_class, callee_store, h, cmd, mscoped)
-        try:
-            d = self._invoke(loc, cmd.method, args, h, fuel, start_class)
-        except _Stop as stop:
-            self.hooks.after_call(gamma, callee_class, callee_store, stop.bottom, cmd, mscoped)
-            raise
-        self.hooks.after_call(gamma, callee_class, callee_store, (h, d), cmd, mscoped)
-        return d
-
-    # -- commands
-
-    def _exec_command(self, gamma, cmd, h: Heap, eta: Store, fuel: int) -> Store:
-        self.steps += 1
-        if not self.hooks:
-            return self._exec(gamma, cmd, h, eta, fuel)
-        try:
-            eta = self._exec(gamma, cmd, h, eta, fuel)
+            eta = c(self, gamma, h, eta, fuel)
         except _Stop as stop:
             self.hooks.after_command(gamma, cmd, stop.bottom)
             raise
         self.hooks.after_command(gamma, cmd, (h, eta))
         return eta
 
-    def _exec(self, gamma, cmd, h, eta, fuel):
-        ct = self.ct
-        if isinstance(cmd, A.Skip):
-            return eta
-        if isinstance(cmd, A.Abort):
-            raise self._stop(ABORT)
-        if isinstance(cmd, A.Assign):
-            return {**eta, cmd.name: self._eval(h, eta, cmd.expr)}
-        if isinstance(cmd, A.FieldAssign):
-            l = self._eval(h, eta, cmd.target)
+    def _exec_command(self, gamma, cmd, h: Heap, eta: Store, fuel: int) -> Store:
+        c = self._compiled(cmd)
+        self.steps += 1
+        return c(self, gamma, h, eta, fuel) if not self.hooks else self._observed(c, cmd, gamma, h, eta, fuel)
+
+    # -- construction
+
+    def _new_object(self, class_name: str, h: Heap) -> Location:
+        loc = fresh(class_name, h, self._next.get(class_name, 0))
+        self._next[class_name] = loc.index + 1
+        h[loc] = dict(self._class(class_name)[0])
+        if self.hooks:
+            self.hooks.after_alloc(h, loc)
+        self._exec_constructor(class_name, h, loc)
+        return loc
+
+    def _exec_constructor(self, class_name: str, h: Heap, loc: Location) -> Heap:
+        for label, gamma, con in self._class(class_name)[1]:
+            self._stack.append(label)
+            try:
+                self._exec_command(gamma, con, h, {"self": loc}, 0)
+            finally:
+                self._stack.pop()
+        return h
+
+    # -- method invocation (fuel j: body runs with fuel j-1), as a compiled call does
+
+    def _invoke(self, loc: Location, mname: str, args, h: Heap, fuel: int, start_class: Optional[str] = None):
+        if fuel <= 0:
+            raise self._stop(FUEL_EXHAUSTED, f"call to {mname}")
+        self.low_fuel = min(self.low_fuel, fuel)
+        pars, result, gamma, label, _, _, body = self._method(mname, start_class or loc.class_name)
+        self._stack.append(label)
+        try:
+            return self._exec_command(gamma, body, h, dict(zip(pars, args), self=loc, result=result), fuel - 1)["result"]
+        finally:
+            self._stack.pop()
+
+
+_INT_OPS = {"+": operator.add, "-": operator.sub, "mod": lambda d1, d2: d1 % d2 if d2 != 0 else 0}
+
+
+def _compile(node):
+    """Compile a core expression to a closure `(rt, h, eta) -> value`, or a
+    core command to a closure `(rt, gamma, h, eta, fuel) -> eta`, subtrees
+    included. This is the one place that dispatches on the node type."""
+    t = type(node)
+    if t is A.Var:
+        name = node.name
+        return lambda rt, h, eta: eta[name]
+    if t in (A.NullLit, A.BoolLit, A.IntLit, A.UnitLit):
+        value = None if t is A.NullLit else IT if t is A.UnitLit else node.value
+        return lambda rt, h, eta: value
+    if t is A.Eq or t is A.IntOp:
+        op = values_equal if t is A.Eq else _INT_OPS.get(node.op, operator.lt)
+        left, right = _compile(node.left), _compile(node.right)
+        return lambda rt, h, eta: op(left(rt, h, eta), right(rt, h, eta))
+    if t is A.FieldAccess:
+        target, fieldname = _compile(node.target), node.fieldname
+        def field_access(rt, h, eta):
+            l = target(rt, h, eta)
             if l is None:
-                raise self._stop(NIL_DEREF, f"update of field {cmd.fieldname} of null")
-            d = self._eval(h, eta, cmd.expr)
-            if self.hooks:
-                self.hooks.before_write(h, l, cmd.fieldname, d)
-            h[l][cmd.fieldname] = d
-            return eta
-        if isinstance(cmd, A.NewAssign):
-            return {**eta, cmd.name: self._new_object(cmd.class_name, h)}
-        if isinstance(cmd, A.CallAssign):
-            l = self._eval(h, eta, cmd.receiver)
+                raise rt._stop(NIL_DEREF, f"field {fieldname} of null")
+            assert l in h, "expression produced a dangling location"
+            return h[l][fieldname]
+        return field_access
+    if t is A.Cast:
+        target, class_name = _compile(node.target), node.class_name
+        def cast(rt, h, eta):
+            l = target(rt, h, eta)
+            if l is None or rt.ct.subtype_names(l.class_name, class_name):
+                return l
+            raise rt._stop(CAST_FAILURE, f"{l.class_name} is not a {class_name}")
+        return cast
+    if t is A.InstanceTest:
+        target, class_name = _compile(node.target), node.class_name
+        return lambda rt, h, eta: (l := target(rt, h, eta)) is not None and rt.ct.subtype_names(l.class_name, class_name)
+    if t is A.Skip:
+        return lambda rt, gamma, h, eta, fuel: eta
+    if t is A.Abort:
+        def abort(rt, gamma, h, eta, fuel):
+            raise rt._stop(ABORT)
+        return abort
+    if t is A.Assign:
+        name, expr = node.name, _compile(node.expr)
+        return lambda rt, gamma, h, eta, fuel: {**eta, name: expr(rt, h, eta)}
+    if t is A.FieldAssign:
+        target, fieldname, expr = _compile(node.target), node.fieldname, _compile(node.expr)
+        def field_assign(rt, gamma, h, eta, fuel):
+            l = target(rt, h, eta)
             if l is None:
-                raise self._stop(NIL_DEREF, f"call of {cmd.method} on null")
-            d = self._call(gamma, cmd, h, eta, fuel, l, None, ct.mscope(cmd.method, l.class_name))
-            return {**eta, cmd.name: d}
-        if isinstance(cmd, A.SuperCallAssign):
-            sup = ct.super_of(gamma["self"].name)
-            d = self._call(gamma, cmd, h, eta, fuel, eta["self"], sup, ct.mscope(cmd.method, sup))
-            return {**eta, cmd.name: d}
-        if isinstance(cmd, A.LocalBlock):
-            eta1 = {**eta, cmd.name: self._eval(h, eta, cmd.init)}
-            gamma1 = {**gamma, cmd.name: cmd.var_type}
-            out = dict(self._exec_command(gamma1, cmd.body, h, eta1, fuel))  # a hook may hold the body's store
-            if cmd.name in eta:
-                out[cmd.name] = eta[cmd.name]  # restore the shadowed variable
+                raise rt._stop(NIL_DEREF, f"update of field {fieldname} of null")
+            d = expr(rt, h, eta)
+            if rt.hooks:
+                rt.hooks.before_write(h, l, fieldname, d)
+            h[l][fieldname] = d
+            return eta
+        return field_assign
+    if t is A.NewAssign:
+        name, class_name = node.name, node.class_name
+        return lambda rt, gamma, h, eta, fuel: {**eta, name: rt._new_object(class_name, h)}
+    if t is A.CallAssign or t is A.SuperCallAssign:  # `x := super.m(args)` has no receiver
+        name, mname, args = node.name, node.method, [_compile(a) for a in node.args]
+        receiver = _compile(node.receiver) if t is A.CallAssign else None
+        def call(rt, gamma, h, eta, fuel):
+            if receiver is None:
+                loc, start = eta["self"], rt.ct.super_of(gamma["self"].name)
             else:
-                del out[cmd.name]
+                loc = receiver(rt, h, eta)
+                if loc is None:
+                    raise rt._stop(NIL_DEREF, f"call of {mname} on null")
+                start = loc.class_name
+            values = [a(rt, h, eta) for a in args]
+            if fuel <= 0:
+                raise rt._stop(FUEL_EXHAUSTED, f"call to {mname}")
+            pars, result, gamma1, label, mscoped, c, body = rt._method(mname, start)
+            hooks = rt.hooks
+            if hooks:
+                store = dict(zip(pars, values), self=loc)
+                hooks.before_call(gamma, start, store, h, node, mscoped)
+            rt.low_fuel = min(rt.low_fuel, fuel)
+            eta1 = dict(zip(pars, values), self=loc, result=result)
+            rt._stack.append(label)
+            rt.steps += 1
+            try:
+                out = c(rt, gamma1, h, eta1, fuel - 1) if not hooks else rt._observed(c, body, gamma1, h, eta1, fuel - 1)
+            except _Stop as stop:
+                if hooks:
+                    hooks.after_call(gamma, start, store, stop.bottom, node, mscoped)
+                raise
+            finally:
+                rt._stack.pop()
+            if hooks:
+                hooks.after_call(gamma, start, store, (h, out["result"]), node, mscoped)
+            return {**eta, name: out["result"]}
+        return call
+    if t is A.LocalBlock:
+        name, var_type, init, body, c = node.name, node.var_type, _compile(node.init), node.body, _compile(node.body)
+        def local_block(rt, gamma, h, eta, fuel):
+            eta1, gamma1 = {**eta, name: init(rt, h, eta)}, {**gamma, name: var_type}
+            rt.steps += 1
+            out = c(rt, gamma1, h, eta1, fuel) if not rt.hooks else rt._observed(c, body, gamma1, h, eta1, fuel)
+            out = dict(out)  # a hook may hold the body's store
+            if name in eta:
+                out[name] = eta[name]  # restore the shadowed variable
+            else:
+                del out[name]
             return out
-        if isinstance(cmd, A.If):
-            branch = cmd.then_cmd if self._eval(h, eta, cmd.cond) else cmd.else_cmd
-            return self._exec_command(gamma, branch, h, eta, fuel)
-        if isinstance(cmd, A.While):
+        return local_block
+    if t is A.If:
+        cond = _compile(node.cond)
+        then, otherwise = (_compile(node.then_cmd), node.then_cmd), (_compile(node.else_cmd), node.else_cmd)
+        def if_(rt, gamma, h, eta, fuel):
+            c, body = then if cond(rt, h, eta) else otherwise
+            rt.steps += 1
+            return c(rt, gamma, h, eta, fuel) if not rt.hooks else rt._observed(c, body, gamma, h, eta, fuel)
+        return if_
+    if t is A.While:
+        cond, body, c = _compile(node.cond), node.body, _compile(node.body)
+        def while_(rt, gamma, h, eta, fuel):
             iterations = 0
-            while self._eval(h, eta, cmd.cond):
+            while cond(rt, h, eta):
                 iterations += 1
-                if iterations > self.loop_cap:
-                    raise self._stop(FUEL_EXHAUSTED, "loop iteration cap exceeded")
-                eta = self._exec_command(gamma, cmd.body, h, eta, fuel)
+                if iterations > rt.loop_cap:
+                    raise rt._stop(FUEL_EXHAUSTED, "loop iteration cap exceeded")
+                rt.steps += 1
+                eta = c(rt, gamma, h, eta, fuel) if not rt.hooks else rt._observed(c, body, gamma, h, eta, fuel)
             return eta
-        if isinstance(cmd, A.Seq):
-            for it in cmd.items:
-                eta = self._exec_command(gamma, it, h, eta, fuel)
+        return while_
+    if t is A.Seq:
+        items = [(_compile(body), body) for body in node.items]
+        def seq(rt, gamma, h, eta, fuel):
+            for c, body in items:
+                rt.steps += 1
+                eta = c(rt, gamma, h, eta, fuel) if not rt.hooks else rt._observed(c, body, gamma, h, eta, fuel)
             return eta
-        raise TypeError(f"not a core command: {cmd!r}")
+        return seq
+    raise TypeError(f"not a core command or expression: {node!r}")
 
 
 def run(

@@ -2,15 +2,21 @@
 bijection enumeration, random heap/state construction, the confine_heap
 oracle for the monitor's followed partition, iterative deepening as the
 oracle for single-execution `run` and `client_equiv`, per-fuel replay as
-the oracle for the simulation harness's prefix memo, and the mangled and
-noise sources the tokenizer and parser are fuzzed with."""
+the oracle for the simulation harness's prefix memo, the tree-walking
+interpreter as the oracle for the compiled one, and the mangled and noise
+sources the tokenizer and parser are fuzzed with."""
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import math
 import random
+import sys
+from typing import Dict, List, Optional
 
 from jcore import ast as A
+from jcore.ast import OBJECT, ClassType
 from jcore.classtable import ClassTable, Designations, build_class_table
 from jcore.confine import ConfinementViolation, confine_heap, partition_clauses_hold
 from jcore.corpus import load_corpus
@@ -23,7 +29,8 @@ from jcore.equivalence import (
     Distinguished, EquivVerdict, canonical_bijection, own_free, value_equiv,
 )
 from jcore.interp import (
-    IT, Bottom, Heap, InterpHooks, Location, Runtime, RunResult, Store, collect, run,
+    ABORT, CAST_FAILURE, FUEL_EXHAUSTED, IT, NIL_DEREF, Bottom, Heap, InterpHooks, Location, Runtime,
+    RunResult, Store, _Stop, collect, default_value, fresh, run, values_equal,
 )
 
 
@@ -424,3 +431,293 @@ def noise_sources(count: int = 400, seed: int = 97):
         src = "".join(rng.choice(alphabet) for _ in range(rng.randrange(120)))
         yield src
         yield "class C extends Object { unit m() { result := " + src
+
+
+# ---------------------------------------------------------------------------
+# The tree-walking interpreter: the oracle for the compiled `Runtime`
+
+
+class TreeWalkRuntime:
+    def __init__(self, ct: ClassTable, loop_cap: int = 100000, hooks: Optional[InterpHooks] = None):
+        self.ct = ct
+        self.loop_cap = loop_cap
+        self.hooks = hooks
+        self._stack: List[str] = []
+        self._next: Dict[str, int] = {}  # per class: no free index below this in the entry's heap
+        self.steps = 0
+        self.low_fuel = math.inf  # least fuel at which any call ran its body
+
+    def _stop(self, reason, detail=""):
+        return _Stop(Bottom(reason, detail, tuple(self._stack)))
+
+    def _entry(self, h: Heap, body):
+        """Run `body` on a copy of the caller's heap with the cursors reset;
+        a bottom raised inside is the result."""
+        self._next = {}
+        try:
+            return body({loc: dict(state) for loc, state in h.items()})
+        except _Stop as stop:
+            return stop.bottom
+
+    # -- public entries: each works on its own copy of the caller's heap
+
+    def new_object(self, class_name: str, h: Heap):
+        return self._entry(h, lambda h: (h, self._new_object(class_name, h)))
+
+    def exec_constructor(self, class_name: str, h: Heap, loc: Location):
+        """Run the constructor chain of `class_name` on `loc`, root first."""
+        return self._entry(h, lambda h: self._exec_constructor(class_name, h, loc))
+
+    def invoke(self, loc: Location, mname: str, args, h: Heap, fuel: int, start_class: Optional[str] = None):
+        return self._entry(h, lambda h: (h, self._invoke(loc, mname, args, h, fuel, start_class)))
+
+    def exec_command(self, gamma, cmd, h: Heap, eta: Store, fuel: int):
+        return self._entry(h, lambda h: (h, self._exec_command(gamma, cmd, h, eta, fuel)))
+
+    def eval_expr(self, h: Heap, eta: Store, e):
+        """Expressions write nothing, so this entry needs no heap copy."""
+        try:
+            return self._eval(h, eta, e)
+        except _Stop as stop:
+            return stop.bottom
+
+    # Inside an entry the heap is updated in place: the steps below return
+    # only the new store or value, and raise `_Stop` at a bottom.
+
+    def _eval(self, h: Heap, eta: Store, e):
+        ct = self.ct
+        if isinstance(e, A.Var):
+            return eta[e.name]
+        if isinstance(e, A.NullLit):
+            return None
+        if isinstance(e, A.BoolLit):
+            return e.value
+        if isinstance(e, A.IntLit):
+            return e.value
+        if isinstance(e, A.UnitLit):
+            return IT
+        if isinstance(e, A.Eq):
+            return values_equal(self._eval(h, eta, e.left), self._eval(h, eta, e.right))
+        if isinstance(e, A.IntOp):
+            d1, d2 = self._eval(h, eta, e.left), self._eval(h, eta, e.right)
+            if e.op == "+":
+                return d1 + d2
+            if e.op == "-":
+                return d1 - d2
+            if e.op == "mod":
+                return d1 % d2 if d2 != 0 else 0
+            return d1 < d2
+        if isinstance(e, A.FieldAccess):
+            l = self._eval(h, eta, e.target)
+            if l is None:
+                raise self._stop(NIL_DEREF, f"field {e.fieldname} of null")
+            assert l in h, "expression produced a dangling location"
+            return h[l][e.fieldname]
+        if isinstance(e, A.Cast):
+            l = self._eval(h, eta, e.target)
+            if l is None or ct.subtype_names(l.class_name, e.class_name):
+                return l
+            raise self._stop(CAST_FAILURE, f"{l.class_name} is not a {e.class_name}")
+        if isinstance(e, A.InstanceTest):
+            l = self._eval(h, eta, e.target)
+            return l is not None and ct.subtype_names(l.class_name, e.class_name)
+        raise TypeError(f"not a core expression: {e!r}")
+
+    # -- construction
+
+    def _new_object(self, class_name: str, h: Heap) -> Location:
+        loc = fresh(class_name, h, self._next.get(class_name, 0))
+        self._next[class_name] = loc.index + 1
+        h[loc] = {f: default_value(t) for f, t in self.ct.fields(class_name)}
+        if self.hooks:
+            self.hooks.after_alloc(h, loc)
+        self._exec_constructor(class_name, h, loc)
+        return loc
+
+    def _exec_constructor(self, class_name: str, h: Heap, loc: Location) -> Heap:
+        sup = self.ct.super_of(class_name)
+        if sup is not None and sup != OBJECT:
+            self._exec_constructor(sup, h, loc)
+        gamma = {"self": ClassType(class_name)}
+        self._stack.append(f"{class_name}.con")
+        try:
+            self._exec_command(gamma, self.ct.decls[class_name].constructor, h, {"self": loc}, 0)
+        finally:
+            self._stack.pop()
+        return h
+
+    # -- method invocation (fuel j: body runs with fuel j-1)
+
+    def _invoke(self, loc: Location, mname: str, args, h: Heap, fuel: int, start_class: Optional[str] = None):
+        if fuel <= 0:
+            raise self._stop(FUEL_EXHAUSTED, f"call to {mname}")
+        if fuel < self.low_fuel:
+            self.low_fuel = fuel
+        start = start_class or loc.class_name
+        resolved = self.ct.resolve_method(mname, start)
+        assert resolved is not None, f"unresolvable method {mname} on {start}"
+        decl_class, m = resolved
+        eta = {x: v for (x, _), v in zip(m.params, args)}
+        eta["self"] = loc
+        eta["result"] = default_value(m.return_type)
+        gamma = {x: t for x, t in m.params}
+        gamma["self"] = ClassType(decl_class)
+        gamma["result"] = m.return_type
+        self._stack.append(f"{decl_class}.{mname}")
+        try:
+            return self._exec_command(gamma, m.body, h, eta, fuel - 1)["result"]
+        finally:
+            self._stack.pop()
+
+    def _call(self, gamma, cmd, h, eta, fuel, loc, start_class, mscoped):
+        args = [self._eval(h, eta, a) for a in cmd.args]
+        if fuel <= 0:
+            raise self._stop(FUEL_EXHAUSTED, f"call to {cmd.method}")
+        if not self.hooks:
+            return self._invoke(loc, cmd.method, args, h, fuel, start_class)
+        callee_class = start_class or loc.class_name
+        resolved = self.ct.resolve_method(cmd.method, callee_class)
+        pars = [x for x, _ in resolved[1].params] if resolved else []
+        callee_store = dict(zip(pars, args))
+        callee_store["self"] = loc
+        self.hooks.before_call(gamma, callee_class, callee_store, h, cmd, mscoped)
+        try:
+            d = self._invoke(loc, cmd.method, args, h, fuel, start_class)
+        except _Stop as stop:
+            self.hooks.after_call(gamma, callee_class, callee_store, stop.bottom, cmd, mscoped)
+            raise
+        self.hooks.after_call(gamma, callee_class, callee_store, (h, d), cmd, mscoped)
+        return d
+
+    # -- commands
+
+    def _exec_command(self, gamma, cmd, h: Heap, eta: Store, fuel: int) -> Store:
+        self.steps += 1
+        if not self.hooks:
+            return self._exec(gamma, cmd, h, eta, fuel)
+        try:
+            eta = self._exec(gamma, cmd, h, eta, fuel)
+        except _Stop as stop:
+            self.hooks.after_command(gamma, cmd, stop.bottom)
+            raise
+        self.hooks.after_command(gamma, cmd, (h, eta))
+        return eta
+
+    def _exec(self, gamma, cmd, h, eta, fuel):
+        ct = self.ct
+        if isinstance(cmd, A.Skip):
+            return eta
+        if isinstance(cmd, A.Abort):
+            raise self._stop(ABORT)
+        if isinstance(cmd, A.Assign):
+            return {**eta, cmd.name: self._eval(h, eta, cmd.expr)}
+        if isinstance(cmd, A.FieldAssign):
+            l = self._eval(h, eta, cmd.target)
+            if l is None:
+                raise self._stop(NIL_DEREF, f"update of field {cmd.fieldname} of null")
+            d = self._eval(h, eta, cmd.expr)
+            if self.hooks:
+                self.hooks.before_write(h, l, cmd.fieldname, d)
+            h[l][cmd.fieldname] = d
+            return eta
+        if isinstance(cmd, A.NewAssign):
+            return {**eta, cmd.name: self._new_object(cmd.class_name, h)}
+        if isinstance(cmd, A.CallAssign):
+            l = self._eval(h, eta, cmd.receiver)
+            if l is None:
+                raise self._stop(NIL_DEREF, f"call of {cmd.method} on null")
+            d = self._call(gamma, cmd, h, eta, fuel, l, None, ct.mscope(cmd.method, l.class_name))
+            return {**eta, cmd.name: d}
+        if isinstance(cmd, A.SuperCallAssign):
+            sup = ct.super_of(gamma["self"].name)
+            d = self._call(gamma, cmd, h, eta, fuel, eta["self"], sup, ct.mscope(cmd.method, sup))
+            return {**eta, cmd.name: d}
+        if isinstance(cmd, A.LocalBlock):
+            eta1 = {**eta, cmd.name: self._eval(h, eta, cmd.init)}
+            gamma1 = {**gamma, cmd.name: cmd.var_type}
+            out = dict(self._exec_command(gamma1, cmd.body, h, eta1, fuel))  # a hook may hold the body's store
+            if cmd.name in eta:
+                out[cmd.name] = eta[cmd.name]  # restore the shadowed variable
+            else:
+                del out[cmd.name]
+            return out
+        if isinstance(cmd, A.If):
+            branch = cmd.then_cmd if self._eval(h, eta, cmd.cond) else cmd.else_cmd
+            return self._exec_command(gamma, branch, h, eta, fuel)
+        if isinstance(cmd, A.While):
+            iterations = 0
+            while self._eval(h, eta, cmd.cond):
+                iterations += 1
+                if iterations > self.loop_cap:
+                    raise self._stop(FUEL_EXHAUSTED, "loop iteration cap exceeded")
+                eta = self._exec_command(gamma, cmd.body, h, eta, fuel)
+            return eta
+        if isinstance(cmd, A.Seq):
+            for it in cmd.items:
+                eta = self._exec_command(gamma, it, h, eta, fuel)
+            return eta
+        raise TypeError(f"not a core command: {cmd!r}")
+
+
+@contextlib.contextmanager
+def runtime_swapped(cls):
+    """Bind a subclass of `cls` as `Runtime` in every jcore module that binds
+    `Runtime`; yields the list of the runtimes it makes meanwhile."""
+    made = []
+
+    class Recorded(cls):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    modules = [m for name, m in list(sys.modules.items())
+               if name.split(".")[0] == "jcore" and getattr(m, "Runtime", None) is Runtime]
+    for m in modules:
+        m.Runtime = Recorded
+    try:
+        yield made
+    finally:
+        for m in modules:
+            m.Runtime = Runtime
+
+
+def _heap_facts(h):
+    return [(repr(loc), [(f, repr(v)) for f, v in state.items()]) for loc, state in h.items()]
+
+
+def outcome_facts(outcome):
+    """A bottom with its stack, or a heap with a store or value, rendered."""
+    if isinstance(outcome, Bottom):
+        return ("bottom", outcome.reason, outcome.detail, outcome.stack)
+    h, rest = outcome
+    rest = [(x, repr(v)) for x, v in rest.items()] if isinstance(rest, dict) else repr(rest)
+    return ("ok", _heap_facts(h), rest)
+
+
+class EventLog(InterpHooks):
+    """Every hook event with its arguments, states rendered as they are at
+    the event (values by `repr`, so `True` and `1` differ) and nodes by
+    identity. `stores` keeps the stores `after_command` receives, to render
+    once the run is over: a store a hook holds must not change after it."""
+
+    def __init__(self):
+        self.events = []
+        self.stores = []
+
+    def after_alloc(self, heap, loc):
+        self.events.append(("after_alloc", _heap_facts(heap), loc))
+
+    def before_write(self, heap, loc, fieldname, value):
+        self.events.append(("before_write", _heap_facts(heap), loc, fieldname, repr(value)))
+
+    def after_command(self, gamma, cmd, outcome):
+        self.events.append(("after_command", dict(gamma), type(cmd).__name__, id(cmd), outcome_facts(outcome)))
+        self.stores.append(None if isinstance(outcome, Bottom) else outcome[1])
+
+    def before_call(self, caller_gamma, callee_class, callee_store, heap, site, mscoped):
+        self.events.append(("before_call", dict(caller_gamma), callee_class, outcome_facts((heap, callee_store)),
+                            id(site), mscoped))
+
+    def after_call(self, caller_gamma, callee_class, callee_store, outcome, site, mscoped):
+        self.events.append(("after_call", dict(caller_gamma), callee_class, repr(callee_store),
+                            outcome_facts(outcome), id(site), mscoped))

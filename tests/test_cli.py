@@ -88,6 +88,30 @@ def test_run_abort_reported(capsys):
     assert "explicit-abort" in out
 
 
+DOWN_200 = """
+class D extends Object {
+  int down(int n) {
+    if n = 0 then result := 0 else result := self.down(n - 1) + 1 fi
+  }
+}
+class Main extends Object {
+  int out;
+  unit main() { D r := new D; self.out := r.down(200) }
+}
+"""
+
+
+def test_run_recursion_200_calls_deep(tmp_path, capsys):
+    """201 nested calls fit under the default recursion limit: a compiled
+    call costs about four Python frames."""
+    src = tmp_path / "down.jcore"
+    src.write_text(DOWN_200)
+    assert main(["run", "--entry", "Main.main", str(src)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("ok at fuel 256\n")
+    assert "Main@0: {out = 200}" in out
+
+
 def test_equiv_exit_codes(capsys):
     assert main(["equiv", _c("manifests/observer_v1_sentinel.json")]) == 0
     assert "equivalent" in capsys.readouterr().out

@@ -5,6 +5,7 @@ import ast
 import os
 
 import jcore
+import jcore.ast
 
 PACKAGE_DIR = os.path.dirname(jcore.__file__)
 
@@ -66,3 +67,33 @@ def test_no_function_local_imports():
                         if (rel, fn.name, module) not in LOCAL_IMPORTS_ALLOWED
                     ]
     assert local == []
+
+
+def _node_types_named(expr, nodes):
+    """The AST node classes `expr` names, as `A.<Node>` or bare `<Node>`."""
+    named = set()
+    for n in ast.walk(expr):
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "A":
+            named.add(n.attr)
+        elif isinstance(n, ast.Name):
+            named.add(n.id)
+    return named & nodes
+
+
+def test_interpreter_dispatches_on_node_type_only_in_the_compiler():
+    """`interp.py` tests a syntax node's type only in `_compile`, which runs
+    once per node: no `isinstance(x, A.<Node>)` and no `type(x) is A.<Node>`
+    anywhere else, so no tree walk is left in the package (the walker is the
+    test oracle, `helpers.TreeWalkRuntime`)."""
+    nodes = {name for name, cls in vars(jcore.ast).items()
+             if isinstance(cls, type) and "span" in getattr(cls, "__dataclass_fields__", {})}
+    assert {"Var", "Seq", "CallAssign", "MethodDecl"} <= nodes
+    tree = dict(_modules())["interp.py"]
+    (builder,) = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "_compile"]
+    in_builder = {id(n) for n in ast.walk(builder)}
+    tests = [n for n in ast.walk(tree)
+             if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "isinstance"
+             and _node_types_named(n.args[1], nodes)
+             or isinstance(n, ast.Compare) and _node_types_named(n, nodes)]
+    assert [f"interp.py:{n.lineno}" for n in tests if id(n) not in in_builder] == []
+    assert len(tests) >= 15  # the builder's own dispatch
