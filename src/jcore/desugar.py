@@ -11,9 +11,11 @@ Three abbreviations are eliminated:
   arguments.
 
 Fresh locals are named `$tmp0`, `$tmp1`, ... with the counter reset per body;
-`$` cannot appear in hand-written identifiers that the counter would collide
-with, because numbering starts past any `$tmpN` already present. The pass is
-idempotent: lowering a program that is already in core form changes nothing.
+a hand-written identifier cannot collide with them, because each body's
+numbering starts at the `first_tmp` the parser recorded for it: one past any
+`$tmpN` among the identifiers between the body's braces, and 0 when the source
+has no `$` at all. The pass is idempotent: lowering a program that is already
+in core form changes nothing.
 
 Hoisted locals are typed by a signature-level synthesis over the surface
 program; where a call cannot be resolved (the program is ill-typed), the
@@ -22,7 +24,7 @@ local falls back to `unit` and the type checker reports the real error.
 
 from __future__ import annotations
 
-import re
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import ast as A
@@ -68,26 +70,10 @@ class _Sigs:
 
 
 class _BodyLowerer:
-    def __init__(self, sigs: _Sigs, cls: SurfaceClass, env: Dict[str, object], body):
+    def __init__(self, sigs: _Sigs, cls: SurfaceClass, first_tmp: int):
         self.sigs = sigs
         self.cls = cls
-        self.env = dict(env)
-        self.counter = self._first_free_tmp(body)
-
-    @staticmethod
-    def _first_free_tmp(body) -> int:
-        """One past the largest N of a `$tmpN` name in the body, by a walk that skips spans."""
-        nums, stack = [-1], [body]
-        while stack:
-            node = stack.pop()
-            t = type(node)
-            if t is str and "$" in node:
-                nums += map(int, re.findall(r"\$tmp(\d+)", node))
-            elif t is tuple:
-                stack.extend(node)
-            elif hasattr(node, "__dict__"):
-                stack.extend(vars(node).values())
-        return max(nums) + 1
+        self.counter = first_tmp
 
     def fresh(self) -> str:
         name = f"$tmp{self.counter}"
@@ -142,20 +128,14 @@ class _BodyLowerer:
         """Rewrite `e` so it contains no calls; emit (type, name, call) bindings."""
         if isinstance(e, (A.Var, A.NullLit, A.BoolLit, A.IntLit, A.UnitLit)):
             return e
-        if isinstance(e, A.FieldAccess):
-            return A.FieldAccess(self.hoist(e.target, env, bindings), e.fieldname, e.span)
-        if isinstance(e, A.Eq):
+        # a node whose children come back unchanged (no call beneath it) is kept
+        if isinstance(e, (A.FieldAccess, A.InstanceTest, A.Cast)):
+            target = self.hoist(e.target, env, bindings)
+            return e if target is e.target else replace(e, target=target)
+        if isinstance(e, (A.Eq, A.IntOp)):
             left = self.hoist(e.left, env, bindings)
             right = self.hoist(e.right, env, bindings)
-            return A.Eq(left, right, e.span)
-        if isinstance(e, A.IntOp):
-            left = self.hoist(e.left, env, bindings)
-            right = self.hoist(e.right, env, bindings)
-            return A.IntOp(e.op, left, right, e.span)
-        if isinstance(e, A.InstanceTest):
-            return A.InstanceTest(self.hoist(e.target, env, bindings), e.class_name, e.span)
-        if isinstance(e, A.Cast):
-            return A.Cast(e.class_name, self.hoist(e.target, env, bindings), e.span)
+            return e if left is e.left and right is e.right else replace(e, left=left, right=right)
         if isinstance(e, (A.CallExpr, A.SuperCallExpr)):
             t = self.synth(e, env) or A.UNIT
             call = self.hoist_call(e, env, bindings)
@@ -318,15 +298,13 @@ def desugar(prog: SurfaceProgram) -> List[A.ClassDecl]:
             env = {n: t for n, t in m.params}
             env["self"] = A.ClassType(c.name)
             env["result"] = m.return_type
-            lw = _BodyLowerer(sigs, c, env, m.body)
-            body = lw.lower_seq([m.body], env)
+            body = _BodyLowerer(sigs, c, m.first_tmp).lower_seq([m.body], env)
             methods.append(A.MethodDecl(m.name, m.return_type, m.params, body, m.module_scoped, m.span))
         if c.constructor is None:
             ctor = A.Skip()
         else:
             env = {"self": A.ClassType(c.name)}
-            lw = _BodyLowerer(sigs, c, env, c.constructor)
-            ctor = lw.lower_seq([c.constructor], env)
+            ctor = _BodyLowerer(sigs, c, c.con_first_tmp).lower_seq([c.constructor], env)
         out.append(A.ClassDecl(c.name, c.super_name, c.fields, ctor, tuple(methods), c.span))
     return out
 

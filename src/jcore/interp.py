@@ -10,10 +10,11 @@ resuming the least-index scan of `fresh` from per-class cursors; stores are
 copied on update. A bottom is raised where it arises and unwinds to the
 public entry, which returns it.
 
-A class table keeps the code of each method body, constructor and command it
-runs: closures compiled on first use by `_compile`, the one place that
-dispatches on a node's type (Feeley and Lapalme, "Using closures for code
-generation", 1987). Plain and hooked runs share this code, which tests for
+A class table keeps the code of each method body, constructor and entry body
+it runs (not of the ad-hoc nodes given to `exec_command` and `eval_expr`,
+which are compiled per call): closures compiled on first use by `_compile`,
+the one place that dispatches on a node's type (Feeley and Lapalme, "Using
+closures for code generation", 1987). Plain and hooked runs share this code, which tests for
 hooks at the hook points; the tree walker it replaced is the test oracle.
 
 Method meanings are approximated by a fuel counter: a call executed with
@@ -305,12 +306,13 @@ class Runtime:
         return self._entry(h, lambda h: (h, self._invoke(loc, mname, args, h, fuel, start_class)))
 
     def exec_command(self, gamma, cmd, h: Heap, eta: Store, fuel: int):
-        return self._entry(h, lambda h: (h, self._exec_command(gamma, cmd, h, eta, fuel)))
+        c = _compile(cmd)
+        return self._entry(h, lambda h: (h, self._exec_command(gamma, cmd, h, eta, fuel, c)))
 
     def eval_expr(self, h: Heap, eta: Store, e):
         """Expressions write nothing, so this entry needs no heap copy."""
         try:
-            return self._compiled(e)(self, h, eta)
+            return _compile(e)(self, h, eta)
         except _Stop as stop:
             return stop.bottom
 
@@ -359,8 +361,8 @@ class Runtime:
         self.hooks.after_command(gamma, cmd, (h, eta))
         return eta
 
-    def _exec_command(self, gamma, cmd, h: Heap, eta: Store, fuel: int) -> Store:
-        c = self._compiled(cmd)
+    def _exec_command(self, gamma, cmd, h: Heap, eta: Store, fuel: int, c=None) -> Store:
+        c = c or self._compiled(cmd)
         self.steps += 1
         return c(self, gamma, h, eta, fuel) if not self.hooks else self._observed(c, cmd, gamma, h, eta, fuel)
 

@@ -21,7 +21,13 @@ predicate means every code point for which it holds):
 
 `tokenize` makes one regex match per token, which skips blanks, newlines
 and comments and then reads the token; its line and column count the
-newlines skipped. A `Token` is a tuple `(kind, text, start, end, line, col)`.
+newlines skipped. A `Token` is a tuple `(kind, text, start, end, line, col)`;
+tokens and spans are built by `tuple.__new__`, skipping the named tuple's
+Python-level constructor.
+
+Each method and constructor body records `first_tmp`, one past the largest N
+of a `$tmpN` in the identifiers between its braces (0 when the source has no
+`$`): the first name `desugar` may give a fresh local.
 
 Binary operators by precedence, `_PREC`, all left-associative; `expr`
 parses them by precedence climbing, one call per operand:
@@ -67,6 +73,7 @@ _TOKEN_RE = re.compile(r"""
       |(?P<other>.)
       |(?P<eof>\Z))
 """, re.VERBOSE | re.DOTALL)
+_TMP_RE = re.compile(r"\$tmp(\d+)")
 
 
 class ParseError(Exception):
@@ -88,6 +95,7 @@ class Token(NamedTuple):
 
 def tokenize(src: str) -> List[Token]:
     toks: List[Token] = []
+    new = tuple.__new__
     line, line_start, prev = 1, 0, 0
     for m in _TOKEN_RE.finditer(src):
         kind = m.lastgroup
@@ -108,7 +116,7 @@ def tokenize(src: str) -> List[Token]:
             kind = "kw" if text in KEYWORDS else "ident"
         elif kind == "other":
             raise ParseError(f"unexpected character {text!r}", line, col)
-        toks.append(Token(kind, text, start, end, line, col))
+        toks.append(new(Token, (kind, text, start, end, line, col)))
         if kind == "eof":
             return toks
 
@@ -178,6 +186,7 @@ class SurfaceMethod:
     body: object
     module_scoped: bool
     span: Optional[Span] = field(default=None, compare=False, repr=False)
+    first_tmp = 0  # not a field: the parser sets it, see the module docstring
 
 
 @dataclass(frozen=True)
@@ -188,6 +197,7 @@ class SurfaceClass:
     constructor: object  # statement or None
     methods: Tuple[SurfaceMethod, ...]
     span: Optional[Span] = field(default=None, compare=False, repr=False)
+    con_first_tmp = 0  # the constructor's `first_tmp`, set like `SurfaceMethod.first_tmp`
 
 
 @dataclass(frozen=True)
@@ -209,6 +219,7 @@ _SEQ_END = {"}", "else", "fi", "od", ""}
 class _Parser:
     def __init__(self, src: str):
         self.src = src
+        self.dollar = "$" in src
         toks = tokenize(src)
         self.toks = toks + toks[-1:] * 3  # the deepest lookahead is peek(3)
         self.pos = 0
@@ -248,7 +259,18 @@ class _Parser:
 
     def span_from(self, start: Token) -> Span:
         """The span from token `start` to the last token consumed."""
-        return Span(start.start, self.toks[self.pos - 1].end, start.line, start.col)
+        return tuple.__new__(Span, (start.start, self.toks[self.pos - 1].end, start.line, start.col))
+
+    def body(self):
+        """A method or constructor body in braces, and its `first_tmp`."""
+        self.expect("{")
+        first = self.pos
+        body = self.stmt_seq()
+        self.expect("}")
+        if not self.dollar:
+            return body, 0
+        nums = [int(n) for t in self.toks[first:self.pos - 1] for n in _TMP_RE.findall(t.text)]
+        return body, max(nums, default=-1) + 1
 
     # -- program structure
 
@@ -266,15 +288,13 @@ class _Parser:
         self.expect("{")
         fields: List[Tuple[str, object]] = []
         methods: List[SurfaceMethod] = []
-        ctor = None
+        ctor, con_tmp = None, 0
         while not self.at("}"):
             con = self.accept("con")
             if con:
                 if ctor is not None:
                     raise ParseError(f"class {name} has a second constructor", con.line, con.col)
-                self.expect("{")
-                ctor = self.stmt_seq()
-                self.expect("}")
+                ctor, con_tmp = self.body()
                 continue
             mstart = self.peek()
             module_scoped = bool(self.accept("module"))
@@ -295,14 +315,13 @@ class _Parser:
                     if not self.accept(","):
                         break
             self.expect(")")
-            self.expect("{")
-            body = self.stmt_seq()
-            self.expect("}")
-            methods.append(
-                SurfaceMethod(member, t, tuple(params), body, module_scoped, self.span_from(mstart))
-            )
+            body, tmp = self.body()
+            methods.append(SurfaceMethod(member, t, tuple(params), body, module_scoped, self.span_from(mstart)))
+            object.__setattr__(methods[-1], "first_tmp", tmp)  # a frozen dataclass's non-field
         self.expect("}")
-        return SurfaceClass(name, sup, tuple(fields), ctor, tuple(methods), self.span_from(start))
+        cls = SurfaceClass(name, sup, tuple(fields), ctor, tuple(methods), self.span_from(start))
+        object.__setattr__(cls, "con_first_tmp", con_tmp)
+        return cls
 
     def type_expr(self):
         t = self.peek()

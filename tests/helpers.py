@@ -12,6 +12,7 @@ import contextlib
 import itertools
 import math
 import random
+import re
 import sys
 from typing import Dict, List, Optional
 
@@ -393,6 +394,22 @@ def replay_simulation(ct_a, ct_b, bc, fuels, max_len, max_scripts, replayed=None
                         v = VectorResult(script, fuel, "fail", -1, f"internal error: {exc}")
                 vectors.append(v)
     return CouplingReport(bc.name, establishment, vectors)
+
+
+def first_free_tmp(body) -> int:
+    """Oracle for the parser's `first_tmp`: one past the largest N of a
+    `$tmpN` name in a surface body, by a walk of its tree that skips spans."""
+    nums, stack = [-1], [body]
+    while stack:
+        node = stack.pop()
+        t = type(node)
+        if t is str and "$" in node:
+            nums += map(int, re.findall(r"\$tmp(\d+)", node))
+        elif t is tuple:
+            stack.extend(node)
+        elif hasattr(node, "__dict__"):
+            stack.extend(vars(node).values())
+    return max(nums) + 1
 
 
 def mangled_sources(count: int = 400, seed: int = 31):

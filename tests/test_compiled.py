@@ -219,6 +219,22 @@ def test_code_memo_is_safe_against_id_reuse():
         del value, cmd
 
 
+def test_ad_hoc_nodes_leave_no_code_on_the_table():
+    """`exec_command` and `eval_expr` compile their node for the call only;
+    the method bodies an ad-hoc command calls are kept as before."""
+    ct = _table(DOWN % 7)
+    assert run(ct, "Main", "main").ok
+    loc, memo = Location("D", 0), vars(ct)["_code"]
+    kept = len(memo)
+    gamma = {"self": A.ClassType("Main")}
+    for i in range(500):
+        call = A.CallAssign("x", A.Var("r"), "down", (A.IntLit(i % 5),))
+        _, eta = Runtime(ct).exec_command(gamma, call, {loc: {}}, {"r": loc, "x": -1}, 8)
+        assert eta["x"] == i % 5
+        assert Runtime(ct).eval_expr({}, {"y": i}, A.IntOp("+", A.Var("y"), A.IntLit(1))) == i + 1
+    assert len(memo) == kept
+
+
 def test_code_memo_lives_and_dies_with_its_table():
     """Two tables from one source run apart; once one is dropped, its code
     goes with it and the other still runs."""

@@ -1,3 +1,7 @@
+import random
+import re
+
+from helpers import first_free_tmp
 from jcore import ast as A
 from jcore.classtable import Designations, build_class_table
 from jcore.corpus import load_corpus
@@ -5,6 +9,7 @@ from jcore.desugar import desugar, parse_and_desugar
 from jcore.interp import run
 from jcore.parser import parse
 from jcore.pretty import program_str
+from test_roundtrip_fuzz import gen_program
 
 
 def test_call_statement_becomes_call_assignment():
@@ -236,25 +241,93 @@ def test_fresh_names_avoid_existing_tmp_names():
     assert "$tmp3" in names and "$tmp4" in names
 
 
+DOLLAR_NAMES = """
+class $tmp5 extends Object { $tmp5 $tmp7; unit $tmp9() { skip } }
+class C extends Object {
+  unit m($tmp5 z) { int x$tmp12y := 0; z.$tmp7 := ($tmp5) z; z.$tmp9(); if z is $tmp5 then skip else skip fi }
+}
+"""
+
+
 def test_first_free_tmp_matches_a_scan_of_the_body_repr(corpus):
     """Every name counts, wherever it stands: locals, fields, methods,
     classes, types, and `$tmpN` inside a longer name."""
-    import re
-
-    from jcore.desugar import _BodyLowerer
-
-    src = """
-    class $tmp5 extends Object { $tmp5 $tmp7; unit $tmp9() { skip } }
-    class C extends Object {
-      unit m($tmp5 z) { int x$tmp12y := 0; z.$tmp7 := ($tmp5) z; z.$tmp9(); if z is $tmp5 then skip else skip fi }
-    }
-    """
-    progs = [parse(src)] + [parse(rec.source()) for rec in corpus.values()]
+    progs = [parse(DOLLAR_NAMES)] + [parse(rec.source()) for rec in corpus.values()]
     bodies = [b for p in progs for c in p.classes for b in [c.constructor, *(m.body for m in c.methods)]]
     for body in bodies:
         want = max([-1, *map(int, re.findall(r"\$tmp(\d+)", repr(body)))]) + 1
-        assert _BodyLowerer._first_free_tmp(body) == want
-    assert _BodyLowerer._first_free_tmp(progs[0].classes[1].methods[0].body) == 13
+        assert first_free_tmp(body) == want
+    assert first_free_tmp(progs[0].classes[1].methods[0].body) == 13
+
+
+def _bodies(prog):
+    """(parser's first_tmp, body) for every constructor and method body."""
+    for c in prog.classes:
+        yield c.con_first_tmp, c.constructor
+        yield from ((m.first_tmp, m.body) for m in c.methods)
+
+
+def test_parser_first_tmp_matches_the_walk_and_the_repr_scan(corpus):
+    """The counter the parser reads off a body's tokens is the walk oracle's
+    and the `repr` scan's, on the corpus, round-trip programs and `$` names;
+    a `$tmpN` in a comment or outside the body's braces does not count."""
+    rng = random.Random(2718)
+    outside = """
+    class $tmp7 extends Object { $tmp7 f; unit p() { skip } }
+    class C extends Object {
+      $tmp7 g;
+      con { // $tmp99
+        skip }
+      unit m($tmp7 z) {
+        // $tmp99
+        z.p()
+      }
+    }
+    """
+    sources = [DOLLAR_NAMES, outside] + [r.source() for r in corpus.values()]
+    sources += [program_str(gen_program(rng)) for _ in range(100)]
+    counts = []
+    for src in sources:
+        for got, body in _bodies(parse(src)):
+            assert got == first_free_tmp(body) == max([-1, *map(int, re.findall(r"\$tmp(\d+)", repr(body)))]) + 1
+            counts.append(got)
+    assert counts[:6] == [0, 0, 0, 13, 0, 0] and max(counts[6:]) == 0
+    core = parse_and_desugar(outside)
+    assert core[1].methods[0].body.name == "$tmp0"
+
+
+def _kept_off_the_spine(s, c):
+    """Walk a surface expression `s` and its core form `c` together: the
+    calls become `$tmp` variables, every node above a call is new and every
+    other node is the parser's own object. Returns the number of new nodes."""
+    if isinstance(s, A.CallExpr):
+        assert isinstance(c, A.Var) and c.name.startswith("$tmp")
+        return 1
+    new = sum([_kept_off_the_spine(getattr(s, k), getattr(c, k)) for k in ("target", "left", "right") if hasattr(s, k)])
+    assert (c is not s and type(c) is type(s) and c.span is s.span) if new else c is s
+    return new + bool(new)
+
+
+def test_hoist_keeps_call_free_subtrees():
+    src = """
+    class C extends Object {
+      int f; int g;
+      int h(int a) { result := a }
+      unit m(int a, int b) {
+        self.f := (a + (b - 1)) + self.g;
+        self.f := ((((a + 1) - (b mod 2)) + (b - (1 + self.h(a) - 3))) = (a + 2)) is C;
+        self.f := a + 1 + 2 + self.h(b) + 3 + 4
+      }
+    }
+    """
+    prog = parse(src)
+    stmts = prog.classes[0].methods[1].body.items
+    first, deep, chain = desugar(prog)[0].methods[1].body.items
+    assert first.expr is stmts[0].rhs and first.target is stmts[0].lhs.target
+    assert _kept_off_the_spine(stmts[0].rhs, first.expr) == 0
+    # a call in the rhs binds a fresh local around the assignment
+    assert _kept_off_the_spine(stmts[1].rhs, deep.body.items[1].expr) == 1 + 6
+    assert _kept_off_the_spine(stmts[2].rhs, chain.body.items[1].expr) == 1 + 3
 
 
 def test_effectful_while_guard_reevaluated():

@@ -2,7 +2,11 @@
 print/parse/desugar round trip unchanged, and the parser never fails with
 anything but its own error type on mangled input."""
 
+import hashlib
+import importlib.util
+import os
 import random
+import sys
 
 from helpers import mangled_sources, noise_sources
 from jcore import ast as A
@@ -186,3 +190,51 @@ def test_spans_of_corpus_and_fuzz_programs():
     rng = random.Random(2718)
     for _ in range(100):
         assert_span_invariants(program_str(gen_program(rng)))
+
+
+# ---------------------------------------------------------------------------
+# Front-end identity: every token, span and node of a pinned set of inputs
+
+
+def _bench_padded_sources(seed):
+    """The sources of the benchmark's frontend workload at `seed`: each corpus
+    program followed by its generated padding, as `bench/workloads.py` makes them."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclass needs it
+    spec.loader.exec_module(workloads)
+    rng = random.Random(seed)
+    names = workloads.Names(rng)
+    return [r.source() + "\n" + workloads.padding(rng, names) for r in load_corpus()]
+
+
+def _fields(x):
+    """`x` with every dataclass field spelled out, spans included (node
+    equality and `repr` leave them out); spans and tokens stay as they are."""
+    if hasattr(x, "__dataclass_fields__"):
+        return (type(x).__name__, *(_fields(getattr(x, f)) for f in x.__dataclass_fields__))
+    if type(x) in (tuple, list):
+        return [_fields(v) for v in x]
+    return x
+
+
+def test_front_end_output_matches_its_pinned_digest():
+    """Tokens, surface trees and core trees of the corpus, the seed-5
+    benchmark sources and 100 round-trip programs, and the `ParseError` of
+    every mangled and noise source, all with every span: one sha256."""
+    rng = random.Random(2718)
+    sources = [r.source() for r in load_corpus()] + _bench_padded_sources(5)
+    sources += [program_str(gen_program(rng)) for _ in range(100)]
+    digest = hashlib.sha256()
+    for src in sources:
+        surface = parse(src)
+        for part in (tokenize(src), surface, desugar(surface)):
+            digest.update(repr(_fields(part)).encode())
+    for src in [*mangled_sources(), *noise_sources()]:
+        try:
+            parse(src)
+            digest.update(b"ok")
+        except ParseError as exc:
+            digest.update(repr((exc.message, exc.line, exc.col)).encode())
+    assert len(sources) == 146
+    assert digest.hexdigest() == "d91eb0a31b3abd0dcd8ffb60df3b5c5577f53532600b485904241e33b1431664"
