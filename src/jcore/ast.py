@@ -4,11 +4,15 @@ Expressions are effect-free. Object construction and method calls occur only
 as assignment commands, so the interpreter and the analyses never have to
 deal with effects inside expressions. Everything here is immutable; spans are
 carried for diagnostics but excluded from equality.
+
+Syntax nodes are frozen dataclasses with slots, made by `node`. Each ends with
+an optional `span` field, is one GC-tracked object with no `__dict__`, and has
+a generated `__init__` that stores every field through its slot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import NamedTuple, Optional, Tuple
 
 OBJECT = "Object"  # built-in root class: no fields, no methods, not instantiable
@@ -26,8 +30,29 @@ class Span(NamedTuple):
         return f"{self.line}:{self.col}"
 
 
-def _span_field():
-    return field(default=None, compare=False, repr=False)
+class Node:
+    """Base of the slotted nodes: no `__dict__`, but weak references."""
+
+    __slots__ = ("__weakref__",)
+
+
+def node(cls):
+    """`cls`, a `Node` subclass, as a frozen dataclass with slots and a last
+    field `span` that equality and `repr` leave out. Its `__init__` is
+    generated to store each field through its slot descriptor
+    (`cls.f.__set__`) instead of going through the frozen `__setattr__`."""
+    cls.__annotations__ = {**cls.__dict__.get("__annotations__", {}), "span": "Optional[Span]"}
+    cls.span = field(default=None, compare=False, repr=False)
+    cls = dataclass(frozen=True, slots=True)(cls)
+    fs = fields(cls)
+    env = {f"_set_{f.name}": getattr(cls, f.name).__set__ for f in fs}
+    env.update((f"_dflt_{f.name}", f.default) for f in fs)
+    params = "".join(f", {f.name}" + ("" if f.default is MISSING else f"=_dflt_{f.name}") for f in fs)
+    stores = "".join(f"\n    _set_{f.name}(self, {f.name})" for f in fs)
+    exec(f"def __init__(self{params}):{stores}", env)
+    cls.__init__ = env["__init__"]
+    cls.__init__.__annotations__ = {**{f.name: f.type for f in fs}, "return": None}
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -72,93 +97,82 @@ PRIM_NAMES = {"bool": BOOL, "unit": UNIT, "int": INT}
 # Expressions
 
 
-@dataclass(frozen=True)
-class Var:
+@node
+class Var(Node):
     name: str
-    span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class NullLit:
-    span: Optional[Span] = _span_field()
+@node
+class NullLit(Node):
+    """The literal `null`."""
 
 
-@dataclass(frozen=True)
-class BoolLit:
+@node
+class BoolLit(Node):
     value: bool
-    span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class IntLit:
+@node
+class IntLit(Node):
     value: int
-    span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class UnitLit:
-    span: Optional[Span] = _span_field()
+@node
+class UnitLit(Node):
+    """The unit value `it`."""
 
 
-@dataclass(frozen=True)
-class FieldAccess:
+@node
+class FieldAccess(Node):
     target: "Expr"
     fieldname: str
-    span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class Eq:
+@node
+class Eq(Node):
     left: "Expr"
     right: "Expr"
-    span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class IntOp:
+@node
+class IntOp(Node):
     op: str  # '+' | '-' | 'mod' | '<'
     left: "Expr"
     right: "Expr"
-    span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class InstanceTest:
+@node
+class InstanceTest(Node):
     target: "Expr"
     class_name: str
-    span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class Cast:
+@node
+class Cast(Node):
     class_name: str
     target: "Expr"
-    span: Optional[Span] = _span_field()
 
 
 # Surface-only expression forms. The desugarer removes every occurrence; the
 # type checker and the interpreter reject them outright.
 
 
-@dataclass(frozen=True)
-class CallExpr:
+@node
+class CallExpr(Node):
     receiver: "Expr"
     method: str
     args: Tuple["Expr", ...]
-    span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class SuperCallExpr:
+@node
+class SuperCallExpr(Node):
     method: str
     args: Tuple["Expr", ...]
-    span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class NewExpr:
+@node
+class NewExpr(Node):
     class_name: str
-    span: Optional[Span] = _span_field()
 
 
 Expr = (
@@ -173,83 +187,74 @@ SURFACE_ONLY_EXPRS = (CallExpr, SuperCallExpr, NewExpr)
 # Commands
 
 
-@dataclass(frozen=True)
-class Skip:
-    span: Optional[Span] = _span_field()
+@node
+class Skip(Node):
+    """`skip`."""
 
 
-@dataclass(frozen=True)
-class Abort:
-    span: Optional[Span] = _span_field()
+@node
+class Abort(Node):
+    """`abort`, which bottoms the run."""
 
 
-@dataclass(frozen=True)
-class Assign:
+@node
+class Assign(Node):
     name: str
     expr: "Expr"
-    span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class FieldAssign:
+@node
+class FieldAssign(Node):
     target: "Expr"
     fieldname: str
     expr: "Expr"
-    span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class NewAssign:
+@node
+class NewAssign(Node):
     name: str
     class_name: str
-    span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class CallAssign:
+@node
+class CallAssign(Node):
     name: str
     receiver: "Expr"
     method: str
     args: Tuple["Expr", ...]
-    span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class SuperCallAssign:
+@node
+class SuperCallAssign(Node):
     name: str
     method: str
     args: Tuple["Expr", ...]
-    span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class LocalBlock:
+@node
+class LocalBlock(Node):
     var_type: "TypeExpr"
     name: str
     init: "Expr"
     body: "Command"
-    span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class If:
+@node
+class If(Node):
     cond: "Expr"
     then_cmd: "Command"
     else_cmd: "Command"
-    span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class While:
+@node
+class While(Node):
     cond: "Expr"
     body: "Command"
-    span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class Seq:
+@node
+class Seq(Node):
     items: Tuple["Command", ...]
-    span: Optional[Span] = _span_field()
 
 
 Command = (
@@ -277,24 +282,22 @@ def seq(items) -> "Command":
 # Declarations
 
 
-@dataclass(frozen=True)
-class MethodDecl:
+@node
+class MethodDecl(Node):
     name: str
     return_type: "TypeExpr"
     params: Tuple[Tuple[str, "TypeExpr"], ...]
     body: "Command"
     module_scoped: bool = False
-    span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class ClassDecl:
+@node
+class ClassDecl(Node):
     name: str
     super_name: str
     fields: Tuple[Tuple[str, "TypeExpr"], ...]
     constructor: "Command"
     methods: Tuple[MethodDecl, ...]
-    span: Optional[Span] = _span_field()
 
     def method(self, name: str) -> Optional[MethodDecl]:
         for m in self.methods:

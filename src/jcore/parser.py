@@ -19,11 +19,13 @@ predicate means every code point for which it holds):
   count code points from 1; the end-of-input token sits one past the last
   character.
 
-`tokenize` makes one regex match per token, which skips blanks, newlines
-and comments and then reads the token; its line and column count the
-newlines skipped. A `Token` is a tuple `(kind, text, start, end, line, col)`;
-tokens and spans are built by `tuple.__new__`, skipping the named tuple's
-Python-level constructor.
+`tokenize` makes one `findall` per source. Each match is a pair: the
+blanks, newlines and comments skipped, then the token's text. The token's
+start, end, line and column follow from the lengths of these strings and the
+newlines in the skipped ones; its kind follows from its text (`_KINDS`) or,
+for identifiers and integers, its first character. A `Token` is a tuple
+`(kind, text, start, end, line, col)`; tokens and spans are built by
+`tuple.__new__`, skipping the named tuple's Python-level constructor.
 
 Each method and constructor body records `first_tmp`, one past the largest N
 of a `$tmpN` in the identifiers between its braces (0 when the source has no
@@ -38,7 +40,10 @@ parses them by precedence climbing, one call per operand:
     3  mod
 
 They bind looser than the prefix forms `!e` and `(C) e`, which bind looser
-than the postfix forms `e.f`, `e.m(...)` and `e is C`.
+than the postfix forms `e.f`, `e.m(...)` and `e is C`. `operand` reads a
+prefix form, or a primary and its postfix forms, in one frame: an operand
+costs two Python frames (`expr` and `operand`), and so does each level of
+parentheses.
 
 The parser produces a surface tree in which method calls may appear inside
 expressions and `new` may initialize fields and locals; `desugar` lowers all
@@ -62,17 +67,14 @@ KEYWORDS = {
     "bool", "unit", "int", "mod",
 }
 
-# Skip blanks, newlines and comments, then try one alternative per token class
-# in order (`12ab` is the int `12`, then the identifier `ab`). One of them
-# matches wherever the skip stops, so it never backtracks and needs no `*+`.
-_TOKEN_RE = re.compile(r"""
-    (?:[ \t\r\n]+|//[^\n]*)*
-    (?:(?P<int>\d+)
-      |(?P<word>[\w$]+)
-      |(?P<punct>:=|!=|[{}();,.=<+\-!])
-      |(?P<other>.)
-      |(?P<eof>\Z))
-""", re.VERBOSE | re.DOTALL)
+# Blanks, newlines and comments to skip (group 1), then one token (group 2):
+# the first alternative that matches, so `12ab` is the int `12`, then the
+# identifier `ab`. One of them matches wherever the skip stops, so it never
+# backtracks and needs no `*+`; the empty match at the end is end of input.
+_TOKEN_RE = re.compile(r"((?:[ \t\r\n]+|//[^\n]*)*)(\d+|[\w$]+|:=|!=|[{}();,.=<+\-!]|.|\Z)", re.DOTALL)
+# The kind of every keyword and punctuation text; any other token is an
+# identifier, an int, end of input or an error, by its first character.
+_KINDS = {**dict.fromkeys(KEYWORDS, "kw"), **dict.fromkeys((":=", "!=", *"{}();,.=<+-!"), "punct")}
 _TMP_RE = re.compile(r"\$tmp(\d+)")
 
 
@@ -95,87 +97,80 @@ class Token(NamedTuple):
 
 def tokenize(src: str) -> List[Token]:
     toks: List[Token] = []
-    new = tuple.__new__
-    line, line_start, prev = 1, 0, 0
-    for m in _TOKEN_RE.finditer(src):
-        kind = m.lastgroup
-        start, end = m.span(kind)
-        nl = src.count("\n", prev, start)  # newlines skipped since the previous token
-        if nl:
-            line += nl
-            line_start = src.rfind("\n", prev, start) + 1
-        prev = end
-        col = start - line_start + 1
-        text = m.group(kind)
-        if kind == "word":
+    append, new, kinds = toks.append, tuple.__new__, _KINDS
+    line, line_start, end = 1, 0, 0
+    for skip, text in _TOKEN_RE.findall(src):
+        start = end + len(skip)
+        if "\n" in skip:  # only skipped text holds newlines
+            line += skip.count("\n")
+            line_start = start - len(skip) + skip.rfind("\n") + 1
+        end = start + len(text)
+        kind = kinds.get(text)
+        if kind is None:
             # `\w` also matches digits and numerals that are not decimal
             # (`²`, `½`); they start neither an identifier nor an int
-            c = text[0]
-            if not (c.isalpha() or c == "_" or c == "$"):
-                raise ParseError(f"unexpected character {c!r}", line, col)
-            kind = "kw" if text in KEYWORDS else "ident"
-        elif kind == "other":
-            raise ParseError(f"unexpected character {text!r}", line, col)
-        toks.append(new(Token, (kind, text, start, end, line, col)))
-        if kind == "eof":
-            return toks
+            c = text[:1]
+            if c.isalpha() or c == "_" or c == "$":
+                kind = "ident"
+            elif c.isdecimal():
+                kind = "int"
+            elif c:
+                raise ParseError(f"unexpected character {c!r}", line, start - line_start + 1)
+            else:
+                append(new(Token, ("eof", "", start, end, line, start - line_start + 1)))
+                return toks
+        append(new(Token, (kind, text, start, end, line, start - line_start + 1)))
 
 
 # ---------------------------------------------------------------------------
 # Surface tree
 
 
-@dataclass(frozen=True)
-class SLocal:
+@A.node
+class SLocal(A.Node):
     var_type: object
     name: str
     rhs: object  # expression (may be NewExpr / CallExpr / SuperCallExpr)
     body: object  # SSeq | statement | None (None: scope ran to end of sequence)
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class SAssign:
+@A.node
+class SAssign(A.Node):
     lhs: object  # Var or FieldAccess
     rhs: object
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class SCallStmt:
+@A.node
+class SCallStmt(A.Node):
     call: object  # CallExpr | SuperCallExpr
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class SIf:
+@A.node
+class SIf(A.Node):
     cond: object
     then_seq: object
     else_seq: object
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class SWhile:
+@A.node
+class SWhile(A.Node):
     cond: object
     body: object
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class SSkip:
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
+@A.node
+class SSkip(A.Node):
+    """`skip`."""
 
 
-@dataclass(frozen=True)
-class SAbort:
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
+@A.node
+class SAbort(A.Node):
+    """`abort`."""
 
 
-@dataclass(frozen=True)
-class SSeq:
+@A.node
+class SSeq(A.Node):
     items: Tuple[object, ...]
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -206,7 +201,8 @@ class SurfaceProgram:
     source: str = field(default="", compare=False, repr=False)
 
 
-_EXPR_START = {"null", "true", "false", "it", "new", "super"}
+# After `(C)`, an identifier, an int or one of these texts makes it a cast.
+_CAST_OPERAND_START = {"null", "true", "false", "it", "new", "super", "(", "!"}
 
 # Binary operators and their precedence, loosest lowest; all left-associative.
 _PREC = {"=": 0, "!=": 0, "<": 1, "+": 2, "-": 2, "mod": 3}
@@ -221,13 +217,13 @@ class _Parser:
         self.src = src
         self.dollar = "$" in src
         toks = tokenize(src)
-        self.toks = toks + toks[-1:] * 3  # the deepest lookahead is peek(3)
+        self.toks = toks + toks[-1:] * 3  # the deepest lookahead, 3 past a `(`
         self.pos = 0
 
     # -- token helpers
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[self.pos + ahead]
+    def peek(self) -> Token:
+        return self.toks[self.pos]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -405,7 +401,7 @@ class _Parser:
         the operators of `_PREC` that bind at least as tight as `min_prec`.
         Every node spans from the start of its chain."""
         start = self.toks[self.pos]
-        e = self.unary()
+        e = self.operand()
         while True:
             op = self.toks[self.pos].text
             prec = _PREC.get(op)
@@ -421,29 +417,42 @@ class _Parser:
             else:
                 e = A.IntOp(op, e, r, span)
 
-    def unary(self):
+    def operand(self):
+        """A prefix form `!e` or `(C) e` over an operand, or a primary
+        followed by its postfix forms: two frames per operand (this and
+        `expr`), and two per level of parentheses."""
         start = self.toks[self.pos]
-        if start.text == "!":
-            self.pos += 1
-            e = self.unary()
+        kind, text = start.kind, start.text
+        self.pos += 1  # every operand but a ParseError starts by consuming `start`
+        if kind == "ident":
+            e = A.Var(text, self.span_from(start))
+        elif kind == "int":
+            e = A.IntLit(int(text), self.span_from(start))
+        elif text == "!":
+            e = self.operand()
             return A.Eq(e, A.BoolLit(False), self.span_from(start))
-        if start.text == "(" and self._at_cast():
-            name = self.toks[self.pos + 1].text
-            self.pos += 3  # `(`, the class name and `)`, as `_at_cast` saw them
-            e = self.unary()
-            return A.Cast(name, e, self.span_from(start))
-        return self.postfix()
-
-    def _at_cast(self) -> bool:
-        """At `(`: is this `(C)` followed by the start of an operand?"""
-        t1, t2, t3 = self.peek(1), self.peek(2), self.peek(3)
-        if t1.kind != "ident" or t2.text != ")":
-            return False
-        return t3.kind in ("ident", "int") or t3.text in _EXPR_START or t3.text in ("(", "!")
-
-    def postfix(self):
-        start = self.toks[self.pos]
-        e = self.primary()
+        elif text == "(":
+            name, close, after = self.toks[self.pos:self.pos + 3]
+            if name.kind == "ident" and close.text == ")" and (
+                    after.kind in ("ident", "int") or after.text in _CAST_OPERAND_START):
+                self.pos += 2  # `(C)` before the start of an operand is a cast
+                return A.Cast(name.text, self.operand(), self.span_from(start))
+            e = self.expr()
+            self.expect(")")
+        elif text == "true" or text == "false":
+            e = A.BoolLit(text == "true", self.span_from(start))
+        elif text == "null":
+            e = A.NullLit(self.span_from(start))
+        elif text == "it":
+            e = A.UnitLit(self.span_from(start))
+        elif text == "super":
+            self.expect(".", "expected '.' after 'super'")
+            name = self.expect_ident("method name").text
+            self.expect("(", "super calls require an argument list")
+            args = self.call_args()
+            e = A.SuperCallExpr(name, args, self.span_from(start))
+        else:
+            raise ParseError(f"expected an expression, found {text or 'end of input'!r}", start.line, start.col)
         while True:
             text = self.toks[self.pos].text
             if text == ".":
@@ -451,7 +460,7 @@ class _Parser:
                 name = self.expect_ident("member name").text
                 if self.accept("("):
                     args = self.call_args()
-                    e = A.CallExpr(e, name, tuple(args), self.span_from(start))
+                    e = A.CallExpr(e, name, args, self.span_from(start))
                 else:
                     e = A.FieldAccess(e, name, self.span_from(start))
             elif text == "is":
@@ -469,33 +478,7 @@ class _Parser:
                 if not self.accept(","):
                     break
         self.expect(")")
-        return args
-
-    def primary(self):
-        t = self.toks[self.pos]
-        kind, text = t.kind, t.text
-        self.pos += 1  # every operand but a ParseError starts by consuming `t`
-        if kind == "ident":
-            return A.Var(text, self.span_from(t))
-        if kind == "int":
-            return A.IntLit(int(text), self.span_from(t))
-        if text == "(":
-            e = self.expr()
-            self.expect(")")
-            return e
-        if text == "true" or text == "false":
-            return A.BoolLit(text == "true", self.span_from(t))
-        if text == "null":
-            return A.NullLit(self.span_from(t))
-        if text == "it":
-            return A.UnitLit(self.span_from(t))
-        if text == "super":
-            self.expect(".", "expected '.' after 'super'")
-            name = self.expect_ident("method name").text
-            self.expect("(", "super calls require an argument list")
-            args = self.call_args()
-            return A.SuperCallExpr(name, tuple(args), self.span_from(t))
-        raise ParseError(f"expected an expression, found {text or 'end of input'!r}", t.line, t.col)
+        return tuple(args)
 
 
 def parse(src: str) -> SurfaceProgram:

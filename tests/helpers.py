@@ -9,6 +9,7 @@ sources the tokenizer and parser are fuzzed with."""
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import itertools
 import math
 import random
@@ -407,8 +408,8 @@ def first_free_tmp(body) -> int:
             nums += map(int, re.findall(r"\$tmp(\d+)", node))
         elif t is tuple:
             stack.extend(node)
-        elif hasattr(node, "__dict__"):
-            stack.extend(vars(node).values())
+        elif dataclasses.is_dataclass(node):
+            stack.extend(getattr(node, f.name) for f in dataclasses.fields(node))
     return max(nums) + 1
 
 

@@ -36,6 +36,14 @@ def test_check_accepts_a_long_negation_chain(tmp_path, capsys):
     assert capsys.readouterr().out == f"{src}: ok\n"
 
 
+def test_check_accepts_300_nested_parentheses(tmp_path, capsys):
+    # two parser frames per level of parentheses
+    src = tmp_path / "parens.jcore"
+    src.write_text("class A extends Object { int out; unit m() { self.out := " + "(" * 300 + "1" + ")" * 300 + " } }\n")
+    assert main(["check", str(src)]) == 0
+    assert capsys.readouterr() == (f"{src}: ok\n", "")
+
+
 def test_analyze_rejects_bad(capsys):
     code = main(["analyze", "--own", "OBool", "--rep", "Bool", _c("obool_bad_v1.jcore")])
     out = capsys.readouterr().out
