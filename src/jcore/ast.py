@@ -306,19 +306,24 @@ class ClassDecl(Node):
         return None
 
 
-def walk_commands(cmd):
-    """Yield every command node in `cmd`, preorder."""
-    yield cmd
-    if isinstance(cmd, LocalBlock):
-        yield from walk_commands(cmd.body)
-    elif isinstance(cmd, If):
-        yield from walk_commands(cmd.then_cmd)
-        yield from walk_commands(cmd.else_cmd)
-    elif isinstance(cmd, While):
-        yield from walk_commands(cmd.body)
-    elif isinstance(cmd, Seq):
-        for it in cmd.items:
-            yield from walk_commands(it)
+def walk_commands(cmd, gamma):
+    """Yield `(command, context)` for every command node in `cmd`, preorder:
+    a `Seq`'s items in order, `then` before `else`. `cmd` is under `gamma`; a
+    `LocalBlock`'s body is under `{**gamma, name: var_type}` and every other
+    child is under its parent's context. The walk keeps its own stack, so
+    nesting depth is not bounded by the recursion limit."""
+    stack = [(cmd, gamma)]
+    while stack:
+        cmd, gamma = stack.pop()
+        yield cmd, gamma
+        if isinstance(cmd, LocalBlock):
+            stack.append((cmd.body, {**gamma, cmd.name: cmd.var_type}))
+        elif isinstance(cmd, If):
+            stack += (cmd.else_cmd, gamma), (cmd.then_cmd, gamma)
+        elif isinstance(cmd, While):
+            stack.append((cmd.body, gamma))
+        elif isinstance(cmd, Seq):
+            stack += ((it, gamma) for it in reversed(cmd.items))
 
 
 def exprs_of_command(cmd):
@@ -339,19 +344,18 @@ def exprs_of_command(cmd):
 
 
 def walk_exprs(expr):
-    """Yield every sub-expression of `expr`, preorder."""
-    yield expr
-    if isinstance(expr, FieldAccess):
-        yield from walk_exprs(expr.target)
-    elif isinstance(expr, (Eq, IntOp)):
-        yield from walk_exprs(expr.left)
-        yield from walk_exprs(expr.right)
-    elif isinstance(expr, (InstanceTest, Cast)):
-        yield from walk_exprs(expr.target)
-    elif isinstance(expr, CallExpr):
-        yield from walk_exprs(expr.receiver)
-        for a in expr.args:
-            yield from walk_exprs(a)
-    elif isinstance(expr, SuperCallExpr):
-        for a in expr.args:
-            yield from walk_exprs(a)
+    """Yield every sub-expression of `expr`, preorder: a receiver before its
+    arguments, left before right. The walk keeps its own stack."""
+    stack = [expr]
+    while stack:
+        expr = stack.pop()
+        yield expr
+        if isinstance(expr, (FieldAccess, InstanceTest, Cast)):
+            stack.append(expr.target)
+        elif isinstance(expr, (Eq, IntOp)):
+            stack += expr.right, expr.left
+        elif isinstance(expr, CallExpr):
+            stack += reversed(expr.args)
+            stack.append(expr.receiver)
+        elif isinstance(expr, SuperCallExpr):
+            stack += reversed(expr.args)

@@ -49,9 +49,8 @@ class ClassTable:
         self._check_hierarchy()
         self._ancestors: Dict[str, Tuple[str, ...]] = {OBJECT: (OBJECT,)}
         self._methods: Dict[str, Dict[str, Tuple[str, MethodDecl]]] = {OBJECT: {}}
+        self._fields: Dict[str, Tuple[Tuple[str, object], ...]] = {OBJECT: ()}
         self._build_relations()
-        self._fields: Dict[str, Tuple[Tuple[str, object], ...]] = {}
-        self._build_fields()
         self._check_members()
         self._check_designations()
         self._check_constructor_dependence()
@@ -74,44 +73,35 @@ class ClassTable:
                 cur = self.decls[cur].super_name
 
     def _build_relations(self):
-        """Each class's ancestors, its method table (name -> declaring class
-        and declaration, filled root first, so a name keeps the position of
-        its first declaration) and its role."""
+        """Each class's ancestors, fields (superclass fields first), method
+        table (name -> declaring class and declaration, so a name keeps the
+        position of its first declaration) and role, in one pass that fills a
+        class after its superclass. A field that a superclass already declares
+        raises here, root first along the first chain that has one."""
         for name in self.decls:
             chain = []
             while name not in self._ancestors:
                 chain.append(name)
                 name = self.decls[name].super_name
             for c in reversed(chain):
-                sup = self.decls[c].super_name
+                decl = self.decls[c]
+                sup = decl.super_name
+                inherited = self._fields[sup]
+                inames = {f for f, _ in inherited}
+                for f, _ in decl.fields:
+                    if f in inames:
+                        raise WellFormednessError(
+                            "DuplicateMember", f"field {f} of {c} is already declared in a superclass"
+                        )
                 self._ancestors[c] = (c,) + self._ancestors[sup]
-                self._methods[c] = {**self._methods[sup], **{m.name: (c, m) for m in self.decls[c].methods}}
+                self._fields[c] = inherited + decl.fields
+                self._methods[c] = {**self._methods[sup], **{m.name: (c, m) for m in decl.methods}}
         d = self.designations
         self._roles = {
             name: "client" if d is None else "owner" if d.own in anc
             else "rep" if any(r in anc for r in d.rep_names()) else "client"
             for name, anc in self._ancestors.items()
         }
-
-    def _build_fields(self):
-        def fields_of(name: str):
-            if name == OBJECT:
-                return ()
-            if name in self._fields:
-                return self._fields[name]
-            d = self.decls[name]
-            inherited = fields_of(d.super_name)
-            inames = {f for f, _ in inherited}
-            for f, _ in d.fields:
-                if f in inames:
-                    raise WellFormednessError(
-                        "DuplicateMember", f"field {f} of {name} is already declared in a superclass"
-                    )
-            self._fields[name] = inherited + d.fields
-            return self._fields[name]
-
-        for name in self.decls:
-            fields_of(name)
 
     def _check_members(self):
         for d in self.decls.values():
@@ -158,17 +148,14 @@ class ClassTable:
         direct: Dict[str, Set[str]] = {}
         for name in self.decls:
             news = set()
-            cur = name
-            while cur != OBJECT:
-                dc = self.decls[cur]
-                for cmd in A.walk_commands(dc.constructor):
+            for cur in self._ancestors[name][:-1]:
+                for cmd, _ in A.walk_commands(self.decls[cur].constructor, {}):
                     if isinstance(cmd, A.NewAssign):
                         if cmd.class_name != OBJECT and cmd.class_name not in self.decls:
                             raise WellFormednessError(
                                 "UndeclaredClass", f"constructor of {cur} constructs undeclared {cmd.class_name}"
                             )
                         news.add(cmd.class_name)
-                cur = dc.super_name
             direct[name] = news
         self.constructor_deps = direct
         # transitive closure must be irreflexive
@@ -210,14 +197,12 @@ class ClassTable:
                     )
                 des = self.designations
                 for b in (des.own,) + des.rep_names():
-                    cur = self.decls[b].super_name
-                    while cur != OBJECT:
+                    for cur in self._ancestors[b][1:-1]:
                         if self.decls[cur].method(m.name) is not None:
                             raise WellFormednessError(
                                 "BadModuleScope",
                                 f"module-scoped method {m.name} is also declared above {b} (in {cur})",
                             )
-                        cur = self.decls[cur].super_name
 
     # -- queries
 
@@ -251,8 +236,6 @@ class ClassTable:
 
     def fields(self, name: str) -> Tuple[Tuple[str, object], ...]:
         """All fields of `name`, superclass fields first, declaration order."""
-        if name == OBJECT:
-            return ()
         return self._fields[name]
 
     def dfields(self, name: str) -> Tuple[Tuple[str, object], ...]:
@@ -282,12 +265,11 @@ class ClassTable:
         return bool(r and r[1].module_scoped)
 
     def depth(self, mname: str, cname: str) -> Optional[int]:
+        """How many proper ancestors of `cname` below Object also have
+        `mname`; None when `cname` has no such method."""
         if self.resolve_method(mname, cname) is None:
             return None
-        sup = self.super_of(cname)
-        if sup is not None and sup != OBJECT and self.resolve_method(mname, sup) is not None:
-            return 1 + self.depth(mname, sup)
-        return 0
+        return sum(mname in self._methods[c] for c in self._ancestors[cname][1:-1])
 
     def method_names(self, cname: str) -> List[str]:
         """Root first, each name at its first declaration."""
@@ -344,7 +326,7 @@ class ClassTable:
                 for m in decl.methods:
                     if m.name in mscoped:
                         result.add((m.name, own))
-                    for cmd in A.walk_commands(m.body):
+                    for cmd, _ in A.walk_commands(m.body, {}):
                         if isinstance(cmd, (A.CallAssign, A.SuperCallAssign)) and cmd.method in mscoped:
                             result.add((cmd.method, own))
         return result

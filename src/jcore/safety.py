@@ -6,7 +6,8 @@ on owner and rep code: rep-typed fields are read and written only through
 receiver is `self` or the callee lives inside the module, and rep code never
 smuggles a foreign owner in. Signature-level clauses keep reps out of the
 public owner interface. All diagnostics are collected; the analysis never
-stops at the first finding.
+stops at the first finding. Commands get one rule per node, applied in the
+preorder of `ast.walk_commands`, which supplies each node's context.
 """
 
 from __future__ import annotations
@@ -97,9 +98,14 @@ class _Analysis:
                 )
 
     def command(self, gamma, cmd):
+        for sub, ctx in A.walk_commands(cmd, gamma):
+            self._node(ctx, sub)
+
+    def _node(self, gamma, cmd):
+        """The safety rule of one command node, its children left to the walk."""
         ct = self.ct
         c = gamma["self"].name
-        if isinstance(cmd, (A.Skip, A.Abort)):
+        if isinstance(cmd, (A.Skip, A.Abort, A.Seq)):
             return
         if isinstance(cmd, A.Assign):
             self.expr(gamma, cmd.expr)
@@ -180,22 +186,9 @@ class _Analysis:
             return
         if isinstance(cmd, A.LocalBlock):
             self.expr(gamma, cmd.init)
-            inner = dict(gamma)
-            inner[cmd.name] = cmd.var_type
-            self.command(inner, cmd.body)
             return
-        if isinstance(cmd, A.If):
+        if isinstance(cmd, (A.If, A.While)):
             self.expr(gamma, cmd.cond)
-            self.command(gamma, cmd.then_cmd)
-            self.command(gamma, cmd.else_cmd)
-            return
-        if isinstance(cmd, A.While):
-            self.expr(gamma, cmd.cond)
-            self.command(gamma, cmd.body)
-            return
-        if isinstance(cmd, A.Seq):
-            for it in cmd.items:
-                self.command(gamma, it)
             return
         raise TypeError(f"not a core command: {cmd!r}")
 

@@ -4,7 +4,9 @@ Each construct synthesizes a unique type; subsumption happens at use sites
 through explicit subtype side conditions, never as a separate rule. `null`
 synthesizes an internal bottom type below every class type, which realizes
 the polymorphic null rule. Field access and update are class-private: the
-receiver must have exactly the type of the enclosing class.
+receiver must have exactly the type of the enclosing class. Commands are
+checked one rule per node: `ast.walk_commands` supplies each node with its
+context, so no rule recurses into its children.
 """
 
 from __future__ import annotations
@@ -127,8 +129,14 @@ def _check_call_args(ct, gamma, args, param_types, span):
 
 
 def check_command(ct: ClassTable, gamma: Dict[str, object], cmd) -> None:
-    """Check `cmd`; raises TypeCheckError on the first violation."""
-    if isinstance(cmd, (A.Skip, A.Abort)):
+    """Check `cmd`; raises TypeCheckError on the first violation in preorder."""
+    for sub, ctx in A.walk_commands(cmd, gamma):
+        _check_node(ct, ctx, sub)
+
+
+def _check_node(ct: ClassTable, gamma: Dict[str, object], cmd) -> None:
+    """The typing rule of one command node, its children left to the walk."""
+    if isinstance(cmd, (A.Skip, A.Abort, A.Seq)):
         return
     if isinstance(cmd, A.Assign):
         t = type_of_expr(ct, gamma, cmd.expr)
@@ -200,26 +208,16 @@ def check_command(ct: ClassTable, gamma: Dict[str, object], cmd) -> None:
         it = type_of_expr(ct, gamma, cmd.init)
         if not ct.subtype(it, t):
             _fail("TypeMismatch", f"initializer of {cmd.name}: {it} is not a subtype of {t}", cmd.span)
-        inner = dict(gamma)
-        inner[cmd.name] = t
-        check_command(ct, inner, cmd.body)
         return
     if isinstance(cmd, A.If):
         t = type_of_expr(ct, gamma, cmd.cond)
         if t != BOOL:
             _fail("TypeMismatch", f"condition must be bool, got {t}", cmd.span)
-        check_command(ct, gamma, cmd.then_cmd)
-        check_command(ct, gamma, cmd.else_cmd)
         return
     if isinstance(cmd, A.While):
         t = type_of_expr(ct, gamma, cmd.cond)
         if t != BOOL:
             _fail("TypeMismatch", f"loop guard must be bool, got {t}", cmd.span)
-        check_command(ct, gamma, cmd.body)
-        return
-    if isinstance(cmd, A.Seq):
-        for it in cmd.items:
-            check_command(ct, gamma, it)
         return
     raise TypeError(f"not a command: {cmd!r}")
 
@@ -266,7 +264,7 @@ def check_table(ct: ClassTable) -> TypeReport:
                 record(exc, cname, m.name)
         # constructor: typed with self only, and free of method calls
         ctor = decl.constructor
-        for sub in A.walk_commands(ctor):
+        for sub, _ in A.walk_commands(ctor, {}):
             if isinstance(sub, (A.CallAssign, A.SuperCallAssign)):
                 issues.append(Diagnostic(
                     "CallInConstructor",

@@ -413,6 +413,38 @@ def first_free_tmp(body) -> int:
     return max(nums) + 1
 
 
+def walk_commands_rec(cmd, gamma):
+    """Oracle for `ast.walk_commands`: the same pairs from a recursive walk."""
+    yield cmd, gamma
+    if isinstance(cmd, A.LocalBlock):
+        yield from walk_commands_rec(cmd.body, {**gamma, cmd.name: cmd.var_type})
+    elif isinstance(cmd, A.If):
+        yield from walk_commands_rec(cmd.then_cmd, gamma)
+        yield from walk_commands_rec(cmd.else_cmd, gamma)
+    elif isinstance(cmd, A.While):
+        yield from walk_commands_rec(cmd.body, gamma)
+    elif isinstance(cmd, A.Seq):
+        for it in cmd.items:
+            yield from walk_commands_rec(it, gamma)
+
+
+def walk_exprs_rec(expr):
+    """Oracle for `ast.walk_exprs`: the same nodes from a recursive walk."""
+    yield expr
+    if isinstance(expr, (A.FieldAccess, A.InstanceTest, A.Cast)):
+        yield from walk_exprs_rec(expr.target)
+    elif isinstance(expr, (A.Eq, A.IntOp)):
+        yield from walk_exprs_rec(expr.left)
+        yield from walk_exprs_rec(expr.right)
+    elif isinstance(expr, A.CallExpr):
+        yield from walk_exprs_rec(expr.receiver)
+        for a in expr.args:
+            yield from walk_exprs_rec(a)
+    elif isinstance(expr, A.SuperCallExpr):
+        for a in expr.args:
+            yield from walk_exprs_rec(a)
+
+
 def mangled_sources(count: int = 400, seed: int = 31):
     """`count` corpus programs, each cut short, with one punctuation character
     inserted or one character deleted, or with two words swapped."""

@@ -44,6 +44,20 @@ def test_check_accepts_300_nested_parentheses(tmp_path, capsys):
     assert capsys.readouterr() == (f"{src}: ok\n", "")
 
 
+def test_check_and_analyze_accept_3000_sequential_locals(tmp_path, capsys):
+    # each local scopes the rest of the body: a LocalBlock nest 3000 deep
+    body = "; ".join(f"int x{i} := {i}" for i in range(3000))
+    src = tmp_path / "locals.jcore"
+    src.write_text(
+        "class O extends Object { } class R extends Object { }\n"
+        "class K extends Object { unit m() { " + body + " } }\n"
+    )
+    assert main(["check", str(src)]) == 0
+    assert capsys.readouterr() == (f"{src}: ok\n", "")
+    assert main(["analyze", "--own", "O", "--rep", "R", str(src)]) == 0
+    assert capsys.readouterr() == (f"{src}: safe\n", "")
+
+
 def test_analyze_rejects_bad(capsys):
     code = main(["analyze", "--own", "OBool", "--rep", "Bool", _c("obool_bad_v1.jcore")])
     out = capsys.readouterr().out

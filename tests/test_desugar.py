@@ -143,7 +143,7 @@ def _count_core(decls):
     for c in decls:
         bodies = [m.body for m in c.methods] + [c.constructor]
         for body in bodies:
-            for cmd in A.walk_commands(body):
+            for cmd, _ in A.walk_commands(body, {}):
                 if isinstance(cmd, A.FieldAssign):
                     writes += 1
                 if isinstance(cmd, A.NewAssign):
@@ -237,7 +237,7 @@ def test_fresh_names_avoid_existing_tmp_names():
     }
     """
     core = parse_and_desugar(src)
-    names = {cmd.name for cmd in A.walk_commands(core[1].methods[0].body) if isinstance(cmd, A.LocalBlock)}
+    names = {cmd.name for cmd, _ in A.walk_commands(core[1].methods[0].body, {}) if isinstance(cmd, A.LocalBlock)}
     assert "$tmp3" in names and "$tmp4" in names
 
 

@@ -153,6 +153,15 @@ def test_while_guard_must_be_bool(tables):
         check_command(ct, g, A.While(A.Var("i"), A.Skip()))
 
 
+def test_first_violation_in_preorder_is_reported():
+    # the guard is checked before the branch it guards
+    src = "class K extends Object { int n; unit m() { if 1 then self.n := true else skip fi } }"
+    report = check_table(build_class_table(parse_and_desugar(src)))
+    assert [(i.rule, i.message) for i in report.issues] == [
+        ("TypeMismatch", "condition must be bool, got int")
+    ]
+
+
 def test_synthesis_is_deterministic(tables):
     ct = tables["observer_sub"]
     g = _gamma(ct, "NodeAcc", o=ClassType("Observer"))
