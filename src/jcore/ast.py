@@ -5,14 +5,15 @@ as assignment commands, so the interpreter and the analyses never have to
 deal with effects inside expressions. Everything here is immutable; spans are
 carried for diagnostics but excluded from equality.
 
-Syntax nodes are frozen dataclasses with slots, made by `node`. Each ends with
-an optional `span` field, is one GC-tracked object with no `__dict__`, and has
-a generated `__init__` that stores every field through its slot.
+Syntax nodes are slotted records made by `node`, each ending with a `span`
+field. A record is a dataclass whose only generated method is `__init__`;
+equality, hashing, `repr` and frozenness are shared from `Record`.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
+from operator import attrgetter
 from typing import NamedTuple, Optional, Tuple
 
 OBJECT = "Object"  # built-in root class: no fields, no methods, not instantiable
@@ -30,29 +31,71 @@ class Span(NamedTuple):
         return f"{self.line}:{self.col}"
 
 
-class Node:
-    """Base of the slotted nodes: no `__dict__`, but weak references."""
+class Record:
+    """The methods `dataclass(frozen=True)` would generate for each record,
+    written once: equality and `hash(_key(self))` over the fields named in
+    `_compared` (`_key` gets them as a tuple, in C), `repr` of `_shown`."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return self._key(self) == self._key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def node(cls):
-    """`cls`, a `Node` subclass, as a frozen dataclass with slots and a last
-    field `span` that equality and `repr` leave out. Its `__init__` is
-    generated to store each field through its slot descriptor
-    (`cls.f.__set__`) instead of going through the frozen `__setattr__`."""
-    cls.__annotations__ = {**cls.__dict__.get("__annotations__", {}), "span": "Optional[Span]"}
-    cls.span = field(default=None, compare=False, repr=False)
-    cls = dataclass(frozen=True, slots=True)(cls)
+def record(cls, slots=False):
+    """`cls`, a `Record` subclass, as a dataclass whose one generated method,
+    and one compiled source, is `__init__`. It stores each field through its
+    slot descriptor with `slots`, else through `object.__setattr__`. A class
+    without a docstring gets `Name(field, ...)`, sparing `dataclass` a call
+    of `inspect.signature`. `PrimType`, `ClassType`, `NullType` and
+    `coupling.Step` stay frozen dataclasses: on their hot paths the methods
+    generated for one class beat the shared ones."""
+    cls.__doc__ = cls.__doc__ or f"{cls.__name__}({', '.join(cls.__dict__.get('__annotations__', ()))})"
+    cls = dataclass(init=False, repr=False, eq=False, slots=slots)(cls)
     fs = fields(cls)
-    env = {f"_set_{f.name}": getattr(cls, f.name).__set__ for f in fs}
-    env.update((f"_dflt_{f.name}", f.default) for f in fs)
+    names = cls._compared = tuple(f.name for f in fs if f.compare)
+    cls._shown = tuple(f.name for f in fs if f.repr)
+    get = attrgetter(*names) if names else None
+    # `attrgetter` of one name returns the bare value, not a 1-tuple
+    cls._key = get if len(names) > 1 else staticmethod(lambda self: (get(self),) if get else ())
+    env = {"_setattr": object.__setattr__, **{f"_dflt_{f.name}": f.default for f in fs}}
+    env.update((f"_set_{f.name}", getattr(cls, f.name).__set__) for f in fs if slots)
+    store = "\n    _set_{0}(self, {0})" if slots else "\n    _setattr(self, {0!r}, {0})"
+    stores = "".join(store.format(f.name) for f in fs)
     params = "".join(f", {f.name}" + ("" if f.default is MISSING else f"=_dflt_{f.name}") for f in fs)
-    stores = "".join(f"\n    _set_{f.name}(self, {f.name})" for f in fs)
     exec(f"def __init__(self{params}):{stores}", env)
     cls.__init__ = env["__init__"]
     cls.__init__.__annotations__ = {**{f.name: f.type for f in fs}, "return": None}
     return cls
+
+
+class Node(Record):
+    """Base of the slotted nodes: no `__dict__`, but weak references."""
+
+    __slots__ = ("__weakref__",)
+
+    def __reduce__(self):  # `copy` and `pickle` rebuild a node through `__init__`
+        return self.__class__, tuple(getattr(self, name) for name in self.__match_args__)
+
+
+def node(cls):
+    """`cls` as a slotted `record` with a last field `span`, left out of equality and `repr`."""
+    cls.__annotations__ = {**cls.__dict__.get("__annotations__", {}), "span": "Optional[Span]"}
+    cls.span = field(default=None, compare=False, repr=False)
+    return record(cls, slots=True)
 
 
 # ---------------------------------------------------------------------------

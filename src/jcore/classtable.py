@@ -9,7 +9,6 @@ immutable afterwards and all queries are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from . import ast as A
@@ -24,8 +23,8 @@ class WellFormednessError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
-class Designations:
+@A.record
+class Designations(A.Record):
     own: str
     rep: str
     rep2: Optional[str] = None

@@ -252,9 +252,16 @@ def _add_designations(p):
     p.add_argument("--rep2", help="second rep class name (comparison mode)")
 
 
+class _AtLeastZero(argparse.Action):
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 0:
+            raise argparse.ArgumentError(self, f"must be at least 0, got {value}")
+        setattr(namespace, self.dest, value)
+
+
 def _add_budget(p):
-    p.add_argument("--max-fuel", type=int, default=1024)
-    p.add_argument("--loop-cap", type=int, default=100000)
+    p.add_argument("--max-fuel", type=int, default=1024, action=_AtLeastZero)
+    p.add_argument("--loop-cap", type=int, default=100000, action=_AtLeastZero)
 
 
 def build_parser() -> argparse.ArgumentParser:

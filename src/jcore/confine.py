@@ -45,8 +45,8 @@ EXTENSION_VIOLATION = "ExtensionViolation"
 RESULT_VIOLATION = "ResultViolation"
 
 
-@dataclass(frozen=True)
-class ConfinementViolation:
+@A.record
+class ConfinementViolation(A.Record):
     kind: str
     message: str
     witness: Tuple = ()

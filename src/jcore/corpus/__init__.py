@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from .. import ast as A
 from ..classtable import ClassTable, Designations, load_table
 from ..confine import run_with_monitor
 from ..coupling import run_sim_manifest
@@ -23,8 +23,8 @@ from ..typecheck import check_table
 CORPUS_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
-@dataclass(frozen=True)
-class EntryExpectation:
+@A.record
+class EntryExpectation(A.Record):
     entry_class: str
     entry_method: str
     outcome: str  # 'ok' or a bottom reason
@@ -33,8 +33,8 @@ class EntryExpectation:
     finals: Tuple[Tuple[str, object], ...]  # (dotted path from a store var, value)
 
 
-@dataclass(frozen=True)
-class CorpusRecord:
+@A.record
+class CorpusRecord(A.Record):
     name: str
     path: str
     own: str

@@ -31,20 +31,20 @@ from .equivalence import (
 from .interp import FUEL_EXHAUSTED, IT, Bottom, Heap, Location, Runtime, Store, collect, value_kind
 
 
-@dataclass(frozen=True)
-class ShapeError:
+@A.record
+class ShapeError(A.Record):
     clause: int
     message: str
 
 
-@dataclass(frozen=True)
-class CouplingFailure:
+@A.record
+class CouplingFailure(A.Record):
     where: str
     message: str
 
 
-@dataclass(frozen=True)
-class BasicCoupling:
+@A.record
+class BasicCoupling(A.Record):
     """Island predicate plus metadata. The predicate receives the two class
     tables, the bijection, and the two islands as location->state maps; it
     returns (ok, pairs) where pairs are client-location correspondences the
@@ -313,6 +313,8 @@ def _exec_step(rt: Runtime, heap: Heap, roots: Store, st: Step, fuel: int):
 
 @dataclass
 class VectorResult:
+    """One script at one fuel: `pass`, or `fail` at step `failed_at`."""
+
     script: Tuple[Step, ...]
     fuel: int
     status: str  # 'pass' | 'fail'
@@ -326,6 +328,8 @@ class VectorResult:
 
 @dataclass
 class CouplingReport:
+    """The establishment checks and every vector of one simulation test."""
+
     coupling: str
     establishment: List[Tuple[str, bool, str]]
     vectors: List[VectorResult]

@@ -17,6 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from . import ast as A
 from .classtable import ClassTable, Designations, load_table
 from .interp import Bottom, EntryClassError, Heap, Location, Store, collect, run, value_kind
 
@@ -75,8 +76,8 @@ def check_comparable(ct_a: ClassTable, ct_b: ClassTable) -> List[str]:
 # Canonical typed bijection between two rooted states
 
 
-@dataclass(frozen=True)
-class Distinguished:
+@A.record
+class Distinguished(A.Record):
     path: str
     message: str
 
@@ -182,8 +183,8 @@ def own_free(ct: ClassTable, h: Heap, eta: Store) -> bool:
 # Client program equivalence
 
 
-@dataclass(frozen=True)
-class EquivVerdict:
+@A.record
+class EquivVerdict(A.Record):
     kind: str  # 'equivalent' | 'distinguished' | 'owners-reachable' | 'inconclusive'
     fuel_used: int = 0
     sigma: Tuple[Tuple[Location, Location], ...] = ()
@@ -253,6 +254,13 @@ class ManifestError(Exception):
         super().__init__(f"manifest {path}: {problem}")
 
 
+def _count(path: str, key: str, value):
+    """`value` if it is an `int` (not a `bool`) of at least 0."""
+    if type(value) is not int or value < 0:
+        raise ManifestError(path, f"{key}: expected a non-negative integer, got {value!r}")
+    return value
+
+
 @dataclass
 class Manifest:
     """Two tables with shared designations, plus the keys of one kind of
@@ -280,6 +288,9 @@ class Manifest:
     def from_json(data: dict, path: str) -> "Manifest":
         base_dir = os.path.dirname(path)
         entry = data.get("entry")
+        fuels = data.get("fuels", [1, 2, 4, 8])
+        if not isinstance(fuels, list):
+            raise ManifestError(path, f"fuels: expected a list of non-negative integers, got {fuels!r}")
         return Manifest(
             path=path,
             table_a=os.path.join(base_dir, data["tableA"]),
@@ -289,12 +300,12 @@ class Manifest:
             rep_b=data["repB"],
             entry_class=entry["class"] if entry is not None else None,
             entry_method=entry["method"] if entry is not None else None,
-            max_fuel=data.get("maxFuel", 1024),
-            loop_cap=data.get("loopCap", 100000),
+            max_fuel=_count(path, "maxFuel", data.get("maxFuel", 1024)),
+            loop_cap=_count(path, "loopCap", data.get("loopCap", 100000)),
             coupling=data.get("coupling"),
-            fuels=tuple(data.get("fuels", (1, 2, 4, 8))),
-            max_len=data.get("maxLen", 4),
-            max_scripts=data.get("maxScripts", 120),
+            fuels=tuple(_count(path, "fuels", fuel) for fuel in fuels),
+            max_len=_count(path, "maxLen", data.get("maxLen", 4)),
+            max_scripts=_count(path, "maxScripts", data.get("maxScripts", 120)),
         )
 
     def designations(self) -> Designations:

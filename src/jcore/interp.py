@@ -73,8 +73,8 @@ class Location(NamedTuple):
         return f"{self.class_name}@{self.index}"
 
 
-@dataclass(frozen=True)
-class Bottom:
+@A.record
+class Bottom(A.Record):
     reason: str
     detail: str = ""
     stack: Tuple[str, ...] = field(default=(), compare=False)
@@ -253,6 +253,8 @@ class TraceHooks(InterpHooks):
 
 @dataclass
 class RunResult:
+    """A run's outcome with the fuel and the steps it spent."""
+
     outcome: object  # Bottom | (heap, store)
     fuel_used: int
     value: object = None

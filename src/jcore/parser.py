@@ -54,7 +54,7 @@ are accepted and represented with equality against `false`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import List, NamedTuple, Optional, Tuple
 
 from . import ast as A
@@ -173,8 +173,8 @@ class SSeq(A.Node):
     items: Tuple[object, ...]
 
 
-@dataclass(frozen=True)
-class SurfaceMethod:
+@A.record
+class SurfaceMethod(A.Record):
     name: str
     return_type: object
     params: Tuple[Tuple[str, object], ...]
@@ -184,8 +184,8 @@ class SurfaceMethod:
     first_tmp = 0  # not a field: the parser sets it, see the module docstring
 
 
-@dataclass(frozen=True)
-class SurfaceClass:
+@A.record
+class SurfaceClass(A.Record):
     name: str
     super_name: str
     fields: Tuple[Tuple[str, object], ...]
@@ -195,8 +195,8 @@ class SurfaceClass:
     con_first_tmp = 0  # the constructor's `first_tmp`, set like `SurfaceMethod.first_tmp`
 
 
-@dataclass(frozen=True)
-class SurfaceProgram:
+@A.record
+class SurfaceProgram(A.Record):
     classes: Tuple[SurfaceClass, ...]
     source: str = field(default="", compare=False, repr=False)
 
@@ -313,7 +313,7 @@ class _Parser:
             self.expect(")")
             body, tmp = self.body()
             methods.append(SurfaceMethod(member, t, tuple(params), body, module_scoped, self.span_from(mstart)))
-            object.__setattr__(methods[-1], "first_tmp", tmp)  # a frozen dataclass's non-field
+            object.__setattr__(methods[-1], "first_tmp", tmp)  # a frozen record's non-field
         self.expect("}")
         cls = SurfaceClass(name, sup, tuple(fields), ctor, tuple(methods), self.span_from(start))
         object.__setattr__(cls, "con_first_tmp", con_tmp)

@@ -35,6 +35,8 @@ REP_INHERITS_FOREIGN = "RepInheritsForeign"
 
 @dataclass
 class SafetyReport:
+    """The safety analysis's findings; `ok` when there are none."""
+
     diagnostics: List[Diagnostic]
 
     @property

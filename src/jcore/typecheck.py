@@ -27,8 +27,8 @@ class TypeCheckError(Exception):
         self.span = span
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+@A.record
+class Diagnostic(A.Record):
     """A finding of the type checker or the safety analysis."""
 
     rule: str
@@ -45,6 +45,8 @@ class Diagnostic:
 
 @dataclass
 class TypeReport:
+    """The type checker's findings; `ok` when there are none."""
+
     issues: List[Diagnostic]
 
     @property

@@ -263,6 +263,53 @@ def test_bad_manifest_clean_error(tmp_path, capsys, command, manifest, expected)
     assert expected in err
 
 
+def _manifest_with(tmp_path, name, key, value):
+    with open(_c(f"manifests/{name}")) as f:
+        data = json.load(f)
+    for side in ("tableA", "tableB"):
+        data[side] = _c(os.path.join("manifests", data[side]))
+    data[key] = value
+    path = tmp_path / "bad_number.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("command, name", [("equiv", "obool_pair.json"), ("simtest", "sim_obool.json")])
+@pytest.mark.parametrize("key, value, problem", [
+    ("maxFuel", "abc", "maxFuel: expected a non-negative integer, got 'abc'"),
+    ("maxFuel", True, "maxFuel: expected a non-negative integer, got True"),
+    ("loopCap", "x", "loopCap: expected a non-negative integer, got 'x'"),
+    ("loopCap", -1, "loopCap: expected a non-negative integer, got -1"),
+    ("fuels", ["a"], "fuels: expected a non-negative integer, got 'a'"),
+    ("fuels", [-1, 2], "fuels: expected a non-negative integer, got -1"),
+    ("fuels", 4, "fuels: expected a list of non-negative integers, got 4"),
+    ("maxLen", "x", "maxLen: expected a non-negative integer, got 'x'"),
+    ("maxLen", 2.0, "maxLen: expected a non-negative integer, got 2.0"),
+    ("maxScripts", None, "maxScripts: expected a non-negative integer, got None"),
+], ids=["maxFuel-str", "maxFuel-bool", "loopCap-str", "loopCap-negative", "fuels-str", "fuels-negative",
+        "fuels-not-a-list", "maxLen-str", "maxLen-float", "maxScripts-null"])
+def test_manifest_numbers_are_validated(tmp_path, capsys, command, name, key, value, problem):
+    path = _manifest_with(tmp_path, name, key, value)
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: manifest {path}: {problem}\n")
+
+
+@pytest.mark.parametrize("command", ["run", "dot"])
+@pytest.mark.parametrize("option", ["--max-fuel", "--loop-cap"])
+def test_negative_budgets_are_usage_errors(capsys, command, option):
+    argv = [command, option, "-1", "--entry", "Main.main", "--own", "OBool", "--rep", "Bool", _c("obool_v1.jcore")]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"error: argument {option}: must be at least 0, got -1\n")
+
+
+def test_zero_budgets_stay_legal(capsys):
+    assert main(["run", "--max-fuel", "0", "--entry", "Main.main", _c("obool_v1.jcore")]) == 0
+    assert capsys.readouterr().out == "bottom: fuel-exhausted (call to init) at fuel 0\n"
+    assert main(["run", "--loop-cap", "0", "--entry", "Main.main", _c("obool_v1.jcore")]) == 0
+    assert capsys.readouterr().out.startswith("ok at fuel 2\n")
+
+
 def test_corpus_list_and_run_all(capsys):
     assert main(["corpus", "list"]) == 0
     out = capsys.readouterr().out

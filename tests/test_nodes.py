@@ -1,15 +1,27 @@
 """The contract of the slotted syntax nodes: every node class of `jcore.ast`
 and every slotted surface class of `jcore.parser` behaves as the plain frozen
-dataclass it was, without a `__dict__`."""
+dataclass it was, without a `__dict__`. The frozen records made by
+`ast.record` behave as their frozen dataclasses did, and every class made by
+`record` or `node` shares one set of methods from `ast.Record`."""
 
+import copy
 import dataclasses
 import inspect
+import pickle
+import sys
 import weakref
 
 import pytest
 
 from jcore import ast as A
 from jcore import parser as P
+from jcore.classtable import Designations
+from jcore.confine import ConfinementViolation
+from jcore.corpus import CorpusRecord, EntryExpectation
+from jcore.coupling import BasicCoupling, CouplingFailure, ShapeError
+from jcore.equivalence import Distinguished, EquivVerdict
+from jcore.interp import Bottom, Location
+from jcore.typecheck import Diagnostic
 
 SURFACE = ("SLocal", "SAssign", "SCallStmt", "SIf", "SWhile", "SSkip", "SAbort", "SSeq")
 
@@ -114,3 +126,136 @@ def test_method_decl_defaults():
     assert m.module_scoped is False and m.span is None
     assert m == A.MethodDecl(name="m", return_type=A.INT, params=(), body=A.Skip(), module_scoped=False)
     assert dataclasses.replace(m, module_scoped=True).module_scoped is True
+
+
+def _compared(x):
+    return tuple(getattr(x, f.name) for f in dataclasses.fields(x) if f.compare)
+
+
+SPAN = A.Span(0, 4, 1, 1)
+ENTRY = EntryExpectation("Main", "main", "ok", 2, "clean", (("x.f", 1),))
+
+# name: (sample, a twin that differs only in fields left out of equality or
+# None, `repr` of the sample as the frozen dataclass gave it)
+RECORDS = {
+    "Designations": (Designations("O", "R", "R2"), None, "Designations(own='O', rep='R', rep2='R2')"),
+    "ConfinementViolation": (
+        ConfinementViolation("SharedRep", "two owners", (Location("R", 1),), "after m"), None,
+        "ConfinementViolation(kind='SharedRep', message='two owners', witness=(R@1,), context='after m')"),
+    "ShapeError": (ShapeError(2, "no island"), None, "ShapeError(clause=2, message='no island')"),
+    "CouplingFailure": (CouplingFailure("vector 3", "stores differ"), None,
+                        "CouplingFailure(where='vector 3', message='stores differ')"),
+    "BasicCoupling": (BasicCoupling("neg", "OBool/OBool", len), None,
+                      "BasicCoupling(name='neg', target_pair='OBool/OBool', predicate=<built-in function len>)"),
+    "Distinguished": (Distinguished("x.f", "1 vs 2"), None, "Distinguished(path='x.f', message='1 vs 2')"),
+    "EquivVerdict": (
+        EquivVerdict("equivalent", 3, ((Location("A", 0), Location("A", 0)),), "w"), None,
+        "EquivVerdict(kind='equivalent', fuel_used=3, sigma=((A@0, A@0),), witness='w')"),
+    "Bottom": (Bottom("fuel-exhausted", "in m", ("Main.main", "A.m")), Bottom("fuel-exhausted", "in m"),
+               "Bottom(reason='fuel-exhausted', detail='in m', stack=('Main.main', 'A.m'))"),
+    "Diagnostic": (
+        Diagnostic("TypeMismatch", "int vs bool", SPAN, "C", "m"),
+        Diagnostic("TypeMismatch", "int vs bool", None, "C", "m"),
+        "Diagnostic(rule='TypeMismatch', message='int vs bool', span=Span(start=0, end=4, line=1, col=1),"
+        " class_name='C', method_name='m')"),
+    "SurfaceMethod": (
+        P.SurfaceMethod("m", A.INT, (("x", A.INT),), A.Var("x"), False, SPAN),
+        P.SurfaceMethod("m", A.INT, (("x", A.INT),), A.Var("x"), False),
+        "SurfaceMethod(name='m', return_type=PrimType(name='int'), params=(('x', PrimType(name='int')),),"
+        " body=Var(name='x'), module_scoped=False)"),
+    "SurfaceClass": (
+        P.SurfaceClass("C", "Object", (("f", A.INT),), None, (), SPAN),
+        P.SurfaceClass("C", "Object", (("f", A.INT),), None, ()),
+        "SurfaceClass(name='C', super_name='Object', fields=(('f', PrimType(name='int')),), constructor=None,"
+        " methods=())"),
+    "SurfaceProgram": (P.SurfaceProgram((), "class C extends Object {}"), P.SurfaceProgram(()),
+                       "SurfaceProgram(classes=())"),
+    "EntryExpectation": (
+        ENTRY, None,
+        "EntryExpectation(entry_class='Main', entry_method='main', outcome='ok', min_fuel=2, monitor='clean',"
+        " finals=(('x.f', 1),))"),
+    "CorpusRecord": (
+        CorpusRecord("obool", "obool.jcore", "OBool", "Bool", None, "ok", (), (ENTRY,), "n"), None,
+        "CorpusRecord(name='obool', path='obool.jcore', own='OBool', rep='Bool', rep2=None, check='ok',"
+        " analyze=(), entries=(EntryExpectation(entry_class='Main', entry_method='main', outcome='ok',"
+        " min_fuel=2, monitor='clean', finals=(('x.f', 1),)),), notes='n')"),
+}
+
+
+def _made_by_record():
+    found, stack = [], [A.Record]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            stack.append(sub)
+            if sub.__module__.startswith("jcore.") and sub is not A.Node:
+                found.append(sub)
+    return found
+
+
+def test_every_record_class_shares_the_base_methods():
+    classes = _made_by_record()
+    assert {c.__name__ for c in classes} == set(REPRS) | set(RECORDS)
+    for cls in classes:
+        assert dataclasses.is_dataclass(cls) and cls.__doc__
+        own = {"__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"} & set(vars(cls))
+        assert not own, (cls.__name__, own)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_contract(name):
+    x, twin, expected = RECORDS[name]
+    cls = type(x)
+    assert repr(x) == expected
+    assert hash(x) == hash(_compared(x))
+    same = dataclasses.replace(x)
+    assert same == x and hash(same) == hash(x) and same is not x and type(same) is cls
+    if twin is not None:
+        assert twin == x and hash(twin) == hash(x)
+    first = next(f.name for f in dataclasses.fields(cls) if f.compare)
+    other = dataclasses.replace(x, **{first: "changed"})
+    assert other != x and getattr(other, first) == "changed"
+    assert x != _compared(x) and x.__eq__(_compared(x)) is NotImplemented
+    for f in dataclasses.fields(cls):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, f.name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(x, f.name)
+    assert copy.deepcopy(x) == x and pickle.loads(pickle.dumps(x)) == x
+
+
+@pytest.mark.parametrize("name", sorted(REPRS))
+def test_node_hash_is_the_hash_of_its_compared_fields(name):
+    cls = CLASSES[name]
+    n = cls(*_args(cls), SPAN)
+    assert hash(n) == hash(_compared(n))
+    assert copy.deepcopy(n) == n and pickle.loads(pickle.dumps(n)).span == SPAN
+
+
+def test_decorating_a_class_compiles_one_source():
+    compiled, counting = [], [True]
+    sys.addaudithook(lambda event, args: counting[0] and event == "compile" and compiled.append(args[1]))
+
+    class Leaf(A.Node):
+        value: int
+
+    class Pair(A.Record):
+        left: int
+        right: str = "r"
+
+    class Bare:
+        """`dataclass` with nothing to generate compiles no source up to 3.12, one from 3.13."""
+
+        left: int
+
+    try:
+        dataclasses.dataclass(init=False, repr=False, eq=False)(Bare)
+        own = len(compiled)
+        Leaf = A.node(Leaf)
+        assert len(compiled) == 2 * own + 1
+        Pair = A.record(Pair)
+        assert len(compiled) == 3 * own + 2
+    finally:
+        counting[0] = False
+    assert Leaf(1) == Leaf(1, SPAN) and repr(Leaf(1)).endswith("<locals>.Leaf(value=1)")
+    assert Pair(1) == Pair(1, "r") != Pair(1, "s") and hash(Pair(1)) == hash((1, "r"))
+    assert Leaf.__doc__ == "Leaf(value, span)" and Pair.__doc__ == "Pair(left, right)"
