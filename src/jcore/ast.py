@@ -369,23 +369,6 @@ def walk_commands(cmd, gamma):
             stack += ((it, gamma) for it in reversed(cmd.items))
 
 
-def exprs_of_command(cmd):
-    """Immediate constituent expressions of a single command node."""
-    if isinstance(cmd, Assign):
-        return [cmd.expr]
-    if isinstance(cmd, FieldAssign):
-        return [cmd.target, cmd.expr]
-    if isinstance(cmd, CallAssign):
-        return [cmd.receiver, *cmd.args]
-    if isinstance(cmd, SuperCallAssign):
-        return list(cmd.args)
-    if isinstance(cmd, LocalBlock):
-        return [cmd.init]
-    if isinstance(cmd, (If, While)):
-        return [cmd.cond]
-    return []
-
-
 def walk_exprs(expr):
     """Yield every sub-expression of `expr`, preorder: a receiver before its
     arguments, left before right. The walk keeps its own stack."""

@@ -189,31 +189,6 @@ def confine_heap(ct: ClassTable, h: Heap):
     return Partition(islands, frozenset(clients), frozenset(flexible))
 
 
-def partition_clauses_hold(ct: ClassTable, h: Heap, assignment: Dict[Location, int], owners: List[Location]) -> bool:
-    """Check the four confinement clauses for an explicit rep->island map.
-    Used by the brute-force oracle and the soundness assertions."""
-    own = ct.designations.own
-    private = {f for f, _ in ct.dfields(own)}
-    island_of = dict(assignment)
-    for i, o in enumerate(owners):
-        island_of[o] = i
-    for loc in h:
-        role = role_of(ct, loc)
-        for f, v in h[loc].items():
-            if not isinstance(v, Location):
-                continue
-            vrole = role_of(ct, v)
-            if role == "client" and vrole == "rep":
-                return False
-            if role == "owner" and vrole == "rep":
-                if island_of[v] != island_of[loc] or f not in private:
-                    return False
-            if role == "rep" and vrole in ("rep", "owner"):
-                if island_of[v] != island_of[loc]:
-                    return False
-    return True
-
-
 def confined_store(ct: ClassTable, class_name: str, eta: Store, h: Heap, partition: Partition):
     """Check store confinement for code of `class_name`; None means ok."""
     if ct.is_client_class(class_name):

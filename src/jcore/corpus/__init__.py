@@ -29,7 +29,7 @@ class EntryExpectation(A.Record):
     entry_method: str
     outcome: str  # 'ok' or a bottom reason
     min_fuel: int
-    monitor: object  # 'clean' or list of required violation kinds
+    monitor: object  # 'clean' or a tuple of required violation kinds
     finals: Tuple[Tuple[str, object], ...]  # (dotted path from a store var, value)
 
 
@@ -61,6 +61,11 @@ def _load_expectations() -> dict:
         return json.load(f)
 
 
+def _required_kinds(monitor):
+    """'clean', or the listed violation kinds as a tuple, so records hash."""
+    return monitor if monitor == "clean" else tuple(monitor)
+
+
 def load_corpus() -> List[CorpusRecord]:
     data = _load_expectations()
     records = []
@@ -68,7 +73,7 @@ def load_corpus() -> List[CorpusRecord]:
         entries = tuple(
             EntryExpectation(
                 e["class"], e["method"], e["outcome"], e["minFuel"],
-                e.get("monitor", "clean"),
+                _required_kinds(e.get("monitor", "clean")),
                 tuple((path, value) for path, value in e.get("final", [])),
             )
             for e in p.get("entries", [])

@@ -25,10 +25,9 @@ from . import ast as A
 from .classtable import ClassTable
 from .confine import ConfinementViolation, confine_heap, role_of
 from .equivalence import (
-    Distinguished, Manifest, ManifestError, canonical_bijection, load_manifest, own_free,
-    pair_reachable, value_equiv,
+    Distinguished, Manifest, ManifestError, load_manifest, pair_reachable, value_equiv,
 )
-from .interp import FUEL_EXHAUSTED, IT, Bottom, Heap, Location, Runtime, Store, collect, value_kind
+from .interp import FUEL_EXHAUSTED, IT, Bottom, Heap, Location, Runtime, Store, value_kind
 
 
 @A.record
@@ -469,20 +468,6 @@ def test_simulation(
                 except Exception as exc:
                     vectors.append(VectorResult(script, fuel, "fail", -1, f"internal error: {exc}"))
     return CouplingReport(bc.name, establishment, vectors)
-
-
-def identity_extension_check(ct_a: ClassTable, ct_b: ClassTable, sigma, state_a, state_b):
-    """Related states whose collected forms are owner-free must be equal up to
-    the bijection; checked by the canonical traversal seeded with sigma."""
-    ha, ea = collect(*state_a)
-    hb, eb = collect(*state_b)
-    if not own_free(ct_a, ha, ea) or not own_free(ct_b, hb, eb):
-        return "precondition", "an owner is reachable in a collected state"
-    seed = {a: b for a, b in sigma.items() if a in ha and b in hb}
-    out = canonical_bijection(ct_a, (ha, ea), (hb, eb), seed=seed)
-    if isinstance(out, Distinguished):
-        return "fail", f"{out.path}: {out.message}"
-    return "ok", out
 
 
 # ---------------------------------------------------------------------------

@@ -248,7 +248,8 @@ def client_equiv(
 
 class ManifestError(Exception):
     """A manifest that is not a JSON object, lacks a key its comparison
-    needs, or names an unknown coupling or an entry point `run` refuses."""
+    needs, has a value of the wrong kind, or names an unknown coupling or an
+    entry point `run` refuses."""
 
     def __init__(self, path: str, problem: str):
         super().__init__(f"manifest {path}: {problem}")
@@ -258,6 +259,13 @@ def _count(path: str, key: str, value):
     """`value` if it is an `int` (not a `bool`) of at least 0."""
     if type(value) is not int or value < 0:
         raise ManifestError(path, f"{key}: expected a non-negative integer, got {value!r}")
+    return value
+
+
+def _name(path: str, key: str, value):
+    """`value` if it is a string: a file, class, method or coupling name."""
+    if not isinstance(value, str):
+        raise ManifestError(path, f"{key}: expected a string, got {value!r}")
     return value
 
 
@@ -288,21 +296,24 @@ class Manifest:
     def from_json(data: dict, path: str) -> "Manifest":
         base_dir = os.path.dirname(path)
         entry = data.get("entry")
+        if entry is not None and not isinstance(entry, dict):
+            raise ManifestError(path, f"entry: expected an object, got {entry!r}")
+        coupling = data.get("coupling")
         fuels = data.get("fuels", [1, 2, 4, 8])
         if not isinstance(fuels, list):
             raise ManifestError(path, f"fuels: expected a list of non-negative integers, got {fuels!r}")
         return Manifest(
             path=path,
-            table_a=os.path.join(base_dir, data["tableA"]),
-            table_b=os.path.join(base_dir, data["tableB"]),
-            own=data["own"],
-            rep_a=data["repA"],
-            rep_b=data["repB"],
-            entry_class=entry["class"] if entry is not None else None,
-            entry_method=entry["method"] if entry is not None else None,
+            table_a=os.path.join(base_dir, _name(path, "tableA", data["tableA"])),
+            table_b=os.path.join(base_dir, _name(path, "tableB", data["tableB"])),
+            own=_name(path, "own", data["own"]),
+            rep_a=_name(path, "repA", data["repA"]),
+            rep_b=_name(path, "repB", data["repB"]),
+            entry_class=_name(path, "entry.class", entry["class"]) if entry is not None else None,
+            entry_method=_name(path, "entry.method", entry["method"]) if entry is not None else None,
             max_fuel=_count(path, "maxFuel", data.get("maxFuel", 1024)),
             loop_cap=_count(path, "loopCap", data.get("loopCap", 100000)),
-            coupling=data.get("coupling"),
+            coupling=_name(path, "coupling", coupling) if coupling is not None else None,
             fuels=tuple(_count(path, "fuels", fuel) for fuel in fuels),
             max_len=_count(path, "maxLen", data.get("maxLen", 4)),
             max_scripts=_count(path, "maxScripts", data.get("maxScripts", 120)),

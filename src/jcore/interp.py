@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import ast as A
-from .ast import BOOL, INT, UNIT, ClassType, NullType, PrimType
+from .ast import BOOL, INT, UNIT, ClassType
 from .classtable import ClassTable
 
 NIL_DEREF = "nil-dereference"
@@ -131,39 +131,6 @@ def values_equal(a, b) -> bool:
     if ka != kb:
         return False
     return a == b
-
-
-def value_in_type(ct: ClassTable, v, t) -> bool:
-    if isinstance(t, PrimType):
-        return value_kind(v) == t.name
-    if isinstance(t, NullType):
-        return v is None
-    if v is None:
-        return True
-    return isinstance(v, Location) and ct.subtype_names(v.class_name, t.name)
-
-
-def heap_closed(h: Heap) -> bool:
-    for state in h.values():
-        for v in state.values():
-            if isinstance(v, Location) and v not in h:
-                return False
-    return True
-
-
-def store_closed(h: Heap, eta: Store) -> bool:
-    return all(not isinstance(v, Location) or v in h for v in eta.values())
-
-
-def heap_well_typed(ct: ClassTable, h: Heap) -> bool:
-    for loc, state in h.items():
-        fields = ct.fields(loc.class_name)
-        if set(state) != {f for f, _ in fields}:
-            return False
-        for f, t in fields:
-            if not value_in_type(ct, state[f], t):
-                return False
-    return True
 
 
 def reachable(h: Heap, roots) -> set:

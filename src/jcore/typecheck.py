@@ -84,18 +84,7 @@ def type_of_expr(ct: ClassTable, gamma: Dict[str, object], e):
                 _fail("TypeMismatch", f"operator {e.op} requires int operands, got {t}", e.span)
         return BOOL if e.op == "<" else INT
     if isinstance(e, A.FieldAccess):
-        self_t = gamma["self"]
-        t = type_of_expr(ct, gamma, e.target)
-        if not (t == self_t or isinstance(t, NullType)):
-            _fail(
-                "PrivateFieldAccess",
-                f"field {e.fieldname} may only be accessed on expressions of type {self_t}, got {t}",
-                e.span,
-            )
-        for f, ft in ct.dfields(self_t.name):
-            if f == e.fieldname:
-                return ft
-        _fail("PrivateFieldAccess", f"{e.fieldname} is not a field declared in {self_t}", e.span)
+        return _private_field_type(ct, gamma, e.target, e.fieldname, e.span, "accessed")
     if isinstance(e, (A.InstanceTest, A.Cast)):
         name = e.class_name
         if not ct.declared(name):
@@ -109,6 +98,23 @@ def type_of_expr(ct: ClassTable, gamma: Dict[str, object], e):
     if isinstance(e, A.SURFACE_ONLY_EXPRS):
         _fail("InternalError", "surface form survived desugaring", e.span)
     raise TypeError(f"not an expression: {e!r}")
+
+
+def _private_field_type(ct, gamma, target, fieldname, span, verb):
+    """The declared type of field `fieldname` of the enclosing class, read or
+    updated on `target`, which must have exactly that class's type."""
+    self_t = gamma["self"]
+    t = type_of_expr(ct, gamma, target)
+    if not (t == self_t or isinstance(t, NullType)):
+        _fail(
+            "PrivateFieldAccess",
+            f"field {fieldname} may only be {verb} on expressions of type {self_t}, got {t}",
+            span,
+        )
+    for f, ft in ct.dfields(self_t.name):
+        if f == fieldname:
+            return ft
+    _fail("PrivateFieldAccess", f"{fieldname} is not a field declared in {self_t}", span)
 
 
 def _check_assignable(ct, gamma, name, value_type, span, what):
@@ -145,20 +151,7 @@ def _check_node(ct: ClassTable, gamma: Dict[str, object], cmd) -> None:
         _check_assignable(ct, gamma, cmd.name, t, cmd.span, "assignment")
         return
     if isinstance(cmd, A.FieldAssign):
-        self_t = gamma["self"]
-        t1 = type_of_expr(ct, gamma, cmd.target)
-        if not (t1 == self_t or isinstance(t1, NullType)):
-            _fail(
-                "PrivateFieldAccess",
-                f"field {cmd.fieldname} may only be updated on expressions of type {self_t}, got {t1}",
-                cmd.span,
-            )
-        ft = None
-        for f, t in ct.dfields(self_t.name):
-            if f == cmd.fieldname:
-                ft = t
-        if ft is None:
-            _fail("PrivateFieldAccess", f"{cmd.fieldname} is not a field declared in {self_t}", cmd.span)
+        ft = _private_field_type(ct, gamma, cmd.target, cmd.fieldname, cmd.span, "updated")
         t2 = type_of_expr(ct, gamma, cmd.expr)
         if not ct.subtype(t2, ft):
             _fail("TypeMismatch", f"field {cmd.fieldname}: {t2} is not a subtype of {ft}", cmd.span)

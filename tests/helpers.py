@@ -4,7 +4,10 @@ oracle for the monitor's followed partition, iterative deepening as the
 oracle for single-execution `run` and `client_equiv`, per-fuel replay as
 the oracle for the simulation harness's prefix memo, the tree-walking
 interpreter as the oracle for the compiled one, and the mangled and noise
-sources the tokenizer and parser are fuzzed with."""
+sources the tokenizer and parser are fuzzed with. Also the checks of
+closed heaps and stores, typed values and heaps, the admissible-partition
+clauses and identity extension, which the paper states about every state and
+the tests assert about the states they reach."""
 
 from __future__ import annotations
 
@@ -18,9 +21,9 @@ import sys
 from typing import Dict, List, Optional
 
 from jcore import ast as A
-from jcore.ast import OBJECT, ClassType
+from jcore.ast import OBJECT, ClassType, NullType, PrimType
 from jcore.classtable import ClassTable, Designations, build_class_table
-from jcore.confine import ConfinementViolation, confine_heap, partition_clauses_hold
+from jcore.confine import ConfinementViolation, confine_heap, role_of
 from jcore.corpus import load_corpus
 from jcore.coupling import (
     BasicCoupling, CouplingFailure, CouplingReport, VectorResult, _exec_step, _own_methods_of,
@@ -32,8 +35,85 @@ from jcore.equivalence import (
 )
 from jcore.interp import (
     ABORT, CAST_FAILURE, FUEL_EXHAUSTED, IT, NIL_DEREF, Bottom, Heap, InterpHooks, Location, Runtime,
-    RunResult, Store, _Stop, collect, default_value, fresh, run, values_equal,
+    RunResult, Store, _Stop, collect, default_value, fresh, run, value_kind, values_equal,
 )
+
+
+def value_in_type(ct: ClassTable, v, t) -> bool:
+    """The typed-value relation: `v` is a value of type `t`."""
+    if isinstance(t, PrimType):
+        return value_kind(v) == t.name
+    if isinstance(t, NullType):
+        return v is None
+    if v is None:
+        return True
+    return isinstance(v, Location) and ct.subtype_names(v.class_name, t.name)
+
+
+def heap_closed(h: Heap) -> bool:
+    """Every location a field of `h` holds is allocated in `h`."""
+    for state in h.values():
+        for v in state.values():
+            if isinstance(v, Location) and v not in h:
+                return False
+    return True
+
+
+def store_closed(h: Heap, eta: Store) -> bool:
+    """Every location the store `eta` holds is allocated in `h`."""
+    return all(not isinstance(v, Location) or v in h for v in eta.values())
+
+
+def heap_well_typed(ct: ClassTable, h: Heap) -> bool:
+    """Every object of `h` has exactly the fields of its class, each holding
+    a value of the field's declared type."""
+    for loc, state in h.items():
+        fields = ct.fields(loc.class_name)
+        if set(state) != {f for f, _ in fields}:
+            return False
+        for f, t in fields:
+            if not value_in_type(ct, state[f], t):
+                return False
+    return True
+
+
+def partition_clauses_hold(ct: ClassTable, h: Heap, assignment: Dict[Location, int], owners: List[Location]) -> bool:
+    """Check the four confinement clauses for an explicit rep->island map.
+    Used by the brute-force oracle and the soundness assertions."""
+    own = ct.designations.own
+    private = {f for f, _ in ct.dfields(own)}
+    island_of = dict(assignment)
+    for i, o in enumerate(owners):
+        island_of[o] = i
+    for loc in h:
+        role = role_of(ct, loc)
+        for f, v in h[loc].items():
+            if not isinstance(v, Location):
+                continue
+            vrole = role_of(ct, v)
+            if role == "client" and vrole == "rep":
+                return False
+            if role == "owner" and vrole == "rep":
+                if island_of[v] != island_of[loc] or f not in private:
+                    return False
+            if role == "rep" and vrole in ("rep", "owner"):
+                if island_of[v] != island_of[loc]:
+                    return False
+    return True
+
+
+def identity_extension_check(ct_a: ClassTable, ct_b: ClassTable, sigma, state_a, state_b):
+    """Related states whose collected forms are owner-free must be equal up to
+    the bijection; checked by the canonical traversal seeded with sigma."""
+    ha, ea = collect(*state_a)
+    hb, eb = collect(*state_b)
+    if not own_free(ct_a, ha, ea) or not own_free(ct_b, hb, eb):
+        return "precondition", "an owner is reachable in a collected state"
+    seed = {a: b for a, b in sigma.items() if a in ha and b in hb}
+    out = canonical_bijection(ct_a, (ha, ea), (hb, eb), seed=seed)
+    if isinstance(out, Distinguished):
+        return "fail", f"{out.path}: {out.message}"
+    return "ok", out
 
 
 def _cls(name, sup, fields, methods=()):
@@ -426,6 +506,23 @@ def walk_commands_rec(cmd, gamma):
     elif isinstance(cmd, A.Seq):
         for it in cmd.items:
             yield from walk_commands_rec(it, gamma)
+
+
+def exprs_of_command(cmd):
+    """Immediate constituent expressions of a single command node."""
+    if isinstance(cmd, A.Assign):
+        return [cmd.expr]
+    if isinstance(cmd, A.FieldAssign):
+        return [cmd.target, cmd.expr]
+    if isinstance(cmd, A.CallAssign):
+        return [cmd.receiver, *cmd.args]
+    if isinstance(cmd, A.SuperCallAssign):
+        return list(cmd.args)
+    if isinstance(cmd, A.LocalBlock):
+        return [cmd.init]
+    if isinstance(cmd, (A.If, A.While)):
+        return [cmd.cond]
+    return []
 
 
 def walk_exprs_rec(expr):

@@ -8,7 +8,7 @@ in braces to keep its scope.
 
 from __future__ import annotations
 
-from . import ast as A
+from jcore import ast as A
 
 # precedence levels, loosest first
 _EQ, _REL, _ADD, _MUL, _UNARY, _POSTFIX = range(6)

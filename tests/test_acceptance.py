@@ -9,7 +9,8 @@ import time
 
 from helpers import (
     all_typed_bijections, brute_force_confining, brute_force_state_bijection,
-    client_table, random_client_state, random_heap, rename_state, roles_table,
+    client_table, heap_closed, heap_well_typed, random_client_state, random_heap, rename_state,
+    roles_table, store_closed, value_in_type,
 )
 
 from jcore.classtable import Designations, build_class_table
@@ -19,10 +20,7 @@ from jcore.coupling import BUILTIN_COUPLINGS, Step, generate_scripts, run_vector
 from jcore.coupling import test_simulation as simulate
 from jcore.desugar import parse_and_desugar
 from jcore.equivalence import canonical_bijection, load_manifest, run_manifest
-from jcore.interp import (
-    Bottom, InterpHooks, Location, Runtime, fresh, heap_closed, heap_well_typed,
-    run, store_closed, value_in_type,
-)
+from jcore.interp import Bottom, InterpHooks, Location, Runtime, fresh, run
 from jcore.safety import safe_table
 from jcore.typecheck import check_table
 

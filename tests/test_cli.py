@@ -268,7 +268,11 @@ def _manifest_with(tmp_path, name, key, value):
         data = json.load(f)
     for side in ("tableA", "tableB"):
         data[side] = _c(os.path.join("manifests", data[side]))
-    data[key] = value
+    *parents, leaf = key.split(".")  # "entry.class" sets data["entry"]["class"]
+    target = data
+    for k in parents:
+        target = target[k]
+    target[leaf] = value
     path = tmp_path / "bad_number.json"
     path.write_text(json.dumps(data))
     return path
@@ -292,6 +296,27 @@ def test_manifest_numbers_are_validated(tmp_path, capsys, command, name, key, va
     path = _manifest_with(tmp_path, name, key, value)
     assert main([command, str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: manifest {path}: {problem}\n")
+
+
+_NAME_KEYS = ["tableA", "tableB", "own", "repA", "repB"]
+
+
+@pytest.mark.parametrize("command, name, key", [
+    *[("equiv", "obool_pair.json", key) for key in _NAME_KEYS + ["entry.class", "entry.method"]],
+    *[("simtest", "sim_obool.json", key) for key in _NAME_KEYS + ["coupling"]],
+])
+@pytest.mark.parametrize("value", [1, ["Bool"], {"name": "Bool"}], ids=["number", "list", "object"])
+def test_manifest_names_are_validated(tmp_path, capsys, command, name, key, value):
+    path = _manifest_with(tmp_path, name, key, value)
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: manifest {path}: {key}: expected a string, got {value!r}\n")
+
+
+@pytest.mark.parametrize("value", ["Main.main", ["Main", "main"], 1], ids=["string", "list", "number"])
+def test_manifest_entry_is_an_object(tmp_path, capsys, value):
+    path = _manifest_with(tmp_path, "obool_pair.json", "entry", value)
+    assert main(["equiv", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: manifest {path}: entry: expected an object, got {value!r}\n")
 
 
 @pytest.mark.parametrize("command", ["run", "dot"])

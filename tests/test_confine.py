@@ -2,7 +2,8 @@ import random
 from types import SimpleNamespace
 
 from helpers import (
-    assert_partition_agrees, brute_force_confining, observer_n, random_heap, roles_table,
+    assert_partition_agrees, brute_force_confining, observer_n, partition_clauses_hold, random_heap,
+    roles_table,
 )
 
 from jcore import ast as A
@@ -10,7 +11,7 @@ from jcore import confine
 from jcore.classtable import Designations, build_class_table
 from jcore.confine import (
     ConfinementMonitor, ConfinementViolation, Partition, check_hext, confine_heap,
-    confined_store, partition_clauses_hold, run_with_monitor, to_dot,
+    confined_store, run_with_monitor, to_dot,
 )
 from jcore.desugar import parse_and_desugar
 from jcore.interp import IT, Location, Runtime, default_value, fresh, run

@@ -1,3 +1,4 @@
+import importlib
 import os
 import re
 
@@ -23,6 +24,14 @@ def test_every_program_has_expectations(corpus):
     for rec in corpus.values():
         assert os.path.exists(rec.path)
         assert rec.check == "ok"
+
+
+def test_every_record_is_hashable(corpus):
+    """Records are frozen, so each hashes, also those whose entries require
+    monitor violations (a list in the JSON file)."""
+    records = list(corpus.values())
+    assert any(e.monitor != "clean" for r in records for e in r.entries)
+    assert len(set(records)) == len(records)
 
 
 def test_expectation_records_replay():
@@ -97,6 +106,8 @@ def test_trace_map_covers_every_concept():
 
 
 def test_trace_map_rows_name_real_attributes():
+    """Rows name `jcore.<module>.<attribute>` in the package or
+    `tests/<module>.py::<function>` for a test oracle; each must exist."""
     import jcore
 
     with open(os.path.join(CORPUS_DIR, "TRACE.md")) as f:
@@ -104,3 +115,7 @@ def test_trace_map_rows_name_real_attributes():
     for mod, attr in re.findall(r"`jcore\.(\w+)\.(\w+)", text):
         module = getattr(__import__(f"jcore.{mod}", fromlist=[mod]), attr, None)
         assert module is not None, f"jcore.{mod}.{attr} does not exist"
+    oracles = re.findall(r"`tests/(\w+)\.py::(\w+)`", text)
+    assert len(oracles) >= 5
+    for mod, name in oracles:
+        assert callable(getattr(importlib.import_module(mod), name, None)), f"tests/{mod}.py::{name} does not exist"

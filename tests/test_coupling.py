@@ -1,11 +1,10 @@
 import random
 
-from helpers import all_typed_bijections
+from helpers import all_typed_bijections, identity_extension_check
 
 from jcore.coupling import (
     BUILTIN_COUPLINGS, CouplingFailure, ShapeError, Step, check_establishment,
-    check_island_shape, identity_extension_check, induced_heap_coupling,
-    root_sigma, run_vector,
+    check_island_shape, induced_heap_coupling, root_sigma, run_vector,
 )
 from jcore.coupling import test_simulation as simulate
 from jcore.equivalence import Distinguished, canonical_bijection

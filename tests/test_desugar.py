@@ -1,14 +1,14 @@
 import random
 import re
 
-from helpers import first_free_tmp
+from helpers import exprs_of_command, first_free_tmp
 from jcore import ast as A
 from jcore.classtable import Designations, build_class_table
 from jcore.corpus import load_corpus
 from jcore.desugar import desugar, parse_and_desugar
 from jcore.interp import run
 from jcore.parser import parse
-from jcore.pretty import program_str
+from pretty import program_str
 from test_roundtrip_fuzz import gen_program
 
 
@@ -148,7 +148,7 @@ def _count_core(decls):
                     writes += 1
                 if isinstance(cmd, A.NewAssign):
                     news.append(cmd.class_name)
-                for e in A.exprs_of_command(cmd):
+                for e in exprs_of_command(cmd):
                     for sub in A.walk_exprs(e):
                         if isinstance(sub, A.FieldAccess):
                             reads += 1

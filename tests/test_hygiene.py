@@ -1,5 +1,6 @@
-"""Source hygiene of the `jcore` package: no unused imports and no imports
-inside functions, checked on the syntax tree of every module."""
+"""Source hygiene of the `jcore` package: no unused imports, no imports
+inside functions and no test-only functions or classes, checked on the syntax
+tree of every module."""
 
 import ast
 import os
@@ -8,6 +9,7 @@ import jcore
 import jcore.ast
 
 PACKAGE_DIR = os.path.dirname(jcore.__file__)
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 # (module path relative to the package, function, imported module): hashlib
 # loads OpenSSL, which only traces need, so state_digest imports it late
@@ -97,3 +99,50 @@ def test_interpreter_dispatches_on_node_type_only_in_the_compiler():
              or isinstance(n, ast.Compare) and _node_types_named(n, nodes)]
     assert [f"interp.py:{n.lineno}" for n in tests if id(n) not in in_builder] == []
     assert len(tests) >= 15  # the builder's own dispatch
+
+
+def _referenced(tree):
+    """The names a syntax tree reads: bare names and attribute names."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _bench_names():
+    """The names the bench scripts use, with every part of the dotted names in
+    `tracing.WRAPPED`, which the tracer looks up as strings."""
+    names = set()
+    for name in sorted(os.listdir(BENCH_DIR)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(BENCH_DIR, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read(), name)
+        names |= _referenced(tree)
+        for n in tree.body:
+            if isinstance(n, ast.Assign) and [t.id for t in n.targets if isinstance(t, ast.Name)] == ["WRAPPED"]:
+                names |= {part for c in ast.walk(n.value) if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                          for part in c.value.split(".")}
+    return names
+
+
+def test_no_test_only_code_in_the_package():
+    """Every top-level function and class of the package is used by the
+    package outside its own body, used by the bench, or exported by
+    `jcore/__init__.py`. Code only the tests call (oracles, the printer)
+    lives in `tests/`."""
+    modules = dict(_modules())
+    exported = {alias.name for n in modules["__init__.py"].body if isinstance(n, ast.ImportFrom) for alias in n.names}
+    assert {"run", "confine_heap", "client_equiv"} <= exported
+    bench = _bench_names()
+    assert {"load_sim_manifest", "run_sim_manifest", "invoke"} <= bench
+    # the names each top-level statement reads, so a definition's own body can be left out
+    reads = [(stmt, _referenced(stmt)) for tree in modules.values() for stmt in tree.body]
+    unused = []
+    for rel, tree in modules.items():
+        for d in tree.body:
+            if not isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if d.name in exported or d.name in bench:
+                continue
+            if not any(d.name in names for stmt, names in reads if stmt is not d):
+                unused.append(f"{rel}:{d.lineno} {d.name}")
+    assert unused == []

@@ -2,7 +2,7 @@ import copy
 import random
 
 import pytest
-from helpers import observer_n
+from helpers import heap_closed, heap_well_typed, observer_n, store_closed, value_in_type
 
 from jcore import ast as A
 from jcore import interp
@@ -10,8 +10,7 @@ from jcore.ast import BOOL, INT, UNIT, ClassType
 from jcore.classtable import Designations, build_class_table
 from jcore.desugar import parse_and_desugar
 from jcore.interp import (
-    IT, Bottom, EntryClassError, InterpHooks, Location, Runtime, collect, fresh,
-    heap_closed, heap_well_typed, run, store_closed, value_in_type, values_equal,
+    IT, Bottom, EntryClassError, InterpHooks, Location, Runtime, collect, fresh, run, values_equal,
 )
 
 

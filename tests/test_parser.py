@@ -4,8 +4,8 @@ from helpers import mangled_sources, noise_sources
 from jcore import ast as A
 from jcore.desugar import desugar
 from jcore.parser import KEYWORDS, ParseError, parse, tokenize
-from jcore.pretty import program_str
 from jcore.corpus import load_corpus
+from pretty import program_str
 
 FIG_OBSERVER = """
 class Observer extends Object {

@@ -14,8 +14,8 @@ from jcore.classtable import build_class_table
 from jcore.corpus import load_corpus
 from jcore.desugar import desugar
 from jcore.parser import ParseError, parse, tokenize
-from jcore.pretty import program_str
 from jcore.typecheck import check_table
+from pretty import program_str
 
 VARS = ["a", "b", "c", "result"]
 FIELDS = ["f", "g"]

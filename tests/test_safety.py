@@ -3,9 +3,9 @@ from jcore.ast import ClassType
 from jcore.classtable import Designations, build_class_table
 from jcore.desugar import desugar, parse_and_desugar
 from jcore.parser import parse
-from jcore.pretty import program_str
 from jcore.safety import safe_command, safe_expr, safe_table
 from jcore.typecheck import method_context
+from pretty import program_str
 
 
 def test_owner_self_access_ok(tables):

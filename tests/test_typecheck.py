@@ -45,6 +45,29 @@ def test_private_visibility_requires_exact_receiver_type(tables):
     assert exc.value.rule == "PrivateFieldAccess"
 
 
+@pytest.mark.parametrize("node, message", [
+    (A.FieldAccess(A.Var("x"), "fst"),
+     "field fst may only be accessed on expressions of type Main, got Observable"),
+    (A.FieldAssign(A.Var("x"), "fst", A.NullLit()),
+     "field fst may only be updated on expressions of type Main, got Observable"),
+    (A.FieldAccess(A.Var("self"), "nope"), "nope is not a field declared in Main"),
+    (A.FieldAssign(A.Var("self"), "nope", A.NullLit()), "nope is not a field declared in Main"),
+    # the receiver is checked before the field, the field before the value
+    (A.FieldAssign(A.Var("x"), "nope", A.Var("y")),
+     "field nope may only be updated on expressions of type Main, got Observable"),
+    (A.FieldAssign(A.Var("self"), "nope", A.Var("y")), "nope is not a field declared in Main"),
+], ids=["read-receiver", "update-receiver", "read-field", "update-field", "receiver-first", "field-first"])
+def test_private_field_diagnostics(tables, node, message):
+    ct = tables["observer_v1"]
+    g = _gamma(ct, "Main", x=ClassType("Observable"))
+    with pytest.raises(TypeCheckError) as exc:
+        if isinstance(node, A.FieldAccess):
+            type_of_expr(ct, g, node)
+        else:
+            check_command(ct, g, node)
+    assert (exc.value.rule, exc.value.message) == ("PrivateFieldAccess", message)
+
+
 def test_self_not_assignable(tables):
     ct = tables["observer_v1"]
     g = _gamma(ct, "Main")
