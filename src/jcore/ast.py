@@ -349,6 +349,11 @@ class ClassDecl(Node):
         return None
 
 
+def method_context(class_name: str, method) -> dict:
+    """The context of the body of a core or surface `method` of `class_name`."""
+    return dict(method.params, self=ClassType(class_name), result=method.return_type)
+
+
 def walk_commands(cmd, gamma):
     """Yield `(command, context)` for every command node in `cmd`, preorder:
     a `Seq`'s items in order, `then` before `else`. `cmd` is under `gamma`; a

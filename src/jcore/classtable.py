@@ -338,5 +338,8 @@ def build_class_table(decls: List[ClassDecl], designations: Optional[Designation
 def load_table(path: str, designations: Optional[Designations] = None) -> ClassTable:
     """Read a `.jcore` file, parse and desugar it, and build its class table."""
     with open(path, "r", encoding="utf-8") as f:
-        src = f.read()
+        try:
+            src = f.read()
+        except UnicodeDecodeError as exc:
+            raise OSError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     return build_class_table(parse_and_desugar(src), designations)

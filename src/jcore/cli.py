@@ -18,19 +18,18 @@ from .confine import ConfinementMonitor, ConfinementViolation, confine_heap, to_
 from .corpus import load_corpus, replay
 from .coupling import load_sim_manifest, run_sim_manifest
 from .equivalence import ComparabilityError, ManifestError, load_manifest, run_manifest
-from .interp import Bottom, EntryClassError, HookChain, TraceHooks, collect, format_state, run
+from .interp import LOOP_CAP, MAX_FUEL, Bottom, EntryClassError, HookChain, TraceHooks, collect, format_state, run
 from .parser import ParseError
 from .safety import safe_table
 from .typecheck import check_table
 
 
 def _load_table(path, args):
-    des = None
-    if getattr(args, "own", None):
-        if not getattr(args, "rep", None):
-            raise SystemExit2("--own requires --rep")
-        des = Designations(args.own, args.rep, getattr(args, "rep2", None))
-    return load_table(path, des)
+    if not args.own and (args.rep or args.rep2):
+        raise SystemExit2(f"--{'rep' if args.rep else 'rep2'} requires --own")
+    if args.own and not args.rep:
+        raise SystemExit2("--own requires --rep")
+    return load_table(path, Designations(args.own, args.rep, args.rep2) if args.own else None)
 
 
 class SystemExit2(Exception):
@@ -152,9 +151,9 @@ def cmd_run(args) -> int:
     else:
         h, eta = collect(*result.outcome)
         payload["outcome"] = "ok"
-        payload["state"] = format_state(ct, h, eta)
+        payload["state"] = format_state(h, eta)
         lines.append(f"ok at fuel {result.fuel_used}")
-        lines.append(format_state(ct, h, eta))
+        lines.append(format_state(h, eta))
     if tracer:
         lines.extend(f"trace: {t}" for t in tracer.lines)
     for v in violations:
@@ -260,8 +259,8 @@ class _AtLeastZero(argparse.Action):
 
 
 def _add_budget(p):
-    p.add_argument("--max-fuel", type=int, default=1024, action=_AtLeastZero)
-    p.add_argument("--loop-cap", type=int, default=100000, action=_AtLeastZero)
+    p.add_argument("--max-fuel", type=int, default=MAX_FUEL, action=_AtLeastZero)
+    p.add_argument("--loop-cap", type=int, default=LOOP_CAP, action=_AtLeastZero)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,7 +324,7 @@ def main(argv=None) -> int:
     except (ParseError, WellFormednessError, ComparabilityError, IllTyped) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ManifestError, EntryClassError, FileNotFoundError) as exc:
+    except (ManifestError, EntryClassError, OSError) as exc:  # OSError: a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal error

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from . import ast as A
 from .classtable import ClassTable
 from .interp import (
-    Bottom, Heap, InterpHooks, Location, RunResult, Store, run,
+    LOOP_CAP, MAX_FUEL, Bottom, Heap, InterpHooks, Location, RunResult, Store, run,
 )
 
 CLIENT_TO_REP = "ClientToRep"
@@ -189,7 +189,7 @@ def confine_heap(ct: ClassTable, h: Heap):
     return Partition(islands, frozenset(clients), frozenset(flexible))
 
 
-def confined_store(ct: ClassTable, class_name: str, eta: Store, h: Heap, partition: Partition):
+def confined_store(ct: ClassTable, class_name: str, eta: Store, partition: Partition):
     """Check store confinement for code of `class_name`; None means ok."""
     if ct.is_client_class(class_name):
         for x in sorted(eta):
@@ -484,7 +484,7 @@ class ConfinementMonitor(InterpHooks):
             return None
         if mark is not None:
             self._record(self._moved(mark, part), context)
-        self._record(confined_store(self.ct, class_name, eta, h, part), context)
+        self._record(confined_store(self.ct, class_name, eta, part), context)
         return part
 
     def after_command(self, gamma, cmd, outcome):
@@ -519,7 +519,7 @@ class ConfinementMonitor(InterpHooks):
         if role == "rep":
             if drole != "client":
                 probe = {**callee_store, "$result": d}
-                self._record(confined_store(ct, callee_class, probe, h0, part), at)
+                self._record(confined_store(ct, callee_class, probe, part), at)
             return
         if drole != "rep":
             return
@@ -536,8 +536,8 @@ def run_with_monitor(
     ct: ClassTable,
     entry_class: str,
     entry_method: str,
-    max_fuel: int = 1024,
-    loop_cap: int = 100000,
+    max_fuel: int = MAX_FUEL,
+    loop_cap: int = LOOP_CAP,
     checkpoints: str = "every",
 ) -> Tuple[RunResult, List[ConfinementViolation]]:
     monitor = ConfinementMonitor(ct, checkpoints)

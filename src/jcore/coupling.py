@@ -25,7 +25,8 @@ from . import ast as A
 from .classtable import ClassTable
 from .confine import ConfinementViolation, confine_heap, role_of
 from .equivalence import (
-    Distinguished, Manifest, ManifestError, load_manifest, pair_reachable, value_equiv,
+    FUELS, MAX_LEN, MAX_SCRIPTS, Distinguished, Manifest, ManifestError, load_manifest, pair_reachable,
+    value_equiv,
 )
 from .interp import FUEL_EXHAUSTED, IT, Bottom, Heap, Location, Runtime, Store, value_kind
 
@@ -217,7 +218,7 @@ def _concrete_client_arg_class(ct: ClassTable, pname: str) -> str:
     return max(subs, key=lambda c: len(ct.ancestors(c)), default=pname)
 
 
-def generate_scripts(ct: ClassTable, owner_class: str, max_len: int = 4, max_scripts: int = 120):
+def generate_scripts(ct: ClassTable, owner_class: str, max_len: int = MAX_LEN, max_scripts: int = MAX_SCRIPTS):
     """Deterministic script enumeration: construct one owner plus client-class
     argument objects, then all call sequences of public owner methods up to
     `max_len`, each optionally capped by one direct module-method probe.
@@ -444,9 +445,9 @@ def test_simulation(
     ct_a: ClassTable,
     ct_b: ClassTable,
     bc: BasicCoupling,
-    fuels: Sequence[int] = (1, 2, 4, 8),
-    max_len: int = 4,
-    max_scripts: int = 120,
+    fuels: Sequence[int] = FUELS,
+    max_len: int = MAX_LEN,
+    max_scripts: int = MAX_SCRIPTS,
 ) -> CouplingReport:
     """Establishment and every (script, fuel) vector for the owner class and
     its first proper subclass."""

@@ -295,10 +295,7 @@ def desugar(prog: SurfaceProgram) -> List[A.ClassDecl]:
     for c in prog.classes:
         methods = []
         for m in c.methods:
-            env = {n: t for n, t in m.params}
-            env["self"] = A.ClassType(c.name)
-            env["result"] = m.return_type
-            body = _BodyLowerer(sigs, c, m.first_tmp).lower_seq([m.body], env)
+            body = _BodyLowerer(sigs, c, m.first_tmp).lower_seq([m.body], A.method_context(c.name, m))
             methods.append(A.MethodDecl(m.name, m.return_type, m.params, body, m.module_scoped, m.span))
         if c.constructor is None:
             ctor = A.Skip()

@@ -19,7 +19,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from . import ast as A
 from .classtable import ClassTable, Designations, load_table
-from .interp import Bottom, EntryClassError, Heap, Location, Store, collect, run, value_kind
+from .interp import LOOP_CAP, MAX_FUEL, Bottom, EntryClassError, Heap, Location, Store, collect, run, value_kind
 
 
 class ComparabilityError(Exception):
@@ -208,8 +208,8 @@ def client_equiv(
     ct_b: ClassTable,
     entry_class: str,
     entry_method: str,
-    max_fuel: int = 1024,
-    loop_cap: int = 100000,
+    max_fuel: int = MAX_FUEL,
+    loop_cap: int = LOOP_CAP,
 ) -> EquivVerdict:
     problems = check_comparable(ct_a, ct_b)
     if problems:
@@ -244,6 +244,9 @@ def client_equiv(
 
 # ---------------------------------------------------------------------------
 # Manifests
+
+# the simulation harness's defaults: fuels per script, script length, scripts per owner class
+FUELS, MAX_LEN, MAX_SCRIPTS = (1, 2, 4, 8), 4, 120
 
 
 class ManifestError(Exception):
@@ -285,12 +288,12 @@ class Manifest:
     rep_b: str
     entry_class: Optional[str] = None
     entry_method: Optional[str] = None
-    max_fuel: int = 1024
-    loop_cap: int = 100000
+    max_fuel: int = MAX_FUEL
+    loop_cap: int = LOOP_CAP
     coupling: Optional[str] = None
-    fuels: Tuple[int, ...] = (1, 2, 4, 8)
-    max_len: int = 4
-    max_scripts: int = 120
+    fuels: Tuple[int, ...] = FUELS
+    max_len: int = MAX_LEN
+    max_scripts: int = MAX_SCRIPTS
 
     @staticmethod
     def from_json(data: dict, path: str) -> "Manifest":
@@ -299,7 +302,7 @@ class Manifest:
         if entry is not None and not isinstance(entry, dict):
             raise ManifestError(path, f"entry: expected an object, got {entry!r}")
         coupling = data.get("coupling")
-        fuels = data.get("fuels", [1, 2, 4, 8])
+        fuels = data.get("fuels", list(FUELS))
         if not isinstance(fuels, list):
             raise ManifestError(path, f"fuels: expected a list of non-negative integers, got {fuels!r}")
         return Manifest(
@@ -311,12 +314,12 @@ class Manifest:
             rep_b=_name(path, "repB", data["repB"]),
             entry_class=_name(path, "entry.class", entry["class"]) if entry is not None else None,
             entry_method=_name(path, "entry.method", entry["method"]) if entry is not None else None,
-            max_fuel=_count(path, "maxFuel", data.get("maxFuel", 1024)),
-            loop_cap=_count(path, "loopCap", data.get("loopCap", 100000)),
+            max_fuel=_count(path, "maxFuel", data.get("maxFuel", MAX_FUEL)),
+            loop_cap=_count(path, "loopCap", data.get("loopCap", LOOP_CAP)),
             coupling=_name(path, "coupling", coupling) if coupling is not None else None,
             fuels=tuple(_count(path, "fuels", fuel) for fuel in fuels),
-            max_len=_count(path, "maxLen", data.get("maxLen", 4)),
-            max_scripts=_count(path, "maxScripts", data.get("maxScripts", 120)),
+            max_len=_count(path, "maxLen", data.get("maxLen", MAX_LEN)),
+            max_scripts=_count(path, "maxScripts", data.get("maxScripts", MAX_SCRIPTS)),
         )
 
     def designations(self) -> Designations:

@@ -14,8 +14,10 @@ A class table keeps the code of each method body, constructor and entry body
 it runs (not of the ad-hoc nodes given to `exec_command` and `eval_expr`,
 which are compiled per call): closures compiled on first use by `_compile`,
 the one place that dispatches on a node's type (Feeley and Lapalme, "Using
-closures for code generation", 1987). Plain and hooked runs share this code, which tests for
-hooks at the hook points; the tree walker it replaced is the test oracle.
+closures for code generation", 1987), each command under its typing context
+(as `ast.walk_commands` gives it from `ast.method_context`), so its code runs
+on a heap, a store and fuel alone. Plain and hooked runs share this code,
+which tests for hooks at the hook points; the tree walker is the test oracle.
 
 Method meanings are approximated by a fuel counter: a call executed with
 fuel j runs the callee body with fuel j-1, and any call at fuel 0 yields the
@@ -48,6 +50,8 @@ NIL_DEREF = "nil-dereference"
 CAST_FAILURE = "cast-failure"
 ABORT = "explicit-abort"
 FUEL_EXHAUSTED = "fuel-exhausted"
+MAX_FUEL = 1024  # default fuel budget of a run
+LOOP_CAP = 100000  # default cap on the iterations of one loop execution
 
 
 class Unit:
@@ -102,13 +106,7 @@ def fresh(class_name: str, heap: Heap, start: int = 0) -> Location:
 
 
 def default_value(t):
-    if t == BOOL:
-        return False
-    if t == INT:
-        return 0
-    if t == UNIT:
-        return IT
-    return None
+    return {BOOL: False, INT: 0, UNIT: IT}.get(t)  # None (null) for a class type
 
 
 def value_kind(v) -> str:
@@ -127,10 +125,7 @@ def value_kind(v) -> str:
 
 def values_equal(a, b) -> bool:
     """Equality on values: same kind and equal; locations by identity."""
-    ka, kb = value_kind(a), value_kind(b)
-    if ka != kb:
-        return False
-    return a == b
+    return value_kind(a) == value_kind(b) and a == b
 
 
 def reachable(h: Heap, roots) -> set:
@@ -158,6 +153,8 @@ class InterpHooks:
 
     The heap a hook receives is the running heap, updated in place after the
     hook returns: a hook that keeps a state beyond its own call must copy it.
+    A `gamma` is the static typing context of the command (or of the call
+    site), the same object at every execution of it: a hook must not change it.
     `after_alloc` sees the heap with the new object in its default state;
     `before_write` sees it before `loc.fieldname := value` lands.
     """
@@ -224,7 +221,6 @@ class RunResult:
 
     outcome: object  # Bottom | (heap, store)
     fuel_used: int
-    value: object = None
     steps: int = 0
 
     @property
@@ -240,7 +236,7 @@ class _Stop(Exception):
 
 
 class Runtime:
-    def __init__(self, ct: ClassTable, loop_cap: int = 100000, hooks: Optional[InterpHooks] = None):
+    def __init__(self, ct: ClassTable, loop_cap: int = LOOP_CAP, hooks: Optional[InterpHooks] = None):
         self.ct = ct
         self.loop_cap = loop_cap
         self.hooks = hooks
@@ -271,11 +267,11 @@ class Runtime:
         """Run the constructor chain of `class_name` on `loc`, root first."""
         return self._entry(h, lambda h: self._exec_constructor(class_name, h, loc))
 
-    def invoke(self, loc: Location, mname: str, args, h: Heap, fuel: int, start_class: Optional[str] = None):
-        return self._entry(h, lambda h: (h, self._invoke(loc, mname, args, h, fuel, start_class)))
+    def invoke(self, loc: Location, mname: str, args, h: Heap, fuel: int):
+        return self._entry(h, lambda h: (h, self._invoke(loc, mname, args, h, fuel)))
 
     def exec_command(self, gamma, cmd, h: Heap, eta: Store, fuel: int):
-        c = _compile(cmd)
+        c = _compile(cmd, gamma)
         return self._entry(h, lambda h: (h, self._exec_command(gamma, cmd, h, eta, fuel, c)))
 
     def eval_expr(self, h: Heap, eta: Store, e):
@@ -286,11 +282,13 @@ class Runtime:
             return stop.bottom
 
     # -- the table's code, compiled on first use, keyed by a node's id (the entry
-    # holds the node, so the id is not reused), (method, start class) or class
+    # holds the node, so the id is not reused), (method, start class) or class.
+    # A command node has one context, so one code: desugar builds a fresh tree
+    # per body and shares only call-free expressions, which compile without one.
 
-    def _compiled(self, node):
-        entry = self._code.get(id(node)) or self._code.setdefault(id(node), (node, _compile(node)))
-        return entry[1]
+    def _compiled(self, node, gamma):
+        entry = self._code.get(id(node)) or self._code.setdefault(id(node), (node, gamma, _compile(node, gamma)))
+        return entry[1:]
 
     def _method(self, mname: str, start: str):
         """`mname` resolved from class `start`, with all that a call of it needs."""
@@ -301,8 +299,8 @@ class Runtime:
             decl_class, m = resolved
             entry = self._code[mname, start] = (
                 tuple(x for x, _ in m.params), default_value(m.return_type),
-                dict(m.params, self=ClassType(decl_class), result=m.return_type),
-                f"{decl_class}.{mname}", m.module_scoped, self._compiled(m.body), m.body,
+                *self._compiled(m.body, A.method_context(decl_class, m)),
+                f"{decl_class}.{mname}", m.module_scoped, m.body,
             )
         return entry
 
@@ -323,7 +321,7 @@ class Runtime:
     def _observed(self, c, cmd, gamma, h: Heap, eta: Store, fuel: int) -> Store:
         """Run `cmd`, compiled to `c`, and report its outcome to `after_command`."""
         try:
-            eta = c(self, gamma, h, eta, fuel)
+            eta = c(self, h, eta, fuel)
         except _Stop as stop:
             self.hooks.after_command(gamma, cmd, stop.bottom)
             raise
@@ -331,9 +329,10 @@ class Runtime:
         return eta
 
     def _exec_command(self, gamma, cmd, h: Heap, eta: Store, fuel: int, c=None) -> Store:
-        c = c or self._compiled(cmd)
+        if c is None:  # the table's code, and the context it was compiled under
+            gamma, c = self._compiled(cmd, gamma)
         self.steps += 1
-        return c(self, gamma, h, eta, fuel) if not self.hooks else self._observed(c, cmd, gamma, h, eta, fuel)
+        return c(self, h, eta, fuel) if not self.hooks else self._observed(c, cmd, gamma, h, eta, fuel)
 
     # -- construction
 
@@ -357,11 +356,11 @@ class Runtime:
 
     # -- method invocation (fuel j: body runs with fuel j-1), as a compiled call does
 
-    def _invoke(self, loc: Location, mname: str, args, h: Heap, fuel: int, start_class: Optional[str] = None):
+    def _invoke(self, loc: Location, mname: str, args, h: Heap, fuel: int):
         if fuel <= 0:
             raise self._stop(FUEL_EXHAUSTED, f"call to {mname}")
         self.low_fuel = min(self.low_fuel, fuel)
-        pars, result, gamma, label, _, _, body = self._method(mname, start_class or loc.class_name)
+        pars, result, gamma, _, label, _, body = self._method(mname, loc.class_name)
         self._stack.append(label)
         try:
             return self._exec_command(gamma, body, h, dict(zip(pars, args), self=loc, result=result), fuel - 1)["result"]
@@ -372,10 +371,11 @@ class Runtime:
 _INT_OPS = {"+": operator.add, "-": operator.sub, "mod": lambda d1, d2: d1 % d2 if d2 != 0 else 0}
 
 
-def _compile(node):
+def _compile(node, gamma=None):
     """Compile a core expression to a closure `(rt, h, eta) -> value`, or a
-    core command to a closure `(rt, gamma, h, eta, fuel) -> eta`, subtrees
-    included. This is the one place that dispatches on the node type."""
+    core command, under its typing context `gamma`, to a closure
+    `(rt, h, eta, fuel) -> eta`, subtrees included. This is the one place that
+    dispatches on the node type."""
     t = type(node)
     if t is A.Var:
         name = node.name
@@ -408,17 +408,17 @@ def _compile(node):
         target, class_name = _compile(node.target), node.class_name
         return lambda rt, h, eta: (l := target(rt, h, eta)) is not None and rt.ct.subtype_names(l.class_name, class_name)
     if t is A.Skip:
-        return lambda rt, gamma, h, eta, fuel: eta
+        return lambda rt, h, eta, fuel: eta
     if t is A.Abort:
-        def abort(rt, gamma, h, eta, fuel):
+        def abort(rt, h, eta, fuel):
             raise rt._stop(ABORT)
         return abort
     if t is A.Assign:
         name, expr = node.name, _compile(node.expr)
-        return lambda rt, gamma, h, eta, fuel: {**eta, name: expr(rt, h, eta)}
+        return lambda rt, h, eta, fuel: {**eta, name: expr(rt, h, eta)}
     if t is A.FieldAssign:
         target, fieldname, expr = _compile(node.target), node.fieldname, _compile(node.expr)
-        def field_assign(rt, gamma, h, eta, fuel):
+        def field_assign(rt, h, eta, fuel):
             l = target(rt, h, eta)
             if l is None:
                 raise rt._stop(NIL_DEREF, f"update of field {fieldname} of null")
@@ -430,13 +430,14 @@ def _compile(node):
         return field_assign
     if t is A.NewAssign:
         name, class_name = node.name, node.class_name
-        return lambda rt, gamma, h, eta, fuel: {**eta, name: rt._new_object(class_name, h)}
+        return lambda rt, h, eta, fuel: {**eta, name: rt._new_object(class_name, h)}
     if t is A.CallAssign or t is A.SuperCallAssign:  # `x := super.m(args)` has no receiver
         name, mname, args = node.name, node.method, [_compile(a) for a in node.args]
         receiver = _compile(node.receiver) if t is A.CallAssign else None
-        def call(rt, gamma, h, eta, fuel):
+        self_class = gamma["self"].name if receiver is None else None  # a super lookup starts above it
+        def call(rt, h, eta, fuel):
             if receiver is None:
-                loc, start = eta["self"], rt.ct.super_of(gamma["self"].name)
+                loc, start = eta["self"], rt.ct.super_of(self_class)
             else:
                 loc = receiver(rt, h, eta)
                 if loc is None:
@@ -445,7 +446,7 @@ def _compile(node):
             values = [a(rt, h, eta) for a in args]
             if fuel <= 0:
                 raise rt._stop(FUEL_EXHAUSTED, f"call to {mname}")
-            pars, result, gamma1, label, mscoped, c, body = rt._method(mname, start)
+            pars, result, gamma1, c, label, mscoped, body = rt._method(mname, start)
             hooks = rt.hooks
             if hooks:
                 store = dict(zip(pars, values), self=loc)
@@ -455,7 +456,7 @@ def _compile(node):
             rt._stack.append(label)
             rt.steps += 1
             try:
-                out = c(rt, gamma1, h, eta1, fuel - 1) if not hooks else rt._observed(c, body, gamma1, h, eta1, fuel - 1)
+                out = c(rt, h, eta1, fuel - 1) if not hooks else rt._observed(c, body, gamma1, h, eta1, fuel - 1)
             except _Stop as stop:
                 if hooks:
                     hooks.after_call(gamma, start, store, stop.bottom, node, mscoped)
@@ -467,11 +468,13 @@ def _compile(node):
             return {**eta, name: out["result"]}
         return call
     if t is A.LocalBlock:
-        name, var_type, init, body, c = node.name, node.var_type, _compile(node.init), node.body, _compile(node.body)
-        def local_block(rt, gamma, h, eta, fuel):
-            eta1, gamma1 = {**eta, name: init(rt, h, eta)}, {**gamma, name: var_type}
+        name, init, body = node.name, _compile(node.init), node.body
+        gamma1 = {**gamma, name: node.var_type}
+        c = _compile(body, gamma1)
+        def local_block(rt, h, eta, fuel):
+            eta1 = {**eta, name: init(rt, h, eta)}
             rt.steps += 1
-            out = c(rt, gamma1, h, eta1, fuel) if not rt.hooks else rt._observed(c, body, gamma1, h, eta1, fuel)
+            out = c(rt, h, eta1, fuel) if not rt.hooks else rt._observed(c, body, gamma1, h, eta1, fuel)
             out = dict(out)  # a hook may hold the body's store
             if name in eta:
                 out[name] = eta[name]  # restore the shadowed variable
@@ -481,30 +484,30 @@ def _compile(node):
         return local_block
     if t is A.If:
         cond = _compile(node.cond)
-        then, otherwise = (_compile(node.then_cmd), node.then_cmd), (_compile(node.else_cmd), node.else_cmd)
-        def if_(rt, gamma, h, eta, fuel):
+        then, otherwise = (_compile(node.then_cmd, gamma), node.then_cmd), (_compile(node.else_cmd, gamma), node.else_cmd)
+        def if_(rt, h, eta, fuel):
             c, body = then if cond(rt, h, eta) else otherwise
             rt.steps += 1
-            return c(rt, gamma, h, eta, fuel) if not rt.hooks else rt._observed(c, body, gamma, h, eta, fuel)
+            return c(rt, h, eta, fuel) if not rt.hooks else rt._observed(c, body, gamma, h, eta, fuel)
         return if_
     if t is A.While:
-        cond, body, c = _compile(node.cond), node.body, _compile(node.body)
-        def while_(rt, gamma, h, eta, fuel):
+        cond, body, c = _compile(node.cond), node.body, _compile(node.body, gamma)
+        def while_(rt, h, eta, fuel):
             iterations = 0
             while cond(rt, h, eta):
                 iterations += 1
                 if iterations > rt.loop_cap:
                     raise rt._stop(FUEL_EXHAUSTED, "loop iteration cap exceeded")
                 rt.steps += 1
-                eta = c(rt, gamma, h, eta, fuel) if not rt.hooks else rt._observed(c, body, gamma, h, eta, fuel)
+                eta = c(rt, h, eta, fuel) if not rt.hooks else rt._observed(c, body, gamma, h, eta, fuel)
             return eta
         return while_
     if t is A.Seq:
-        items = [(_compile(body), body) for body in node.items]
-        def seq(rt, gamma, h, eta, fuel):
+        items = [(_compile(body, gamma), body) for body in node.items]
+        def seq(rt, h, eta, fuel):
             for c, body in items:
                 rt.steps += 1
-                eta = c(rt, gamma, h, eta, fuel) if not rt.hooks else rt._observed(c, body, gamma, h, eta, fuel)
+                eta = c(rt, h, eta, fuel) if not rt.hooks else rt._observed(c, body, gamma, h, eta, fuel)
             return eta
         return seq
     raise TypeError(f"not a core command or expression: {node!r}")
@@ -514,8 +517,8 @@ def run(
     ct: ClassTable,
     entry_class: str,
     entry_method: str,
-    max_fuel: int = 1024,
-    loop_cap: int = 100000,
+    max_fuel: int = MAX_FUEL,
+    loop_cap: int = LOOP_CAP,
     hooks: Optional[InterpHooks] = None,
 ) -> RunResult:
     """Construct one entry object and execute the entry method body once, at
@@ -537,10 +540,9 @@ def run(
     out = rt.new_object(entry_class, {})
     if not isinstance(out, Bottom):
         h, loc = out
-        gamma = {"self": ClassType(decl_class), "result": m.return_type}
         eta = {"self": loc, "result": default_value(m.return_type)}
         try:  # h is the heap new_object made for this entry; run on it, cursors intact
-            out = h, rt._exec_command(gamma, m.body, h, eta, max_fuel)
+            out = h, rt._exec_command(A.method_context(decl_class, m), m.body, h, eta, max_fuel)
         except _Stop as stop:
             out = stop.bottom
             if out.is_fuel():
@@ -552,7 +554,7 @@ def run(
     return RunResult(out, min(fuel, max_fuel), steps=rt.steps)
 
 
-def format_state(ct: ClassTable, h: Heap, eta: Store) -> str:
+def format_state(h: Heap, eta: Store) -> str:
     """Deterministic listing of a (collected) state: store first, then objects
     in breadth-first order from the store (referents after referrers), any
     unreachable leftovers last."""

@@ -18,7 +18,7 @@ from typing import Dict, List, Set
 from . import ast as A
 from .ast import ClassType
 from .classtable import ClassTable
-from .typecheck import Diagnostic, TypeCheckError, method_context, type_of_expr
+from .typecheck import Diagnostic, TypeCheckError, type_of_expr
 
 NEW_REP_IN_CLIENT = "NewRepInClient"
 NEW_OWNER_IN_REP = "NewOwnerInRep"
@@ -218,7 +218,7 @@ def safe_table(ct: ClassTable) -> SafetyReport:
         an._cls = cname
         for m in decl.methods:
             an._meth = m.name
-            an.command(method_context(ct, cname, m), m.body)
+            an.command(A.method_context(cname, m), m.body)
         an._meth = "con"
         an.command({"self": ClassType(cname)}, decl.constructor)
     an._meth = ""

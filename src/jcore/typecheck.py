@@ -217,13 +217,6 @@ def _check_node(ct: ClassTable, gamma: Dict[str, object], cmd) -> None:
     raise TypeError(f"not a command: {cmd!r}")
 
 
-def method_context(ct: ClassTable, cname: str, m: A.MethodDecl) -> Dict[str, object]:
-    gamma = {x: t for x, t in m.params}
-    gamma["self"] = ClassType(cname)
-    gamma["result"] = m.return_type
-    return gamma
-
-
 def check_table(ct: ClassTable) -> TypeReport:
     """Check every method body, override invariance, and constructor typing."""
     issues: List[Diagnostic] = []
@@ -238,23 +231,17 @@ def check_table(ct: ClassTable) -> TypeReport:
             if sup != OBJECT:
                 inherited = ct.mtype(m.name, sup)
                 if inherited is not None:
-                    own_sig = (tuple(t for _, t in m.params), m.return_type)
-                    if inherited != own_sig:
-                        issues.append(Diagnostic(
-                            "InvalidOverride",
-                            f"{cname}.{m.name} changes the inherited signature",
-                            m.span, cname, m.name,
-                        ))
-                        continue
-                    if ct.pars(m.name, sup) != tuple(x for x, _ in m.params):
-                        issues.append(Diagnostic(
-                            "InvalidOverride",
-                            f"{cname}.{m.name} renames inherited parameters",
-                            m.span, cname, m.name,
-                        ))
+                    if inherited != (tuple(t for _, t in m.params), m.return_type):
+                        problem = "changes the inherited signature"
+                    elif ct.pars(m.name, sup) != tuple(x for x, _ in m.params):
+                        problem = "renames inherited parameters"
+                    else:
+                        problem = None
+                    if problem:
+                        issues.append(Diagnostic("InvalidOverride", f"{cname}.{m.name} {problem}", m.span, cname, m.name))
                         continue
             try:
-                check_command(ct, method_context(ct, cname, m), m.body)
+                check_command(ct, A.method_context(cname, m), m.body)
             except TypeCheckError as exc:
                 record(exc, cname, m.name)
         # constructor: typed with self only, and free of method calls

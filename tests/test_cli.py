@@ -203,6 +203,56 @@ def test_missing_file_exit_2(capsys):
     assert main(["equiv", "/nonexistent/manifest.json"]) == 2
 
 
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.jcore"
+    path.write_bytes("class Caf\xe9 extends Object { }".encode("latin-1"))
+    return str(path)
+
+
+def _manifest_table_a(tmp_path, table):
+    with open(_c("manifests/obool_pair.json")) as f:
+        data = json.load(f)
+    data["tableA"], data["tableB"] = table, _c("obool_v2.jcore")
+    path = tmp_path / "table_a.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+_OBOOL = ["--entry", "Main.main", "--own", "OBool", "--rep", "Bool"]
+
+
+@pytest.mark.parametrize("argv, culprit, problem", [
+    (lambda tmp: ["check", str(tmp)], str, "Is a directory"),
+    (lambda tmp: ["analyze", "--own", "OBool", "--rep", "Bool", str(tmp)], str, "Is a directory"),
+    (lambda tmp: ["run", str(tmp), "--entry", "A.m"], str, "Is a directory"),
+    (lambda tmp: ["equiv", str(tmp)], str, "Is a directory"),
+    (lambda tmp: ["simtest", str(tmp)], str, "Is a directory"),
+    (lambda tmp: ["check", _not_utf8(tmp)], _not_utf8, "not UTF-8 text"),
+    (lambda tmp: ["dot", _not_utf8(tmp), *_OBOOL], _not_utf8, "not UTF-8 text"),
+    (lambda tmp: ["equiv", _manifest_table_a(tmp, str(tmp))], str, "Is a directory"),
+    (lambda tmp: ["equiv", _manifest_table_a(tmp, _not_utf8(tmp))], _not_utf8, "not UTF-8 text"),
+    (lambda tmp: ["dot", "-o", str(tmp), _c("obool_v1.jcore"), *_OBOOL], str, "Is a directory"),
+], ids=["check-dir", "analyze-dir", "run-dir", "equiv-dir", "simtest-dir", "check-not-utf8", "dot-not-utf8",
+        "equiv-tableA-dir", "equiv-tableA-not-utf8", "dot-output-dir"])
+def test_unreadable_inputs_are_clean_errors(tmp_path, capsys, argv, culprit, problem):
+    assert main(argv(tmp_path)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert culprit(tmp_path) in err and problem in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", _c("obool_v1.jcore")],
+    ["analyze", _c("obool_v1.jcore")],
+    ["run", "--entry", "Main.main", _c("obool_v1.jcore")],
+    ["dot", "--entry", "Main.main", _c("obool_v1.jcore")],
+], ids=["check", "analyze", "run", "dot"])
+@pytest.mark.parametrize("flag", ["--rep", "--rep2"])
+def test_rep_without_own_is_a_usage_error(capsys, argv, flag):
+    assert main([*argv, flag, "Bool"]) == 2
+    assert capsys.readouterr() == ("", f"usage error: {flag} requires --own\n")
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("entry, message", [
     ("Nope.main", "unknown entry class Nope"),

@@ -286,6 +286,6 @@ def test_format_state_and_collect_on_corpus_finals(tables, corpus):
             res = run(tables[name], e.entry_class, e.entry_method)
             if res.ok:
                 h, eta = collect(*res.outcome)
-                listings.append(f"{name} {list(h)}\n{format_state(tables[name], h, eta)}")
+                listings.append(f"{name} {list(h)}\n{format_state(h, eta)}")
     assert len(listings) == 18
     assert hashlib.sha256("\n".join(listings).encode()).hexdigest()[:16] == "f6a3fabb5f13e497"

@@ -115,9 +115,9 @@ def test_confined_store_client_holding_rep(tables):
     ct, h, roots = _obs_state(tables, 1)
     part = confine_heap(ct, h)
     node = next(l for l in h if l.class_name == "Node")
-    out = confined_store(ct, "Main", {"self": Location("Main", 0), "w": node}, h, part)
+    out = confined_store(ct, "Main", {"self": Location("Main", 0), "w": node}, part)
     assert out is not None and out.kind == "StoreViolation"
-    assert confined_store(ct, "Main", {"self": Location("Main", 0), "x": None, "n": 3}, h, part) is None
+    assert confined_store(ct, "Main", {"self": Location("Main", 0), "x": None, "n": 3}, part) is None
 
 
 def test_confined_store_owner_flexible_rep():
@@ -130,7 +130,7 @@ def test_confined_store_owner_flexible_rep():
     part = confine_heap(ct, h)
     assert isinstance(part, Partition) and rep in part.flexible
     # a fresh unattached rep held in an owner local is fine
-    assert confined_store(ct, "Own", {"self": own, "n": rep}, h, part) is None
+    assert confined_store(ct, "Own", {"self": own, "n": rep}, part) is None
 
 
 def test_confined_store_owner_foreign_rep():
@@ -142,7 +142,7 @@ def test_confined_store_owner_foreign_rep():
         rep: {"ro": None, "rr": None, "rc": None},
     }
     part = confine_heap(ct, h)
-    out = confined_store(ct, "Own", {"self": o2, "n": rep}, h, part)
+    out = confined_store(ct, "Own", {"self": o2, "n": rep}, part)
     assert out is not None and out.kind == "StoreViolation"
 
 
@@ -155,12 +155,12 @@ def test_confined_store_rep_code():
         rep2: {"ro": None, "rr": None, "rc": None},
     }
     part = confine_heap(ct, h)
-    assert confined_store(ct, "Rep", {"self": rep1, "o": o1}, h, part) is None
+    assert confined_store(ct, "Rep", {"self": rep1, "o": o1}, part) is None
     o2 = Location("Own", 1)
     h2 = dict(h)
     h2[o2] = {"po": None, "pr": None, "pc": None}
     part2 = confine_heap(ct, h2)
-    out = confined_store(ct, "Rep", {"self": rep1, "o": o2}, h2, part2)
+    out = confined_store(ct, "Rep", {"self": rep1, "o": o2}, part2)
     assert out is not None and out.kind == "StoreViolation"
 
 
@@ -517,8 +517,8 @@ def test_followed_partition_matches_confine_heap_on_random_walks():
                 continue
             spec = confine_heap(ct, h)
             for cls, eta in _seeded_stores(ct, h, stores):
-                got = confined_store(ct, cls, eta, h, part)
-                assert confined_store(ct, cls, eta, h, spec) == got, (cls, eta, h)
+                got = confined_store(ct, cls, eta, part)
+                assert confined_store(ct, cls, eta, spec) == got, (cls, eta, h)
                 assert (got is None) == _store_ok_by_islands(ct, cls, eta, spec), (cls, eta, h)
                 refused[ct.role(cls)] += got is not None
             for pre, mark in zip(pres, monitor._marks):

@@ -1,6 +1,6 @@
 """Source hygiene of the `jcore` package: no unused imports, no imports
-inside functions and no test-only functions or classes, checked on the syntax
-tree of every module."""
+inside functions, no test-only functions or classes and no unused
+parameters, checked on the syntax tree of every module."""
 
 import ast
 import os
@@ -145,4 +145,50 @@ def test_no_test_only_code_in_the_package():
                 continue
             if not any(d.name in names for stmt, names in reads if stmt is not d):
                 unused.append(f"{rel}:{d.lineno} {d.name}")
+    assert unused == []
+
+
+def _names(exprs):
+    """The bare names among `exprs`."""
+    return {e.id for e in exprs if isinstance(e, ast.Name)}
+
+
+def _protocol_methods(modules):
+    """(class, method) pairs whose signature a protocol fixes, not the body:
+    the `InterpHooks` methods and their overrides, and the `BasicCoupling`
+    predicates (as `(None, function)`)."""
+    classes = [n for tree in modules.values() for n in tree.body if isinstance(n, ast.ClassDef)]
+    (hooks,) = [c for c in classes if c.name == "InterpHooks"]
+    hook_names = {fn.name for fn in hooks.body if isinstance(fn, ast.FunctionDef)}
+    hook_classes = {c.name for c in classes if c is hooks or "InterpHooks" in _names(c.bases)}
+    pairs = {(c, m) for c in hook_classes for m in hook_names}
+    for tree in modules.values():
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and _names([call.func]) == {"BasicCoupling"}:
+                pairs.add((None, call.args[2].id))  # BasicCoupling(name, target_pair, predicate)
+    return pairs
+
+
+def test_no_unused_parameters():
+    """Every parameter of every module- or class-level function of the
+    package is read in its body, save for a method's receiver, dunders and
+    the methods whose signature a protocol fixes."""
+    modules = dict(_modules())
+    protocol = _protocol_methods(modules)
+    assert len(protocol) >= 4 * 5 + 4  # four hook classes, five hooks; four couplings
+    unused = []
+    for rel, tree in modules.items():
+        defs = [(None, d) for d in tree.body]
+        defs += [(c.name, d) for c in tree.body if isinstance(c, ast.ClassDef) for d in c.body]
+        for owner, fn in defs:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if fn.name.startswith("__") and fn.name.endswith("__") or (owner, fn.name) in protocol:
+                continue
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p is not None]
+            if owner and "staticmethod" not in _names(fn.decorator_list):
+                params = params[1:]  # the receiver, `self` or `cls`
+            read = {n.id for stmt in fn.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            unused += [f"{rel}:{fn.lineno} {fn.name}({p})" for p in params if p not in read]
     assert unused == []

@@ -7,11 +7,12 @@ from helpers import heap_closed, heap_well_typed, observer_n, store_closed, valu
 from jcore import ast as A
 from jcore import interp
 from jcore.ast import BOOL, INT, UNIT, ClassType
-from jcore.classtable import Designations, build_class_table
+from jcore.classtable import Designations, WellFormednessError, build_class_table
 from jcore.desugar import parse_and_desugar
 from jcore.interp import (
-    IT, Bottom, EntryClassError, InterpHooks, Location, Runtime, collect, fresh, run, values_equal,
+    IT, Bottom, EntryClassError, InterpHooks, Location, Runtime, collect, default_value, fresh, run, values_equal,
 )
+from test_roundtrip_fuzz import gen_program
 
 
 def test_fresh_least_unused_index():
@@ -421,6 +422,64 @@ def test_super_call_statically_bound_to_declaring_class():
     # dynamic dispatch picks C's tag; the super call in B's body is bound to
     # A.tag regardless of the receiver's dynamic class
     assert st == {"dyn": 3, "sup": 1}
+
+
+class _Contexts(InterpHooks):
+    """Each executed command with the context its hook received."""
+
+    def __init__(self):
+        self.seen = []
+
+    def after_command(self, gamma, cmd, outcome):
+        self.seen.append((cmd, gamma))
+
+
+def _assert_checker_contexts(ct, seen):
+    """Each command reported the context `ast.walk_commands` gives it from
+    the root of its body, as one object however often it ran. Returns the
+    number of repeated reports."""
+    want = {}
+    for cname, decl in ct.decls.items():
+        roots = [(m.body, A.method_context(cname, m)) for m in decl.methods]
+        for root, gamma in roots + [(decl.constructor, {"self": ClassType(cname)})]:
+            want.update((id(cmd), ctx) for cmd, ctx in A.walk_commands(root, gamma))
+    reported = {}
+    for cmd, gamma in seen:
+        assert dict(gamma) == want[id(cmd)], cmd
+        assert reported.setdefault(id(cmd), gamma) is gamma, cmd
+    return len(seen) - len(reported)
+
+
+def test_hooks_receive_the_checkers_contexts(corpus, tables):
+    """Every corpus entry, run twice, and every method of the round-trip
+    programs, run on a fresh object."""
+    kinds, repeats = set(), 0
+    for name, rec in corpus.items():
+        log = _Contexts()
+        for e in rec.entries * 2:
+            run(tables[name], e.entry_class, e.entry_method, hooks=log)
+        repeats += _assert_checker_contexts(tables[name], log.seen)
+        kinds |= {type(cmd).__name__ for cmd, _ in log.seen}
+    rng = random.Random(2718)
+    for _ in range(100):
+        try:
+            ct = build_class_table(gen_program(rng))
+        except WellFormednessError:
+            continue
+        log = _Contexts()
+        rt = Runtime(ct, loop_cap=20, hooks=log)
+        for decl in ct.decls.values():
+            for m in decl.methods:
+                try:  # the programs are not typed: a run may end in a Python error
+                    out = rt.new_object(decl.name, {})
+                    if not isinstance(out, Bottom):
+                        rt.invoke(out[1], m.name, [default_value(t) for _, t in m.params], out[0], 3)
+                except (KeyError, TypeError, AttributeError, AssertionError):
+                    pass
+        repeats += _assert_checker_contexts(ct, log.seen)
+        kinds |= {type(cmd).__name__ for cmd, _ in log.seen}
+    assert {"LocalBlock", "If", "While", "Seq", "CallAssign", "SuperCallAssign"} <= kinds
+    assert repeats > 1000
 
 
 def test_obool_versions_agree_after_init(tables):

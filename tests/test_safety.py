@@ -1,10 +1,9 @@
 from jcore import ast as A
-from jcore.ast import ClassType
+from jcore.ast import ClassType, method_context
 from jcore.classtable import Designations, build_class_table
 from jcore.desugar import desugar, parse_and_desugar
 from jcore.parser import parse
 from jcore.safety import safe_command, safe_expr, safe_table
-from jcore.typecheck import method_context
 from pretty import program_str
 
 
@@ -62,7 +61,7 @@ def test_new_owner_in_rep(tables):
 def test_subowner_may_construct_reps(tables):
     ct = tables["observer_sub"]
     add = ct.decls["ObservableAcc"].method("add")
-    g = method_context(ct, "ObservableAcc", add)
+    g = method_context("ObservableAcc", add)
     assert safe_command(ct, g, add.body) == []
 
 

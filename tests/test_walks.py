@@ -8,13 +8,13 @@ import pytest
 
 from helpers import walk_commands_rec, walk_exprs_rec
 from jcore import ast as A
-from jcore.ast import ClassType
+from jcore.ast import ClassType, method_context
 from jcore.classtable import Designations, build_class_table
 from jcore.corpus import load_corpus
 from jcore.desugar import desugar, parse_and_desugar
 from jcore.parser import parse
 from jcore.safety import safe_command
-from jcore.typecheck import check_command, method_context
+from jcore.typecheck import check_command
 from test_roundtrip_fuzz import _bench_padded_sources, gen_program
 
 EXPRS = (
@@ -57,7 +57,7 @@ def test_walk_commands_matches_the_recursive_walk(tables, programs):
     for ct in tables.values():
         for cname, decl in ct.decls.items():
             for m in decl.methods:
-                _assert_same_commands(m.body, method_context(ct, cname, m))
+                _assert_same_commands(m.body, method_context(cname, m))
             _assert_same_commands(decl.constructor, {"self": ClassType(cname)})
     for _, core in programs:
         for decl in core:
