@@ -76,11 +76,16 @@ def _report_files(args, verdict) -> int:
     """Load each file and report what `verdict(path, table)` finds, a headline
     and a list of diagnostics; a file that does not load reports its error.
     JSON mode prints a per-file summary record, then one record per
-    diagnostic."""
-    failed = False
+    diagnostic. A file that cannot be read prints its `error:` line on
+    stderr, and the exit code is then 2."""
+    failed = unreadable = False
     for path in args.files:
         try:
             ct = _load_table(path, args)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            unreadable = True
+            continue
         except (ParseError, WellFormednessError) as exc:
             ok, records, lines = False, [{"file": path, "error": str(exc)}], [f"{path}: {exc}"]
         else:
@@ -95,7 +100,7 @@ def _report_files(args, verdict) -> int:
             for line in lines:
                 print(line)
         failed = failed or not ok
-    return 1 if failed else 0
+    return 2 if unreadable else 1 if failed else 0
 
 
 def cmd_check(args) -> int:

@@ -1,14 +1,19 @@
-"""Lowering of surface programs to the core AST.
+"""Lowering of surface programs to the core AST, in A-normal form (C.
+Flanagan, A. Sabry, B. Duba and M. Felleisen, "The Essence of Compiling with
+Continuations", PLDI 1993).
 
-Three abbreviations are eliminated:
+One rule eliminates the three abbreviations: each method call is hoisted
+into a fresh local, strictly left to right, receiver before arguments, and
+every fresh local has one block shape, `T tmp := default(T) in first; rest`,
+whose `first` runs the call (or the `new`) and whose `rest` uses the result:
 
-* a method call used as a statement becomes a call assignment to a fresh,
-  otherwise unused local;
-* `new` initializing a field or a local becomes a default-initialized local
-  block plus an object-construction assignment;
-* method calls in expression position (receivers, arguments, operands) are
-  hoisted into fresh locals, strictly left to right, receiver before
-  arguments.
+* a method call used as a statement is a call assignment to a fresh,
+  otherwise unused local, with the `rest` `skip`;
+* `new` into a field goes through a fresh local, and `new` into a local is
+  that local's default-initialized block plus an object construction;
+* method calls in expression position (receivers, arguments, operands,
+  guards) are hoisted into fresh locals around their statement; a loop
+  guard's hoisted calls run again at the end of the loop body.
 
 Fresh locals are named `$tmp0`, `$tmp1`, ... with the counter reset per body;
 a hand-written identifier cannot collide with them, because each body's
@@ -118,8 +123,6 @@ class _BodyLowerer:
                 if m:
                     return m.return_type
             return None
-        if isinstance(e, A.NewExpr):
-            return A.ClassType(e.class_name)
         return None
 
     # -- hoisting
@@ -147,23 +150,24 @@ class _BodyLowerer:
     def hoist_call(self, call, env, bindings: List[Tuple[object, str, object]]):
         """Hoist the calls in the receiver, then in the arguments, of `call`;
         return `call` over the call-free forms."""
-        if isinstance(call, A.SuperCallExpr):
-            args = tuple(self.hoist(a, env, bindings) for a in call.args)
-            return A.SuperCallExpr(call.method, args, call.span)
-        recv = self.hoist(call.receiver, env, bindings)
+        # both call nodes are (receiver, if any; method; args; span)
+        receiver = () if isinstance(call, A.SuperCallExpr) else (self.hoist(call.receiver, env, bindings),)
         args = tuple(self.hoist(a, env, bindings) for a in call.args)
-        return A.CallExpr(recv, call.method, args, call.span)
+        return call.__class__(*receiver, call.method, args, call.span)
 
     def _call_assign(self, name, call):
         if isinstance(call, A.SuperCallExpr):
             return A.SuperCallAssign(name, call.method, call.args, call.span)
         return A.CallAssign(name, call.receiver, call.method, call.args, call.span)
 
+    def _block(self, t, name, first, rest, span):
+        """`t name := default(t) in first; rest`, the one shape of a temp's block."""
+        return A.LocalBlock(t, name, default_literal(t), A.seq([first, rest]), span)
+
     def _wrap(self, bindings, core_cmd):
-        """Wrap a command in default-init blocks executing the hoisted calls."""
+        """Wrap a command in the blocks of the hoisted calls, the first outermost."""
         for t, name, call in reversed(bindings):
-            inner = A.seq([self._call_assign(name, call), core_cmd])
-            core_cmd = A.LocalBlock(t, name, default_literal(t), inner, call.span)
+            core_cmd = self._block(t, name, self._call_assign(name, call), core_cmd, call.span)
         return core_cmd
 
     # -- statements
@@ -217,76 +221,57 @@ class _BodyLowerer:
         return close
 
     def lower_one(self, s, env) -> object:
+        """Lower one statement other than a local or a group: hoist the calls
+        its expressions make into `bindings`, build its core command over the
+        call-free forms, and wrap that in the hoisted calls' blocks."""
+        bindings: List[Tuple[object, str, object]] = []
         if isinstance(s, SSkip):
-            return A.Skip(s.span)
-        if isinstance(s, SAbort):
-            return A.Abort(s.span)
-        if isinstance(s, SIf):
-            bindings: List[Tuple[object, str, object]] = []
+            cmd = A.Skip(s.span)
+        elif isinstance(s, SAbort):
+            cmd = A.Abort(s.span)
+        elif isinstance(s, SIf):
             cond = self.hoist(s.cond, env, bindings)
             cmd = A.If(cond, self.lower_seq([s.then_seq], env), self.lower_seq([s.else_seq], env), s.span)
-            return self._wrap(bindings, cmd)
-        if isinstance(s, SWhile):
-            bindings = []
+        elif isinstance(s, SWhile):
             cond = self.hoist(s.cond, env, bindings)
-            body = self.lower_seq([s.body], env)
-            if bindings:
-                # effectful guard: re-evaluate the hoisted calls at the end of
-                # each iteration so the loop observes a fresh guard value
-                recalls = A.seq([self._call_assign(n, c) for _, n, c in bindings])
-                loop = A.While(cond, A.seq([body, recalls]), s.span)
-                return self._wrap(bindings, loop)
-            return A.While(cond, body, s.span)
-        if isinstance(s, SCallStmt):
+            # an effectful guard re-runs its hoisted calls at the end of each
+            # iteration, so the loop observes a fresh guard value
+            recalls = [self._call_assign(n, c) for _, n, c in bindings]
+            cmd = A.While(cond, A.seq([self.lower_seq([s.body], env), *recalls]), s.span)
+        elif isinstance(s, SCallStmt):
             t = self.synth(s.call, env) or A.UNIT
-            bindings = []
             call = self.hoist_call(s.call, env, bindings)
             name = self.fresh()
-            inner = A.seq([self._call_assign(name, call), A.Skip()])
-            return self._wrap(bindings, A.LocalBlock(t, name, default_literal(t), inner, s.span))
-        if isinstance(s, SAssign):
-            return self.lower_assign(s, env)
-        raise TypeError(f"unexpected surface statement: {s!r}")
-
-    def lower_assign(self, s: SAssign, env) -> object:
-        lhs, rhs = s.lhs, s.rhs
-        if isinstance(lhs, A.Var):
+            cmd = self._block(t, name, self._call_assign(name, call), A.Skip(), s.span)
+        elif isinstance(s, SAssign) and isinstance(s.lhs, A.Var):
+            rhs, name = s.rhs, s.lhs.name
             if isinstance(rhs, A.NewExpr):
-                return A.NewAssign(lhs.name, rhs.class_name, s.span)
-            if isinstance(rhs, (A.CallExpr, A.SuperCallExpr)):
-                bindings: List[Tuple[object, str, object]] = []
+                cmd = A.NewAssign(name, rhs.class_name, s.span)
+            elif isinstance(rhs, (A.CallExpr, A.SuperCallExpr)):
+                cmd = self._call_assign(name, self.hoist_call(rhs, env, bindings))
+            else:
+                cmd = A.Assign(name, self.hoist(rhs, env, bindings), s.span)
+        elif isinstance(s, SAssign):
+            # a field store `e.f := rhs`; a `new` or a call goes through a temp
+            rhs, field = s.rhs, s.lhs.fieldname
+            if isinstance(rhs, A.NewExpr):
+                tmp = self.fresh()  # named before the calls in `e` are hoisted
+                store = A.FieldAssign(self.hoist(s.lhs.target, env, bindings), field, A.Var(tmp), s.span)
+                new = A.NewAssign(tmp, rhs.class_name, s.span)
+                cmd = self._block(A.ClassType(rhs.class_name), tmp, new, store, s.span)
+            elif isinstance(rhs, (A.CallExpr, A.SuperCallExpr)):
+                t = self.synth(rhs, env) or A.UNIT
+                target = self.hoist(s.lhs.target, env, bindings)
                 call = self.hoist_call(rhs, env, bindings)
-                return self._wrap(bindings, self._call_assign(lhs.name, call))
-            bindings = []
-            e = self.hoist(rhs, env, bindings)
-            return self._wrap(bindings, A.Assign(lhs.name, e, s.span))
-        # field assignment
-        assert isinstance(lhs, A.FieldAccess)
-        if isinstance(rhs, A.NewExpr):
-            tmp = self.fresh()
-            t = A.ClassType(rhs.class_name)
-            bindings = []
-            target = self.hoist(lhs.target, env, bindings)
-            body = A.seq([
-                A.NewAssign(tmp, rhs.class_name, s.span),
-                A.FieldAssign(target, lhs.fieldname, A.Var(tmp), s.span),
-            ])
-            return self._wrap(bindings, A.LocalBlock(t, tmp, A.NullLit(), body, s.span))
-        if isinstance(rhs, (A.CallExpr, A.SuperCallExpr)):
-            t = self.synth(rhs, env) or A.UNIT
-            bindings = []
-            target = self.hoist(lhs.target, env, bindings)
-            call = self.hoist_call(rhs, env, bindings)
-            tmp = self.fresh()
-            body = A.seq([
-                self._call_assign(tmp, call),
-                A.FieldAssign(target, lhs.fieldname, A.Var(tmp), s.span),
-            ])
-            return self._wrap(bindings, A.LocalBlock(t, tmp, default_literal(t), body, s.span))
-        bindings = []
-        target = self.hoist(lhs.target, env, bindings)
-        value = self.hoist(rhs, env, bindings)
-        return self._wrap(bindings, A.FieldAssign(target, lhs.fieldname, value, s.span))
+                tmp = self.fresh()
+                store = A.FieldAssign(target, field, A.Var(tmp), s.span)
+                cmd = self._block(t, tmp, self._call_assign(tmp, call), store, s.span)
+            else:
+                target = self.hoist(s.lhs.target, env, bindings)
+                cmd = A.FieldAssign(target, field, self.hoist(rhs, env, bindings), s.span)
+        else:
+            raise TypeError(f"unexpected surface statement: {s!r}")
+        return self._wrap(bindings, cmd)
 
 
 def desugar(prog: SurfaceProgram) -> List[A.ClassDecl]:

@@ -88,14 +88,13 @@ def pair_reachable(
     h_a: Heap,
     h_b: Heap,
     fields_of: Callable[[Location], Iterable[str]],
-    seed: Optional[Dict[Location, Location]] = None,
 ):
     """Pair the values reachable from identically named roots into a
-    type-preserving location bijection, breadth first: seed pairs, then the
-    roots in name order, then `fields_of(a)` in order for each newly paired
-    location `a`. A location whose `fields_of` is empty is paired but not
-    entered. Returns the bijection as a dict or a Distinguished witness
-    holding the first mismatching access path."""
+    type-preserving location bijection, breadth first: the roots in name
+    order, then `fields_of(a)` in order for each newly paired location `a`.
+    A location whose `fields_of` is empty is paired but not entered. Returns
+    the bijection as a dict or a Distinguished witness holding the first
+    mismatching access path."""
     sigma: Dict[Location, Location] = {}
     used = set()
     queue = deque()  # (a, b, access path) of pairs whose fields are still to follow
@@ -121,12 +120,6 @@ def pair_reachable(
         queue.append((a, b, path))
         return None
 
-    if seed:
-        for a, b in sorted(seed.items()):
-            bad = pair(a, b, f"<seed {a}>")
-            if bad:
-                return bad
-
     if set(roots_a) != set(roots_b):
         return Distinguished("<store>", "stores bind different variables")
     for x in sorted(roots_a):
@@ -149,7 +142,6 @@ def canonical_bijection(
     ct: ClassTable,
     state_a: Tuple[Heap, Store],
     state_b: Tuple[Heap, Store],
-    seed: Optional[Dict[Location, Location]] = None,
 ):
     """Build the type-preserving location bijection equating two collected
     states: `pair_reachable` from the stores through every field (declaration
@@ -157,9 +149,7 @@ def canonical_bijection(
     Distinguished witness."""
     h_a, eta_a = state_a
     h_b, eta_b = state_b
-    out = pair_reachable(
-        eta_a, eta_b, h_a, h_b, lambda loc: [f for f, _ in ct.fields(loc.class_name)], seed,
-    )
+    out = pair_reachable(eta_a, eta_b, h_a, h_b, lambda loc: [f for f, _ in ct.fields(loc.class_name)])
     if isinstance(out, dict) and (len(out) != len(h_a) or len(out) != len(h_b)):
         return Distinguished("<domain>", "states differ in unreachable locations")
     return out

@@ -104,13 +104,17 @@ def partition_clauses_hold(ct: ClassTable, h: Heap, assignment: Dict[Location, i
 
 def identity_extension_check(ct_a: ClassTable, ct_b: ClassTable, sigma, state_a, state_b):
     """Related states whose collected forms are owner-free must be equal up to
-    the bijection; checked by the canonical traversal seeded with sigma."""
+    the bijection; checked by the canonical traversal seeded with sigma: each
+    pair `(a, b)` of sigma is an extra root `<seed a>`, bound to `a` on one
+    side and to `b` on the other, which sorts before the store's names."""
     ha, ea = collect(*state_a)
     hb, eb = collect(*state_b)
     if not own_free(ct_a, ha, ea) or not own_free(ct_b, hb, eb):
         return "precondition", "an owner is reachable in a collected state"
-    seed = {a: b for a, b in sigma.items() if a in ha and b in hb}
-    out = canonical_bijection(ct_a, (ha, ea), (hb, eb), seed=seed)
+    seed = [(a, b) for a, b in sigma.items() if a in ha and b in hb]
+    ea = {**{f"<seed {a}>": a for a, _ in seed}, **ea}
+    eb = {**{f"<seed {a}>": b for a, b in seed}, **eb}
+    out = canonical_bijection(ct_a, (ha, ea), (hb, eb))
     if isinstance(out, Distinguished):
         return "fail", f"{out.path}: {out.message}"
     return "ok", out

@@ -241,6 +241,23 @@ def test_unreadable_inputs_are_clean_errors(tmp_path, capsys, argv, culprit, pro
     assert culprit(tmp_path) in err and problem in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", [["check"], ["analyze", "--own", "OBool", "--rep", "Bool"]])
+def test_unreadable_file_among_others_is_reported_in_place(tmp_path, capsys, fmt, command):
+    # the files after an unreadable one still get their verdicts; the exit code is 2
+    first, last = _c("obool_v1.jcore"), _c("obool_v2.jcore")
+    assert main(["--format", fmt, *command, first, str(tmp_path), last]) == 2
+    out, err = capsys.readouterr()
+    head = "ok" if command == ["check"] else "safe"
+    if fmt == "text":
+        assert out == f"{first}: {head}\n{last}: {head}\n"
+    else:
+        assert [json.loads(line) for line in out.splitlines()] == [
+            {"file": first, "ok": True}, {"file": last, "ok": True}]
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path) in err and "Is a directory" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["check", _c("obool_v1.jcore")],
     ["analyze", _c("obool_v1.jcore")],
