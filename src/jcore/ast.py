@@ -7,25 +7,25 @@ carried for diagnostics but excluded from equality.
 
 Syntax nodes are slotted records made by `node`, each ending with a `span`
 field. A record is a dataclass whose only generated method is `__init__`;
-equality, hashing, `repr` and frozenness are shared from `Record`.
+equality, hashing, `repr` and frozenness are shared from `Record`. Every
+value class of the package is a record, save three named tuples: `Span`,
+`interp.Location` and `parser.Token`.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from operator import attrgetter
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 OBJECT = "Object"  # built-in root class: no fields, no methods, not instantiable
 
 
-class Span(NamedTuple):
+class Span(namedtuple("Span", "start end line col")):
     """Half-open character range [start, end) with 1-based line/col of start."""
 
-    start: int
-    end: int
-    line: int
-    col: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}"
@@ -60,9 +60,7 @@ def record(cls, slots=False):
     and one compiled source, is `__init__`. It stores each field through its
     slot descriptor with `slots`, else through `object.__setattr__`. A class
     without a docstring gets `Name(field, ...)`, sparing `dataclass` a call
-    of `inspect.signature`. `PrimType`, `ClassType`, `NullType` and
-    `coupling.Step` stay frozen dataclasses: on their hot paths the methods
-    generated for one class beat the shared ones."""
+    of `inspect.signature`."""
     cls.__doc__ = cls.__doc__ or f"{cls.__name__}({', '.join(cls.__dict__.get('__annotations__', ()))})"
     cls = dataclass(init=False, repr=False, eq=False, slots=slots)(cls)
     fs = fields(cls)
@@ -76,7 +74,7 @@ def record(cls, slots=False):
     store = "\n    _set_{0}(self, {0})" if slots else "\n    _setattr(self, {0!r}, {0})"
     stores = "".join(store.format(f.name) for f in fs)
     params = "".join(f", {f.name}" + ("" if f.default is MISSING else f"=_dflt_{f.name}") for f in fs)
-    exec(f"def __init__(self{params}):{stores}", env)
+    exec(f"def __init__(self{params}):{stores or ' pass'}", env)
     cls.__init__ = env["__init__"]
     cls.__init__.__annotations__ = {**{f.name: f.type for f in fs}, "return": None}
     return cls
@@ -102,24 +100,24 @@ def node(cls):
 # Data types
 
 
-@dataclass(frozen=True)
-class PrimType:
+@record
+class PrimType(Record):
     name: str  # 'bool' | 'unit' | 'int'
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class ClassType:
+@record
+class ClassType(Record):
     name: str
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class NullType:
+@record
+class NullType(Record):
     """Internal type of the literal `null`; below every class type."""
 
     def __str__(self) -> str:

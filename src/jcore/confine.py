@@ -26,7 +26,6 @@ the owner a rep is forced to, or None for a flexible rep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from . import ast as A
@@ -57,8 +56,8 @@ class ConfinementViolation(A.Record):
         return f"{self.kind}: {self.message}{ctx}"
 
 
-@dataclass
-class Partition:
+@A.record
+class Partition(A.Record):
     """Canonical confining partition: forced islands plus flexible reps."""
 
     islands: List[Tuple[Location, frozenset]]  # (owner, forced reps), owner-sorted

@@ -18,8 +18,7 @@ report is not a proof, and the report says so.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import ast as A
 from .classtable import ClassTable
@@ -184,8 +183,8 @@ def root_sigma(ct_a: ClassTable, ct_b: ClassTable, roots_a: Store, roots_b: Stor
 # Scripts
 
 
-@dataclass(frozen=True)
-class Step:
+@A.record
+class Step(A.Record):
     op: str  # 'new' | 'call'
     target: str  # variable name (receiver for calls, binder for new)
     method: str = ""
@@ -196,7 +195,7 @@ class Step:
     def to_json(self):
         return {
             "op": self.op, "target": self.target, "method": self.method,
-            "args": [list(a) for a in self.args], "bind": self.bind, "prot": self.prot,
+            "args": [[kind, "it" if v is IT else v] for kind, v in self.args], "bind": self.bind, "prot": self.prot,
         }
 
 
@@ -220,8 +219,9 @@ def _concrete_client_arg_class(ct: ClassTable, pname: str) -> str:
 
 def generate_scripts(ct: ClassTable, owner_class: str, max_len: int = MAX_LEN, max_scripts: int = MAX_SCRIPTS):
     """Deterministic script enumeration: construct one owner plus client-class
-    argument objects, then all call sequences of public owner methods up to
-    `max_len`, each optionally capped by one direct module-method probe.
+    argument objects, then the first `max_scripts` call sequences of public
+    owner methods up to `max_len`, breadth first, plus direct module-method
+    probes after the prelude and after some of them.
     Results of public calls become roots and may be called on in later steps."""
     prelude: List[Step] = [Step("new", "o", owner_class)]
     pool: Dict[str, str] = {"o": owner_class}
@@ -257,28 +257,24 @@ def generate_scripts(ct: ClassTable, owner_class: str, max_len: int = MAX_LEN, m
                     out.append(Step("call", var, m, tuple(combo), bind))
         return out
 
-    scripts: List[Tuple[Step, ...]] = []
-    frontier: List[Tuple[Tuple[Step, ...], Dict[str, str]]] = [(tuple(prelude), dict(pool))]
-    for _ in range(max_len):
-        new_frontier = []
-        for script, p in frontier:
-            binds = sum(1 for s in script if s.bind)
-            for st in steps_from(p, binds):
-                s2 = script + (st,)
-                p2 = dict(p)
-                if st.bind:
-                    ret = ct.mtype(st.method, p[st.target])[1]
-                    if hasattr(ret, "name") and ret.name in ct.decls:
-                        p2[st.bind] = ret.name
-                scripts.append(s2)
-                new_frontier.append((s2, p2))
-                if len(scripts) >= max_scripts:
-                    break
-            if len(scripts) >= max_scripts:
-                break
-        frontier = new_frontier
-        if len(scripts) >= max_scripts:
-            break
+    def breadth_first():
+        frontier: List[Tuple[Tuple[Step, ...], Dict[str, str]]] = [(tuple(prelude), dict(pool))]
+        for _ in range(max_len):
+            new_frontier = []
+            for script, p in frontier:
+                binds = sum(1 for s in script if s.bind)
+                for st in steps_from(p, binds):
+                    s2 = script + (st,)
+                    p2 = dict(p)
+                    if st.bind:
+                        ret = ct.mtype(st.method, p[st.target])[1]
+                        if hasattr(ret, "name") and ret.name in ct.decls:
+                            p2[st.bind] = ret.name
+                    new_frontier.append((s2, p2))
+                    yield s2
+            frontier = new_frontier
+
+    scripts = list(itertools.islice(breadth_first(), max_scripts))
     # direct probes of subclass-visible module methods, as final steps
     probed = []
     for m in prots:
@@ -311,8 +307,8 @@ def _exec_step(rt: Runtime, heap: Heap, roots: Store, st: Step, fuel: int):
     return None, res[0]
 
 
-@dataclass
-class VectorResult:
+@A.record
+class VectorResult(A.Record):
     """One script at one fuel: `pass`, or `fail` at step `failed_at`."""
 
     script: Tuple[Step, ...]
@@ -326,8 +322,8 @@ class VectorResult:
         return {"fuel": self.fuel, "script": [s.to_json() for s in self.script]}
 
 
-@dataclass
-class CouplingReport:
+@A.record
+class CouplingReport(A.Record):
     """The establishment checks and every vector of one simulation test."""
 
     coupling: str
@@ -351,7 +347,8 @@ class CouplingReport:
         return [v for v in self.vectors if v.status == "fail"]
 
 
-class _Prefix(NamedTuple):
+@A.record
+class _Prefix(A.Record):
     sides: tuple  # per side after the prefix: heap, roots, bottom or None, low_fuel
     verdict: str  # the coupling failure after it; "" if it holds or a side bottomed
     children: dict  # by next step

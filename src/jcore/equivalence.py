@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import os
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from . import ast as A
@@ -262,8 +261,8 @@ def _name(path: str, key: str, value):
     return value
 
 
-@dataclass
-class Manifest:
+@A.record
+class Manifest(A.Record):
     """Two tables with shared designations, plus the keys of one kind of
     comparison: `entry` (with `maxFuel`, `loopCap`) for client equivalence,
     `coupling` (with `fuels`, `maxLen`, `maxScripts`) for the simulation

@@ -39,8 +39,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from collections import namedtuple
+from dataclasses import field
+from typing import Dict, List, Optional, Tuple
 
 from . import ast as A
 from .ast import BOOL, INT, UNIT, ClassType
@@ -69,9 +70,8 @@ class Unit:
 IT = Unit()
 
 
-class Location(NamedTuple):
-    class_name: str
-    index: int
+class Location(namedtuple("Location", "class_name index")):
+    __slots__ = ()
 
     def __repr__(self):
         return f"{self.class_name}@{self.index}"
@@ -215,8 +215,8 @@ class TraceHooks(InterpHooks):
         self.lines.append(f"{type(cmd).__name__}@{span or '?'} {digest}")
 
 
-@dataclass
-class RunResult:
+@A.record
+class RunResult(A.Record):
     """A run's outcome with the fuel and the steps it spent."""
 
     outcome: object  # Bottom | (heap, store)

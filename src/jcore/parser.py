@@ -54,8 +54,9 @@ are accepted and represented with equality against `false`.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import field
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import ast as A
 from .ast import Span
@@ -86,13 +87,7 @@ class ParseError(Exception):
         self.col = col
 
 
-class Token(NamedTuple):
-    kind: str  # 'ident' | 'int' | 'punct' | 'kw' | 'eof'
-    text: str
-    start: int
-    end: int
-    line: int
-    col: int
+Token = namedtuple("Token", "kind text start end line col")  # kind: 'ident' | 'int' | 'punct' | 'kw' | 'eof'
 
 
 def tokenize(src: str) -> List[Token]:

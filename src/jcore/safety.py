@@ -12,7 +12,6 @@ preorder of `ast.walk_commands`, which supplies each node's context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Set
 
 from . import ast as A
@@ -33,8 +32,8 @@ OWNER_INHERITS_REP_PARAMS = "OwnerInheritsRepParams"
 REP_INHERITS_FOREIGN = "RepInheritsForeign"
 
 
-@dataclass
-class SafetyReport:
+@A.record
+class SafetyReport(A.Record):
     """The safety analysis's findings; `ok` when there are none."""
 
     diagnostics: List[Diagnostic]

@@ -11,7 +11,7 @@ context, so no rule recurses into its children.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Dict, List
 
 from . import ast as A
@@ -43,8 +43,8 @@ class Diagnostic(A.Record):
         return f"{where}{at}: {self.rule}: {self.message}"
 
 
-@dataclass
-class TypeReport:
+@A.record
+class TypeReport(A.Record):
     """The type checker's findings; `ok` when there are none."""
 
     issues: List[Diagnostic]

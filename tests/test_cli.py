@@ -157,6 +157,29 @@ def test_simtest_cli(capsys):
     assert "counterexample" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_simtest_reports_a_failing_script_with_a_unit_argument(tmp_path, capsys, fmt):
+    # `poke` breaks the negation coupling and takes a unit, so failing scripts pass `it`
+    poke = "  unit poke(unit u) { self.g.set(true) }\n  bool getg()"
+    for v in ("v1", "v2"):
+        with open(_c(f"obool_{v}.jcore")) as f:
+            (tmp_path / f"obool_{v}.jcore").write_text(f.read().replace("  bool getg()", poke))
+    with open(_c("manifests/sim_obool.json")) as f:
+        manifest = json.load(f)
+    manifest.update(tableA="obool_v1.jcore", tableB="obool_v2.jcore")
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["--format", fmt, "simtest", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    if fmt == "text":
+        assert "FAILURES" in out and "poke" in out
+    else:
+        steps = [st for fail in json.loads(out)["failures"] for st in fail["replay"]["script"]]
+        assert {"op": "call", "target": "o", "method": "poke", "args": [["lit", "it"]], "bind": None,
+                "prot": False} in steps
+
+
 def test_dot_golden(capsys, tmp_path):
     golden = os.path.join(os.path.dirname(__file__), "goldens", "observer_v1_final.dot")
     out_path = tmp_path / "out.dot"

@@ -4,7 +4,7 @@ from helpers import all_typed_bijections, identity_extension_check
 
 from jcore.coupling import (
     BUILTIN_COUPLINGS, CouplingFailure, ShapeError, Step, check_establishment,
-    check_island_shape, induced_heap_coupling, root_sigma, run_vector,
+    check_island_shape, generate_scripts, induced_heap_coupling, root_sigma, run_vector,
 )
 from jcore.coupling import test_simulation as simulate
 from jcore.equivalence import Distinguished, canonical_bijection
@@ -157,6 +157,25 @@ def test_prot_methods_probed_and_preserved():
     assert "getFirst" in cov and cov["getFirst"][0] > 0
     assert "makeNode" in cov and cov["makeNode"][0] > 0
     assert "notifications" in cov and cov["notifications"][0] > 0
+
+
+def test_script_cap_bounds_the_enumerated_scripts():
+    from conftest import pair_tables
+
+    ct = pair_tables("observer_factory", "observer_factory_sentinel", "Observable", "Node4", "Node4")[0]
+
+    def split(cap):
+        scripts = generate_scripts(ct, "Observable", max_len=4, max_scripts=cap)
+        return [s for s in scripts if not any(st.prot for st in s)], [s for s in scripts if any(st.prot for st in s)]
+
+    # at cap 0 only the direct probes after the prelude remain
+    enumerated, probes = split(0)
+    assert enumerated == [] and probes
+    assert all(s[-1].prot and all(st.op == "new" for st in s[:-1]) for s in probes)
+    full = split(120)[0]
+    assert len(full) == 120
+    for cap in range(1, 121):
+        assert split(cap)[0] == full[:cap], cap
 
 
 def test_known_limit_fixture(known_limit_pair):

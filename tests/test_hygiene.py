@@ -1,8 +1,11 @@
 """Source hygiene of the `jcore` package: no unused imports, no imports
-inside functions, no test-only functions or classes and no unused
-parameters, checked on the syntax tree of every module."""
+inside functions, no test-only functions or classes, no unused parameters
+and one way to make a value type, checked on the syntax tree of every
+module."""
 
 import ast
+import dataclasses
+import importlib
 import os
 
 import jcore
@@ -192,3 +195,42 @@ def test_no_unused_parameters():
             read = {n.id for stmt in fn.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
             unused += [f"{rel}:{fn.lineno} {fn.name}({p})" for p in params if p not in read]
     assert unused == []
+
+
+# The tuple classes: heaps are dicts keyed and sorted by `Location`, and the
+# tokenizer builds tokens and spans with `tuple.__new__`.
+TUPLE_CLASSES = {"Location", "Span", "Token"}
+
+
+def _module_name(rel):
+    """`jcore.x.y` for `x/y.py`, `jcore.x` for `x/__init__.py`."""
+    return ".".join(["jcore", *rel[:-3].split(os.sep)]).removesuffix(".__init__")
+
+
+def test_one_way_to_make_a_value_type():
+    """Every value class is a record (`ast.record` on an `ast.Record` base),
+    save the three tuple classes, which `collections.namedtuple` makes:
+    `dataclass` is named only inside `ast.record`, and nothing uses
+    `typing.NamedTuple`."""
+    modules = dict(_modules())
+    classes = []
+    for rel in modules:
+        module = importlib.import_module(_module_name(rel))
+        classes += [c for c in vars(module).values() if isinstance(c, type) and c.__module__ == module.__name__]
+    assert {"PrimType", "Step", "CorpusRecord"} <= {c.__name__ for c in classes}
+    tuples = {c.__name__ for c in classes if issubclass(c, tuple)}
+    (record,) = [fn for fn in modules["ast.py"].body if isinstance(fn, ast.FunctionDef) and fn.name == "record"]
+    in_record = {id(n) for n in ast.walk(record)}
+    nodes = [(rel, n) for rel, tree in modules.items() for n in ast.walk(tree)]
+    found = {
+        "dataclasses that are not records": [
+            c.__name__ for c in classes if dataclasses.is_dataclass(c) and not issubclass(c, jcore.ast.Record)],
+        "tuple classes": sorted(tuples ^ TUPLE_CLASSES),
+        "NamedTuple classes": [f"{rel} {n.name}" for rel, n in nodes if isinstance(n, ast.ClassDef)
+                               and any("NamedTuple" in _referenced(base) for base in n.bases)],
+        "NamedTuple imports": [f"{rel}:{n.lineno}" for rel, n in nodes if isinstance(n, (ast.Import, ast.ImportFrom))
+                               and "NamedTuple" in {alias.name.split(".")[-1] for alias in n.names}],
+        "dataclass outside ast.record": [f"{rel}:{n.lineno}" for rel, n in nodes if isinstance(n, ast.Name)
+                                         and n.id == "dataclass" and id(n) not in in_record],
+    }
+    assert found == {problem: [] for problem in found}

@@ -16,12 +16,13 @@ import pytest
 from jcore import ast as A
 from jcore import parser as P
 from jcore.classtable import Designations
-from jcore.confine import ConfinementViolation
+from jcore.confine import ConfinementViolation, Partition
 from jcore.corpus import CorpusRecord, EntryExpectation
-from jcore.coupling import BasicCoupling, CouplingFailure, ShapeError
-from jcore.equivalence import Distinguished, EquivVerdict
-from jcore.interp import Bottom, Location
-from jcore.typecheck import Diagnostic
+from jcore.coupling import BasicCoupling, CouplingFailure, CouplingReport, ShapeError, Step, VectorResult, _Prefix
+from jcore.equivalence import Distinguished, EquivVerdict, Manifest
+from jcore.interp import Bottom, Location, RunResult
+from jcore.safety import SafetyReport
+from jcore.typecheck import Diagnostic, TypeReport
 
 SURFACE = ("SLocal", "SAssign", "SCallStmt", "SIf", "SWhile", "SSkip", "SAbort", "SSeq")
 
@@ -134,6 +135,12 @@ def _compared(x):
 
 SPAN = A.Span(0, 4, 1, 1)
 ENTRY = EntryExpectation("Main", "main", "ok", 2, "clean", (("x.f", 1),))
+STEP = Step("call", "o", "setg", (("lit", True), ("root", "c0")), "w0")
+STEP_REPR = "Step(op='call', target='o', method='setg', args=(('lit', True), ('root', 'c0')), bind='w0', prot=False)"
+VECTOR = VectorResult((Step("new", "o", "OBool"), STEP), 2, "fail", 1, "island 0: flags differ", ("setg",))
+VECTOR_REPR = (
+    "VectorResult(script=(Step(op='new', target='o', method='OBool', args=(), bind=None, prot=False), "
+    f"{STEP_REPR}), fuel=2, status='fail', failed_at=1, message='island 0: flags differ', methods=('setg',))")
 
 # name: (sample, a twin that differs only in fields left out of equality or
 # None, `repr` of the sample as the frozen dataclass gave it)
@@ -179,6 +186,34 @@ RECORDS = {
         "CorpusRecord(name='obool', path='obool.jcore', own='OBool', rep='Bool', rep2=None, check='ok',"
         " analyze=(), entries=(EntryExpectation(entry_class='Main', entry_method='main', outcome='ok',"
         " min_fuel=2, monitor='clean', finals=(('x.f', 1),)),), notes='n')"),
+    "PrimType": (A.INT, None, "PrimType(name='int')"),
+    "ClassType": (A.ClassType("C"), None, "ClassType(name='C')"),
+    "NullType": (A.NULL_T, None, "NullType()"),
+    "Step": (STEP, None, STEP_REPR),
+    "RunResult": (RunResult(Bottom("fuel-exhausted", "in m"), 3, 12), None,
+                  "RunResult(outcome=Bottom(reason='fuel-exhausted', detail='in m', stack=()), fuel_used=3, steps=12)"),
+    "Partition": (
+        Partition(((Location("O", 0), frozenset({Location("R", 1)})),), frozenset({Location("C", 2)}), frozenset()),
+        None, "Partition(islands=((O@0, frozenset({R@1})),), clients=frozenset({C@2}), flexible=frozenset())"),
+    "VectorResult": (VECTOR, None, VECTOR_REPR),
+    "CouplingReport": (
+        CouplingReport("obool-negation", (("OBool", True, ""),), (VECTOR,)), None,
+        f"CouplingReport(coupling='obool-negation', establishment=(('OBool', True, ''),), vectors=({VECTOR_REPR},),"
+        " note='bounded evidence: finite scripts and fuels, not a proof')"),
+    "Manifest": (
+        Manifest("m.json", "a.jcore", "b.jcore", "O", "R", "R2", coupling="obool-negation"), None,
+        "Manifest(path='m.json', table_a='a.jcore', table_b='b.jcore', own='O', rep_a='R', rep_b='R2',"
+        " entry_class=None, entry_method=None, max_fuel=1024, loop_cap=100000, coupling='obool-negation',"
+        " fuels=(1, 2, 4, 8), max_len=4, max_scripts=120)"),
+    "SafetyReport": (
+        SafetyReport((Diagnostic("RepLeakViaCall", "leaks", None, "C", "m"),)), None,
+        "SafetyReport(diagnostics=(Diagnostic(rule='RepLeakViaCall', message='leaks', span=None, class_name='C',"
+        " method_name='m'),))"),
+    "TypeReport": (TypeReport(()), None, "TypeReport(issues=())"),
+    "_Prefix": (
+        _Prefix(((None, None, None, 0), (None, None, None, 0)), "island 0: flags differ", ()), None,
+        "_Prefix(sides=((None, None, None, 0), (None, None, None, 0)), verdict='island 0: flags differ',"
+        " children=())"),
 }
 
 
@@ -211,9 +246,10 @@ def test_record_contract(name):
     assert same == x and hash(same) == hash(x) and same is not x and type(same) is cls
     if twin is not None:
         assert twin == x and hash(twin) == hash(x)
-    first = next(f.name for f in dataclasses.fields(cls) if f.compare)
-    other = dataclasses.replace(x, **{first: "changed"})
-    assert other != x and getattr(other, first) == "changed"
+    first = next((f.name for f in dataclasses.fields(cls) if f.compare), None)
+    if first is not None:
+        other = dataclasses.replace(x, **{first: "changed"})
+        assert other != x and getattr(other, first) == "changed"
     assert x != _compared(x) and x.__eq__(_compared(x)) is NotImplemented
     for f in dataclasses.fields(cls):
         with pytest.raises(dataclasses.FrozenInstanceError):
