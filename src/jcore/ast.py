@@ -80,6 +80,21 @@ def record(cls, slots=False):
     return cls
 
 
+def same_tree(a, b) -> bool:
+    """`a == b` for trees of records and tuples, compared pair by pair from
+    an explicit stack, so a deep tree cannot exhaust the Python stack."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if isinstance(a, Record) and a.__class__ is b.__class__:
+            stack.append((a._key(a), b._key(b)))
+        elif type(a) is tuple and type(b) is tuple and len(a) == len(b):
+            stack.extend(zip(a, b))
+        elif a != b:
+            return False
+    return True
+
+
 class Node(Record):
     """Base of the slotted nodes: no `__dict__`, but weak references."""
 

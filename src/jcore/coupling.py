@@ -54,20 +54,6 @@ class BasicCoupling(A.Record):
     predicate: Callable[..., Tuple[object, List[Tuple[Location, Location]]]]
 
 
-def sigma_extend(sigma: Dict[Location, Location], a: Location, b: Location):
-    """Extend a typed bijection; None on type mismatch or conflict. Always
-    returns a fresh dict, never an alias of the argument."""
-    if a.class_name != b.class_name:
-        return None
-    if a in sigma and sigma[a] != b:
-        return None
-    if a not in sigma and b in sigma.values():
-        return None
-    out = dict(sigma)
-    out[a] = b
-    return out
-
-
 def _island_owner(ct: ClassTable, island: Dict[Location, dict]) -> Optional[Location]:
     owners = [l for l in island if ct.is_owner_class(l.class_name)]
     return owners[0] if len(owners) == 1 else None
@@ -107,10 +93,12 @@ def check_island_shape(ct_a: ClassTable, ct_b: ClassTable, sigma, island_a, isla
 
 
 def induced_heap_coupling(ct_a: ClassTable, ct_b: ClassTable, sigma, h_a: Heap, h_b: Heap, bc: BasicCoupling):
-    """Lift `bc` to whole heaps. Returns the possibly extended bijection, or
-    a CouplingFailure. Flexible (unforced) reps belong to no island payload;
-    any placement satisfies the confinement clauses, and the island predicate
-    only inspects structure reachable from the owner."""
+    """Lift `bc` to whole heaps. Returns the bijection, a copy extended by the
+    pairs the islands induce under `pair_reachable`'s rule (same class, no
+    second partner for either end), or a CouplingFailure. Flexible (unforced)
+    reps belong to no island payload; any placement satisfies the confinement
+    clauses, and the island predicate only inspects structure reachable from
+    the owner."""
     part_a = confine_heap(ct_a, h_a)
     if isinstance(part_a, ConfinementViolation):
         return CouplingFailure("heap A", part_a.render())
@@ -123,7 +111,7 @@ def induced_heap_coupling(ct_a: ClassTable, ct_b: ClassTable, sigma, h_a: Heap, 
     if len(part_a.islands) != len(part_b.islands):
         return CouplingFailure("islands", f"{len(part_a.islands)} vs {len(part_b.islands)} islands")
     owners_b = {o for o, _ in part_b.islands}
-    sigma = dict(sigma)
+    sigma, used = dict(sigma), set(sigma.values())
     for i, (oa, reps_a) in enumerate(part_a.islands):
         ob = sigma.get(oa)
         if ob is None or ob not in owners_b:
@@ -141,10 +129,12 @@ def induced_heap_coupling(ct_a: ClassTable, ct_b: ClassTable, sigma, h_a: Heap, 
         if ok is not True:
             return CouplingFailure(f"island {i}", str(ok))
         for a, b in pairs:
-            ext = sigma_extend(sigma, a, b)
-            if ext is None:
+            if sigma.get(a) == b:
+                continue
+            if a in sigma or b in used or a.class_name != b.class_name:
                 return CouplingFailure(f"island {i}", f"island structure pairs {a} with {b}, conflicting with the bijection")
-            sigma = ext
+            sigma[a] = b
+            used.add(b)
     mapped = {sigma.get(c) for c in part_a.clients}
     if len(part_a.clients) != len(part_b.clients) or mapped != set(part_b.clients):
         return CouplingFailure("clients", "the bijection does not match the client blocks")
@@ -249,12 +239,9 @@ def generate_scripts(ct: ClassTable, owner_class: str, max_len: int = MAX_LEN, m
                 if ct.mscope(m, cls):
                     continue
                 ptypes, ret = ct.mtype(m, cls)
-                combos = [()] if not ptypes else itertools.product(*[_arg_candidates(ct, t, pool) for t in ptypes])
-                for combo in combos:
-                    bind = None
-                    if ret != A.UNIT:
-                        bind = f"w{bind_counter}"
-                    out.append(Step("call", var, m, tuple(combo), bind))
+                bind = f"w{bind_counter}" if ret != A.UNIT else None
+                for combo in itertools.product(*[_arg_candidates(ct, t, pool) for t in ptypes]):
+                    out.append(Step("call", var, m, combo, bind))
         return out
 
     def breadth_first():
@@ -279,13 +266,10 @@ def generate_scripts(ct: ClassTable, owner_class: str, max_len: int = MAX_LEN, m
     probed = []
     for m in prots:
         ptypes, ret = ct.mtype(m, owner_class)
-        combos = [()] if not ptypes else [tuple(c[0] for c in [_arg_candidates(ct, t, pool) for t in ptypes])]
-        for combo in combos:
-            bind = "wp" if ret != A.UNIT else None
-            probe = Step("call", "o", m, tuple(combo), bind, prot=True)
-            probed.append(tuple(prelude) + (probe,))
-            for script in scripts[: max(1, max_scripts // 10)]:
-                probed.append(script + (probe,))
+        args = tuple(_arg_candidates(ct, t, pool)[0] for t in ptypes)
+        probe = Step("call", "o", m, args, "wp" if ret != A.UNIT else None, prot=True)
+        probed.append(tuple(prelude) + (probe,))
+        probed += [script + (probe,) for script in scripts[: max(1, max_scripts // 10)]]
     return scripts + probed
 
 
@@ -472,15 +456,17 @@ def test_simulation(
 # Builtin couplings
 
 
-def _chain(island, start, nxt_field):
-    nodes, seen, cur = [], set(), start
-    while cur is not None:
-        if cur in seen or cur not in island:
+def _observers(island, start):
+    """The `ob` of each node on the `nxt` list from `start`; None if the list
+    leaves the island or runs in a cycle."""
+    obs, seen = [], set()
+    while start is not None:
+        if start in seen or start not in island:
             return None
-        seen.add(cur)
-        nodes.append(cur)
-        cur = island[cur][nxt_field]
-    return nodes
+        seen.add(start)
+        obs.append(island[start]["ob"])
+        start = island[start]["nxt"]
+    return obs
 
 
 def _obs_pairs(sigma, obs_a, obs_b):
@@ -531,17 +517,15 @@ def observer_sentinel_list(ct_a, ct_b, sigma, island_a, island_b):
     sequences must match pointwise through the bijection."""
     oa = _island_owner(ct_a, island_a)
     ob = _island_owner(ct_b, island_b)
-    nodes_a = _chain(island_a, island_a[oa]["fst"], "nxt")
-    if nodes_a is None:
+    obs_a = _observers(island_a, island_a[oa]["fst"])
+    if obs_a is None:
         return "malformed list in version A", []
     snt = island_b[ob]["snt"]
     if snt is None or snt not in island_b:
         return "sentinel missing in version B", []
-    nodes_b = _chain(island_b, island_b[snt]["nxt"], "nxt")
-    if nodes_b is None:
+    obs_b = _observers(island_b, island_b[snt]["nxt"])
+    if obs_b is None:
         return "malformed list in version B", []
-    obs_a = [island_a[n]["ob"] for n in nodes_a]
-    obs_b = [island_b[n]["ob"] for n in nodes_b]
     return _obs_pairs(sigma, obs_a, obs_b)
 
 
@@ -549,25 +533,19 @@ def observer_node_list(ct_a, ct_b, sigma, island_a, island_b):
     """Plain list vs plain list with a different rep class: same observers."""
     oa = _island_owner(ct_a, island_a)
     ob = _island_owner(ct_b, island_b)
-    nodes_a = _chain(island_a, island_a[oa]["fst"], "nxt")
-    nodes_b = _chain(island_b, island_b[ob]["fst"], "nxt")
-    if nodes_a is None or nodes_b is None:
+    obs_a = _observers(island_a, island_a[oa]["fst"])
+    obs_b = _observers(island_b, island_b[ob]["fst"])
+    if obs_a is None or obs_b is None:
         return "malformed list", []
-    obs_a = [island_a[n]["ob"] for n in nodes_a]
-    obs_b = [island_b[n]["ob"] for n in nodes_b]
     return _obs_pairs(sigma, obs_a, obs_b)
 
 
-BUILTIN_COUPLINGS: Dict[str, BasicCoupling] = {
-    "obool-negation": BasicCoupling("obool-negation", "obool_v1/obool_v2", obool_negation),
-    "meyer-sieber-even": BasicCoupling("meyer-sieber-even", "meyer_sieber_v1/meyer_sieber_v2", meyer_sieber_even),
-    "observer-sentinel-list": BasicCoupling(
-        "observer-sentinel-list", "observer_v1/observer_sentinel", observer_sentinel_list
-    ),
-    "observer-node-list": BasicCoupling(
-        "observer-node-list", "observer_v1/observer_object", observer_node_list
-    ),
-}
+BUILTIN_COUPLINGS: Dict[str, BasicCoupling] = {bc.name: bc for bc in (
+    BasicCoupling("obool-negation", "obool_v1/obool_v2", obool_negation),
+    BasicCoupling("meyer-sieber-even", "meyer_sieber_v1/meyer_sieber_v2", meyer_sieber_even),
+    BasicCoupling("observer-sentinel-list", "observer_v1/observer_sentinel", observer_sentinel_list),
+    BasicCoupling("observer-node-list", "observer_v1/observer_object", observer_node_list),
+)}
 
 
 # ---------------------------------------------------------------------------

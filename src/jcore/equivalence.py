@@ -40,7 +40,7 @@ def check_comparable(ct_a: ClassTable, ct_b: ClassTable) -> List[str]:
     for n in sorted(names_a & names_b):
         if n == own:
             continue
-        if ct_a.decls[n] != ct_b.decls[n]:
+        if not A.same_tree(ct_a.decls[n], ct_b.decls[n]):
             problems.append(f"class {n} differs between the tables (only {own} may differ)")
     if own in names_a and own in names_b:
         if ct_a.super_of(own) != ct_b.super_of(own):
@@ -103,7 +103,7 @@ def pair_reachable(
         if ka != kb:
             return Distinguished(path, f"{ka} vs {kb}")
         if ka in ("nil", "bool", "int", "unit"):
-            if a != b or type(a) is not type(b):
+            if a != b:
                 return Distinguished(path, f"{a!r} vs {b!r}")
             return None
         if a.class_name != b.class_name:
@@ -160,7 +160,7 @@ def value_equiv(sigma: Dict[Location, Location], a, b) -> bool:
         return False
     if ka == "loc":
         return sigma.get(a) == b
-    return a == b and type(a) is type(b)
+    return a == b
 
 
 def own_free(ct: ClassTable, h: Heap, eta: Store) -> bool:

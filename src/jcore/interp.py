@@ -281,13 +281,14 @@ class Runtime:
         except _Stop as stop:
             return stop.bottom
 
-    # -- the table's code, compiled on first use, keyed by a node's id (the entry
-    # holds the node, so the id is not reused), (method, start class) or class.
-    # A command node has one context, so one code: desugar builds a fresh tree
-    # per body and shares only call-free expressions, which compile without one.
+    # -- the table's code, compiled on first use, keyed by a command node's id
+    # and context (the entry holds the node, so the id is not reused), by
+    # (method, start class) or by class. A node that two declarations share
+    # gets one code per context, and its hooks one context object per code.
 
     def _compiled(self, node, gamma):
-        entry = self._code.get(id(node)) or self._code.setdefault(id(node), (node, gamma, _compile(node, gamma)))
+        key = (id(node), *gamma.items())
+        entry = self._code.get(key) or self._code.setdefault(key, (node, gamma, _compile(node, gamma)))
         return entry[1:]
 
     def _method(self, mname: str, start: str):
@@ -310,8 +311,8 @@ class Runtime:
         if entry is None:
             entry = self._code[class_name] = (
                 {f: default_value(t) for f, t in self.ct.fields(class_name)},
-                [(f"{c}.con", {"self": ClassType(c)}, self.ct.decls[c].constructor)
-                 for c in reversed(self.ct.ancestors(class_name)[:-1])],
+                [(f"{c}.con", *self._compiled(self.ct.decls[c].constructor, {"self": ClassType(c)}),
+                  self.ct.decls[c].constructor) for c in reversed(self.ct.ancestors(class_name)[:-1])],
             )
         return entry
 
@@ -346,10 +347,10 @@ class Runtime:
         return loc
 
     def _exec_constructor(self, class_name: str, h: Heap, loc: Location) -> Heap:
-        for label, gamma, con in self._class(class_name)[1]:
+        for label, gamma, c, con in self._class(class_name)[1]:
             self._stack.append(label)
             try:
-                self._exec_command(gamma, con, h, {"self": loc}, 0)
+                self._exec_command(gamma, con, h, {"self": loc}, 0, c)
             finally:
                 self._stack.pop()
         return h
@@ -360,10 +361,11 @@ class Runtime:
         if fuel <= 0:
             raise self._stop(FUEL_EXHAUSTED, f"call to {mname}")
         self.low_fuel = min(self.low_fuel, fuel)
-        pars, result, gamma, _, label, _, body = self._method(mname, loc.class_name)
+        pars, result, gamma, c, label, _, body = self._method(mname, loc.class_name)
         self._stack.append(label)
         try:
-            return self._exec_command(gamma, body, h, dict(zip(pars, args), self=loc, result=result), fuel - 1)["result"]
+            eta = dict(zip(pars, args), self=loc, result=result)
+            return self._exec_command(gamma, body, h, eta, fuel - 1, c)["result"]
         finally:
             self._stack.pop()
 
