@@ -2,9 +2,9 @@
 
 A class table maps class names to declarations and carries the designated
 owner/rep class names used by the confinement machinery. Everything derived
-(subtyping, field and method lookup, method depth, constructor dependence,
-module scope, prot methods) is computed once at build time; the table is
-immutable afterwards and all queries are pure.
+(subtyping, field and method lookup, constructor dependence, module scope,
+prot methods) is computed once at build time; the table is immutable
+afterwards and all queries are pure.
 """
 
 from __future__ import annotations
@@ -230,9 +230,6 @@ class ClassTable:
     def incomparable_names(self, c: str, d: str) -> bool:
         return not self.subtype_names(c, d) and not self.subtype_names(d, c)
 
-    def incomparable(self, t, u) -> bool:
-        return not self.subtype(t, u) and not self.subtype(u, t)
-
     def fields(self, name: str) -> Tuple[Tuple[str, object], ...]:
         """All fields of `name`, superclass fields first, declaration order."""
         return self._fields[name]
@@ -262,13 +259,6 @@ class ClassTable:
     def mscope(self, mname: str, cname: str) -> bool:
         r = self.resolve_method(mname, cname)
         return bool(r and r[1].module_scoped)
-
-    def depth(self, mname: str, cname: str) -> Optional[int]:
-        """How many proper ancestors of `cname` below Object also have
-        `mname`; None when `cname` has no such method."""
-        if self.resolve_method(mname, cname) is None:
-            return None
-        return sum(mname in self._methods[c] for c in self._ancestors[cname][1:-1])
 
     def method_names(self, cname: str) -> List[str]:
         """Root first, each name at its first declaration."""

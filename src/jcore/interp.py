@@ -2,22 +2,22 @@
 
 A heap is a dict from locations to object states (dicts from field names to
 values); a store is a dict from variables to values. Each public `Runtime`
-entry (`invoke`, `new_object`, `exec_constructor`, `exec_command`; `run` goes
-through `new_object`) copies the caller's heap once, so the caller keeps a
-heap it owns whatever the outcome: the paper's value semantics. Inside an
-entry field writes and allocations update that copy in place, allocation
-resuming the least-index scan of `fresh` from per-class cursors; stores are
-copied on update. A bottom is raised where it arises and unwinds to the
-public entry, which returns it.
+entry (`invoke` and `new_object`; `run` goes through `new_object`) copies the
+caller's heap once, so the caller keeps a heap it owns whatever the outcome:
+the paper's value semantics. Inside an entry field writes and allocations
+update that copy in place, allocation resuming the least-index scan of
+`fresh` from per-class cursors; stores are copied on update. A bottom is
+raised where it arises and unwinds to the public entry, which returns it.
 
 A class table keeps the code of each method body, constructor and entry body
-it runs (not of the ad-hoc nodes given to `exec_command` and `eval_expr`,
-which are compiled per call): closures compiled on first use by `_compile`,
-the one place that dispatches on a node's type (Feeley and Lapalme, "Using
-closures for code generation", 1987), each command under its typing context
-(as `ast.walk_commands` gives it from `ast.method_context`), so its code runs
-on a heap, a store and fuel alone. Plain and hooked runs share this code,
-which tests for hooks at the hook points; the tree walker is the test oracle.
+it runs: closures compiled on first use by `_compile`, the one place that
+dispatches on a node's type (Feeley and Lapalme, "Using closures for code
+generation", 1987), each command under its typing context (as
+`ast.walk_commands` gives it from `ast.method_context`), so its code runs on
+a heap, a store and fuel alone. Observation is decided there too: a runtime
+with hooks runs code compiled to report to them, kept apart from the code of
+a runtime without, which tests no hook. The call rule is stated once, in the
+compiled call, which `invoke` runs; the tree walker is the test oracle.
 
 Method meanings are approximated by a fuel counter: a call executed with
 fuel j runs the callee body with fuel j-1, and any call at fuel 0 yields the
@@ -240,7 +240,7 @@ class Runtime:
         self.ct = ct
         self.loop_cap = loop_cap
         self.hooks = hooks
-        self._code = vars(ct).setdefault("_code", {})  # the table's compiled code, see `_compiled`
+        self._code = vars(ct).setdefault("_code", {}).setdefault(hooks is not None, {})  # see `_compiled`
         self._stack: List[str] = []
         self._next: Dict[str, int] = {}  # per class: no free index below this in the entry's heap
         self.steps = 0
@@ -263,33 +263,24 @@ class Runtime:
     def new_object(self, class_name: str, h: Heap):
         return self._entry(h, lambda h: (h, self._new_object(class_name, h)))
 
-    def exec_constructor(self, class_name: str, h: Heap, loc: Location):
-        """Run the constructor chain of `class_name` on `loc`, root first."""
-        return self._entry(h, lambda h: self._exec_constructor(class_name, h, loc))
-
     def invoke(self, loc: Location, mname: str, args, h: Heap, fuel: int):
-        return self._entry(h, lambda h: (h, self._invoke(loc, mname, args, h, fuel)))
+        """`loc.mname(args)` at `fuel`: the compiled call `result := self.mname($0, ...)`, with no call site."""
+        names, key = [f"${i}" for i in range(len(args))], (mname, len(args))
+        call = self._code.get(key) or self._code.setdefault(
+            key, _compile(A.CallAssign("result", A.Var("self"), mname, tuple(map(A.Var, names)))))
+        eta = dict(zip(names, args), self=loc)
+        return self._entry(h, lambda h: (h, call(self, h, eta, fuel)["result"]))
 
-    def exec_command(self, gamma, cmd, h: Heap, eta: Store, fuel: int):
-        c = _compile(cmd, gamma)
-        return self._entry(h, lambda h: (h, self._exec_command(gamma, cmd, h, eta, fuel, c)))
-
-    def eval_expr(self, h: Heap, eta: Store, e):
-        """Expressions write nothing, so this entry needs no heap copy."""
-        try:
-            return _compile(e)(self, h, eta)
-        except _Stop as stop:
-            return stop.bottom
-
-    # -- the table's code, compiled on first use, keyed by a command node's id
-    # and context (the entry holds the node, so the id is not reused), by
-    # (method, start class) or by class. A node that two declarations share
+    # -- the table's code, one set for runtimes with hooks and one for those
+    # without, compiled on first use, keyed by a command node's id and context
+    # (the entry holds the node, so its id is not reused), by (method, start
+    # class), by class or by (method, arity). A node two declarations share
     # gets one code per context, and its hooks one context object per code.
 
     def _compiled(self, node, gamma):
         key = (id(node), *gamma.items())
-        entry = self._code.get(key) or self._code.setdefault(key, (node, gamma, _compile(node, gamma)))
-        return entry[1:]
+        entry = self._code.get(key) or self._code.setdefault(key, (node, _child(node, gamma, self.hooks is not None)))
+        return entry[1]
 
     def _method(self, mname: str, start: str):
         """`mname` resolved from class `start`, with all that a call of it needs."""
@@ -300,8 +291,7 @@ class Runtime:
             decl_class, m = resolved
             entry = self._code[mname, start] = (
                 tuple(x for x, _ in m.params), default_value(m.return_type),
-                *self._compiled(m.body, A.method_context(decl_class, m)),
-                f"{decl_class}.{mname}", m.module_scoped, m.body,
+                self._compiled(m.body, A.method_context(decl_class, m)), f"{decl_class}.{mname}", m.module_scoped,
             )
         return entry
 
@@ -311,31 +301,13 @@ class Runtime:
         if entry is None:
             entry = self._code[class_name] = (
                 {f: default_value(t) for f, t in self.ct.fields(class_name)},
-                [(f"{c}.con", *self._compiled(self.ct.decls[c].constructor, {"self": ClassType(c)}),
-                  self.ct.decls[c].constructor) for c in reversed(self.ct.ancestors(class_name)[:-1])],
+                [(f"{c}.con", self._compiled(self.ct.decls[c].constructor, {"self": ClassType(c)}))
+                 for c in reversed(self.ct.ancestors(class_name)[:-1])],
             )
         return entry
 
     # Inside an entry the heap is updated in place: the steps below return
     # only the new store or value, and raise `_Stop` at a bottom.
-
-    def _observed(self, c, cmd, gamma, h: Heap, eta: Store, fuel: int) -> Store:
-        """Run `cmd`, compiled to `c`, and report its outcome to `after_command`."""
-        try:
-            eta = c(self, h, eta, fuel)
-        except _Stop as stop:
-            self.hooks.after_command(gamma, cmd, stop.bottom)
-            raise
-        self.hooks.after_command(gamma, cmd, (h, eta))
-        return eta
-
-    def _exec_command(self, gamma, cmd, h: Heap, eta: Store, fuel: int, c=None) -> Store:
-        if c is None:  # the table's code, and the context it was compiled under
-            gamma, c = self._compiled(cmd, gamma)
-        self.steps += 1
-        return c(self, h, eta, fuel) if not self.hooks else self._observed(c, cmd, gamma, h, eta, fuel)
-
-    # -- construction
 
     def _new_object(self, class_name: str, h: Heap) -> Location:
         loc = fresh(class_name, h, self._next.get(class_name, 0))
@@ -346,38 +318,46 @@ class Runtime:
         self._exec_constructor(class_name, h, loc)
         return loc
 
-    def _exec_constructor(self, class_name: str, h: Heap, loc: Location) -> Heap:
-        for label, gamma, c, con in self._class(class_name)[1]:
+    def _exec_command(self, gamma, cmd, h: Heap, eta: Store, fuel: int) -> Store:
+        self.steps += 1
+        return self._compiled(cmd, gamma)(self, h, eta, fuel)
+
+    def _exec_constructor(self, class_name: str, h: Heap, loc: Location):
+        for label, c in self._class(class_name)[1]:
             self._stack.append(label)
+            self.steps += 1
             try:
-                self._exec_command(gamma, con, h, {"self": loc}, 0, c)
+                c(self, h, {"self": loc}, 0)
             finally:
                 self._stack.pop()
-        return h
-
-    # -- method invocation (fuel j: body runs with fuel j-1), as a compiled call does
-
-    def _invoke(self, loc: Location, mname: str, args, h: Heap, fuel: int):
-        if fuel <= 0:
-            raise self._stop(FUEL_EXHAUSTED, f"call to {mname}")
-        self.low_fuel = min(self.low_fuel, fuel)
-        pars, result, gamma, c, label, _, body = self._method(mname, loc.class_name)
-        self._stack.append(label)
-        try:
-            eta = dict(zip(pars, args), self=loc, result=result)
-            return self._exec_command(gamma, body, h, eta, fuel - 1, c)["result"]
-        finally:
-            self._stack.pop()
 
 
 _INT_OPS = {"+": operator.add, "-": operator.sub, "mod": lambda d1, d2: d1 % d2 if d2 != 0 else 0}
 
 
-def _compile(node, gamma=None):
+def _child(node, gamma, observe):
+    """The code of the command `node` under `gamma` as its parent runs it:
+    with `observe`, reporting its outcome to `after_command`."""
+    c = _compile(node, gamma, observe)
+    if not observe:
+        return c
+    def observed(rt, h, eta, fuel):
+        try:
+            eta = c(rt, h, eta, fuel)
+        except _Stop as stop:
+            rt.hooks.after_command(gamma, node, stop.bottom)
+            raise
+        rt.hooks.after_command(gamma, node, (h, eta))
+        return eta
+    return observed
+
+
+def _compile(node, gamma=None, observe=False):
     """Compile a core expression to a closure `(rt, h, eta) -> value`, or a
     core command, under its typing context `gamma`, to a closure
-    `(rt, h, eta, fuel) -> eta`, subtrees included. This is the one place that
-    dispatches on the node type."""
+    `(rt, h, eta, fuel) -> eta`, subtrees included; with `observe`, for a
+    runtime with hooks. This is the one place that dispatches on the node
+    type."""
     t = type(node)
     if t is A.Var:
         name = node.name
@@ -425,7 +405,7 @@ def _compile(node, gamma=None):
             if l is None:
                 raise rt._stop(NIL_DEREF, f"update of field {fieldname} of null")
             d = expr(rt, h, eta)
-            if rt.hooks:
+            if observe:
                 rt.hooks.before_write(h, l, fieldname, d)
             h[l][fieldname] = d
             return eta
@@ -448,36 +428,33 @@ def _compile(node, gamma=None):
             values = [a(rt, h, eta) for a in args]
             if fuel <= 0:
                 raise rt._stop(FUEL_EXHAUSTED, f"call to {mname}")
-            pars, result, gamma1, c, label, mscoped, body = rt._method(mname, start)
-            hooks = rt.hooks
-            if hooks:
+            pars, result, c, label, mscoped = rt._method(mname, start)
+            if observe:
                 store = dict(zip(pars, values), self=loc)
-                hooks.before_call(gamma, start, store, h, node, mscoped)
+                rt.hooks.before_call(gamma, start, store, h, node, mscoped)
             rt.low_fuel = min(rt.low_fuel, fuel)
             eta1 = dict(zip(pars, values), self=loc, result=result)
             rt._stack.append(label)
             rt.steps += 1
             try:
-                out = c(rt, h, eta1, fuel - 1) if not hooks else rt._observed(c, body, gamma1, h, eta1, fuel - 1)
+                out = c(rt, h, eta1, fuel - 1)
             except _Stop as stop:
-                if hooks:
-                    hooks.after_call(gamma, start, store, stop.bottom, node, mscoped)
+                if observe:
+                    rt.hooks.after_call(gamma, start, store, stop.bottom, node, mscoped)
                 raise
             finally:
                 rt._stack.pop()
-            if hooks:
-                hooks.after_call(gamma, start, store, (h, out["result"]), node, mscoped)
+            if observe:
+                rt.hooks.after_call(gamma, start, store, (h, out["result"]), node, mscoped)
             return {**eta, name: out["result"]}
         return call
     if t is A.LocalBlock:
-        name, init, body = node.name, _compile(node.init), node.body
-        gamma1 = {**gamma, name: node.var_type}
-        c = _compile(body, gamma1)
+        name, init = node.name, _compile(node.init)
+        c = _child(node.body, {**gamma, name: node.var_type}, observe)
         def local_block(rt, h, eta, fuel):
             eta1 = {**eta, name: init(rt, h, eta)}
             rt.steps += 1
-            out = c(rt, h, eta1, fuel) if not rt.hooks else rt._observed(c, body, gamma1, h, eta1, fuel)
-            out = dict(out)  # a hook may hold the body's store
+            out = dict(c(rt, h, eta1, fuel))  # a hook may hold the body's store
             if name in eta:
                 out[name] = eta[name]  # restore the shadowed variable
             else:
@@ -486,14 +463,14 @@ def _compile(node, gamma=None):
         return local_block
     if t is A.If:
         cond = _compile(node.cond)
-        then, otherwise = (_compile(node.then_cmd, gamma), node.then_cmd), (_compile(node.else_cmd, gamma), node.else_cmd)
+        then, otherwise = _child(node.then_cmd, gamma, observe), _child(node.else_cmd, gamma, observe)
         def if_(rt, h, eta, fuel):
-            c, body = then if cond(rt, h, eta) else otherwise
+            c = then if cond(rt, h, eta) else otherwise
             rt.steps += 1
-            return c(rt, h, eta, fuel) if not rt.hooks else rt._observed(c, body, gamma, h, eta, fuel)
+            return c(rt, h, eta, fuel)
         return if_
     if t is A.While:
-        cond, body, c = _compile(node.cond), node.body, _compile(node.body, gamma)
+        cond, c = _compile(node.cond), _child(node.body, gamma, observe)
         def while_(rt, h, eta, fuel):
             iterations = 0
             while cond(rt, h, eta):
@@ -501,15 +478,15 @@ def _compile(node, gamma=None):
                 if iterations > rt.loop_cap:
                     raise rt._stop(FUEL_EXHAUSTED, "loop iteration cap exceeded")
                 rt.steps += 1
-                eta = c(rt, h, eta, fuel) if not rt.hooks else rt._observed(c, body, gamma, h, eta, fuel)
+                eta = c(rt, h, eta, fuel)
             return eta
         return while_
     if t is A.Seq:
-        items = [(_compile(body, gamma), body) for body in node.items]
+        items = [_child(item, gamma, observe) for item in node.items]
         def seq(rt, h, eta, fuel):
-            for c, body in items:
+            for c in items:
                 rt.steps += 1
-                eta = c(rt, h, eta, fuel) if not rt.hooks else rt._observed(c, body, gamma, h, eta, fuel)
+                eta = c(rt, h, eta, fuel)
             return eta
         return seq
     raise TypeError(f"not a core command or expression: {node!r}")
@@ -582,8 +559,6 @@ def format_state(h: Heap, eta: Store) -> str:
 def _fmt_value(v) -> str:
     if v is None:
         return "null"
-    if v is IT:
-        return "it"
     if type(v) is bool:
         return "true" if v else "false"
     return repr(v)

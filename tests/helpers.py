@@ -7,14 +7,19 @@ interpreter as the oracle for the compiled one, and the mangled and noise
 sources the tokenizer and parser are fuzzed with. Also the checks of
 closed heaps and stores, typed values and heaps, the admissible-partition
 clauses and identity extension, which the paper states about every state and
-the tests assert about the states they reach."""
+the tests assert about the states they reach; the relations on types and
+methods the tool never asks (`incomparable`, `method_depth`); the entries
+that run one command, expression or constructor on a `Runtime`; and the
+loader of the benchmark's program generators."""
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import importlib.util
 import itertools
 import math
+import os
 import random
 import re
 import sys
@@ -35,7 +40,7 @@ from jcore.equivalence import (
 )
 from jcore.interp import (
     ABORT, CAST_FAILURE, FUEL_EXHAUSTED, IT, NIL_DEREF, Bottom, Heap, InterpHooks, Location, Runtime,
-    RunResult, Store, _Stop, collect, default_value, fresh, run, value_kind, values_equal,
+    RunResult, Store, _Stop, _child, _compile, collect, default_value, fresh, run, value_kind, values_equal,
 )
 
 
@@ -118,6 +123,53 @@ def identity_extension_check(ct_a: ClassTable, ct_b: ClassTable, sigma, state_a,
     if isinstance(out, Distinguished):
         return "fail", f"{out.path}: {out.message}"
     return "ok", out
+
+
+def incomparable(ct: ClassTable, t, u) -> bool:
+    """Neither type is a subtype of the other."""
+    return not ct.subtype(t, u) and not ct.subtype(u, t)
+
+
+def method_depth(ct: ClassTable, mname: str, cname: str) -> Optional[int]:
+    """How many proper ancestors of `cname` below Object also have `mname`;
+    None when `cname` has no such method."""
+    if ct.resolve_method(mname, cname) is None:
+        return None
+    return sum(mname in ct.method_names(c) for c in ct.ancestors(cname)[1:-1])
+
+
+# The semantics of expressions, commands and constructors as entries of a
+# `Runtime`. Like its public entries, a command or a constructor runs on a
+# copy of the caller's heap; the ad-hoc nodes are compiled for the call only,
+# so they leave no code on the table.
+
+
+def exec_command(rt: Runtime, gamma, cmd, h: Heap, eta: Store, fuel: int):
+    c = _child(cmd, gamma, rt.hooks is not None)
+
+    def body(h):
+        rt.steps += 1
+        return h, c(rt, h, eta, fuel)
+
+    return rt._entry(h, body)
+
+
+def eval_expr(rt: Runtime, h: Heap, eta: Store, e):
+    """Expressions write nothing, so this entry needs no heap copy."""
+    try:
+        return _compile(e)(rt, h, eta)
+    except _Stop as stop:
+        return stop.bottom
+
+
+def exec_constructor(rt: Runtime, class_name: str, h: Heap, loc: Location):
+    """Run the constructor chain of `class_name` on `loc`, root first."""
+
+    def body(h):
+        rt._exec_constructor(class_name, h, loc)
+        return h
+
+    return rt._entry(h, body)
 
 
 def _cls(name, sup, fields, methods=()):
@@ -546,6 +598,18 @@ def walk_exprs_rec(expr):
             yield from walk_exprs_rec(a)
 
 
+def bench_workloads():
+    """The module `bench/workloads.py`, which generates the benchmark's
+    programs, loaded once."""
+    name = "bench_workloads"
+    if name not in sys.modules:
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)  # its dataclass needs it
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
 def mangled_sources(count: int = 400, seed: int = 31):
     """`count` corpus programs, each cut short, with one punctuation character
     inserted or one character deleted, or with two words swapped."""
@@ -615,22 +679,8 @@ class TreeWalkRuntime:
     def new_object(self, class_name: str, h: Heap):
         return self._entry(h, lambda h: (h, self._new_object(class_name, h)))
 
-    def exec_constructor(self, class_name: str, h: Heap, loc: Location):
-        """Run the constructor chain of `class_name` on `loc`, root first."""
-        return self._entry(h, lambda h: self._exec_constructor(class_name, h, loc))
-
     def invoke(self, loc: Location, mname: str, args, h: Heap, fuel: int, start_class: Optional[str] = None):
         return self._entry(h, lambda h: (h, self._invoke(loc, mname, args, h, fuel, start_class)))
-
-    def exec_command(self, gamma, cmd, h: Heap, eta: Store, fuel: int):
-        return self._entry(h, lambda h: (h, self._exec_command(gamma, cmd, h, eta, fuel)))
-
-    def eval_expr(self, h: Heap, eta: Store, e):
-        """Expressions write nothing, so this entry needs no heap copy."""
-        try:
-            return self._eval(h, eta, e)
-        except _Stop as stop:
-            return stop.bottom
 
     # Inside an entry the heap is updated in place: the steps below return
     # only the new store or value, and raise `_Stop` at a bottom.

@@ -1,4 +1,5 @@
 import pytest
+from helpers import incomparable, method_depth
 
 from jcore import ast as A
 from jcore.ast import BOOL, ClassType
@@ -74,8 +75,8 @@ def test_incomparable(tables):
     ct = tables["observer_v1"]
     assert ct.incomparable_names("Observable", "Node")
     assert not ct.incomparable_names("Observable", "Observable")
-    assert ct.incomparable(BOOL, ClassType("Node"))
-    assert ct.incomparable(BOOL, A.INT)
+    assert incomparable(ct, BOOL, ClassType("Node"))
+    assert incomparable(ct, BOOL, A.INT)
 
 
 def test_resolve_method(tables):
@@ -88,17 +89,17 @@ def test_resolve_method(tables):
 
 def test_method_depth(tables):
     ct = tables["observer_sub"]
-    assert ct.depth("notifyAll", "NodeAcc") == 1
-    assert ct.depth("notifyAll", "Node4") == 0
-    assert ct.depth("add", "ObservableAcc") == 2  # ObservableSup -> Observable -> ObservableAcc
-    assert ct.depth("notifications", "NodeAcc") == 0
+    assert method_depth(ct, "notifyAll", "NodeAcc") == 1
+    assert method_depth(ct, "notifyAll", "Node4") == 0
+    assert method_depth(ct, "add", "ObservableAcc") == 2  # ObservableSup -> Observable -> ObservableAcc
+    assert method_depth(ct, "notifications", "NodeAcc") == 0
 
 
 def test_depth_zero_means_declared(tables):
     for ct in tables.values():
         for cname in ct.decls:
             for m in ct.method_names(cname):
-                if ct.depth(m, cname) == 0:
+                if method_depth(ct, m, cname) == 0:
                     assert ct.decls[cname].method(m) is not None
 
 

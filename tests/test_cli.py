@@ -1,9 +1,14 @@
 import json
 import os
+import random
 import shutil
+import subprocess
+import sys
 
 import pytest
+from helpers import bench_workloads
 
+import jcore
 from jcore.cli import main
 from jcore.corpus import CORPUS_DIR
 
@@ -132,6 +137,22 @@ def test_run_recursion_200_calls_deep(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("ok at fuel 256\n")
     assert "Main@0: {out = 200}" in out
+
+
+def test_run_down_245_in_a_fresh_process(tmp_path):
+    """`jcore run` of the benchmark's `down(245)` in a process of its own, at
+    the default recursion limit: 246 nested calls fit, so no change may add a
+    Python frame per call."""
+    workloads = bench_workloads()
+    src, out = workloads.down_program(245, workloads.Names(random.Random(0)))
+    path = tmp_path / "down.jcore"
+    path.write_text(src)
+    src_dir = os.path.dirname(os.path.dirname(jcore.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "jcore.cli", "run", "--entry", "Main.main", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert f"Main@0: {{{out} = 245}}" in proc.stdout
 
 
 def test_equiv_exit_codes(capsys):

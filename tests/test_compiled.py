@@ -12,7 +12,7 @@ import weakref
 import pytest
 
 import test_soundness_fuzz
-from helpers import EventLog, TreeWalkRuntime, outcome_facts, runtime_swapped
+from helpers import EventLog, TreeWalkRuntime, eval_expr, exec_command, outcome_facts, runtime_swapped
 from jcore import ast as A
 from jcore.classtable import Designations, build_class_table
 from jcore.cli import main
@@ -213,9 +213,9 @@ def test_code_memo_is_safe_against_id_reuse():
     for i in range(2000):
         value = A.IntLit(i)
         cmd = A.Assign("x", value) if i % 2 else A.If(A.BoolLit(i % 4 == 0), A.Assign("x", value), A.Skip())
-        _, eta = rt.exec_command(gamma, cmd, {}, {"x": -1}, 1)
+        _, eta = exec_command(rt, gamma, cmd, {}, {"x": -1}, 1)
         assert eta["x"] == (i if i % 4 != 2 else -1)
-        assert rt.eval_expr({}, {"y": i}, A.IntOp("+", A.Var("y"), A.IntLit(1))) == i + 1
+        assert eval_expr(rt, {}, {"y": i}, A.IntOp("+", A.Var("y"), A.IntLit(1))) == i + 1
         del value, cmd
 
 
@@ -224,15 +224,65 @@ def test_ad_hoc_nodes_leave_no_code_on_the_table():
     the method bodies an ad-hoc command calls are kept as before."""
     ct = _table(DOWN % 7)
     assert run(ct, "Main", "main").ok
-    loc, memo = Location("D", 0), vars(ct)["_code"]
+    loc, memo = Location("D", 0), Runtime(ct)._code
     kept = len(memo)
     gamma = {"self": A.ClassType("Main")}
     for i in range(500):
         call = A.CallAssign("x", A.Var("r"), "down", (A.IntLit(i % 5),))
-        _, eta = Runtime(ct).exec_command(gamma, call, {loc: {}}, {"r": loc, "x": -1}, 8)
+        _, eta = exec_command(Runtime(ct), gamma, call, {loc: {}}, {"r": loc, "x": -1}, 8)
         assert eta["x"] == i % 5
-        assert Runtime(ct).eval_expr({}, {"y": i}, A.IntOp("+", A.Var("y"), A.IntLit(1))) == i + 1
+        assert eval_expr(Runtime(ct), {}, {"y": i}, A.IntOp("+", A.Var("y"), A.IntLit(1))) == i + 1
     assert len(memo) == kept
+
+
+def test_plain_and_hooked_runs_keep_their_code_apart(corpus):
+    """One table runs each corpus entry plain, under the `every` monitor,
+    then plain again. Each run shows what the same run shows on a fresh
+    table built from the same declarations: outcome, fuel, steps and least
+    fuel, and under hooks every event and violation."""
+    for name, rec in corpus.items():
+        decls = parse_and_desugar(rec.source())
+        shared = build_class_table(decls, rec.designations())
+        for e, mode in itertools.product(rec.entries, (None, "every", None)):
+            fresh = build_class_table(decls, rec.designations())
+            got, want = (_run_facts(Runtime, ct, e.entry_class, e.entry_method, mode) for ct in (shared, fresh))
+            assert got == want, (name, e.entry_class, mode)
+
+
+class _CountedRuntime(Runtime):
+    """A runtime that counts its reads of `hooks` and its allocations."""
+
+    def __init__(self, *args, **kwargs):
+        self.reads = self.allocations = 0
+        super().__init__(*args, **kwargs)
+
+    @property
+    def hooks(self):
+        self.reads += 1
+        return self._hooks
+
+    @hooks.setter
+    def hooks(self, value):
+        self._hooks = value
+
+    def _new_object(self, class_name, h):
+        self.allocations += 1
+        return super()._new_object(class_name, h)
+
+
+def test_code_for_a_plain_run_tests_no_hook(corpus, tables):
+    """Once its code is compiled, a run without hooks reads `hooks` once per
+    allocation, for `after_alloc`, and at no command."""
+    programs = [(tables[name], e.entry_class, e.entry_method) for name, rec in corpus.items() for e in rec.entries]
+    programs.append((_table(DOWN % 50), "Main", "main"))
+    steps = 0
+    for ct, entry_class, entry_method in programs:
+        run(ct, entry_class, entry_method)
+        with runtime_swapped(_CountedRuntime) as made:
+            steps += run(ct, entry_class, entry_method).steps
+        (rt,) = made
+        assert rt.reads == rt.allocations, entry_class
+    assert steps > 1000
 
 
 def test_code_memo_lives_and_dies_with_its_table():

@@ -1,12 +1,13 @@
 """Source hygiene of the `jcore` package: no unused imports, no imports
-inside functions, no test-only functions or classes, no unused parameters
-and one way to make a value type, checked on the syntax tree of every
-module."""
+inside functions, no test-only functions, classes or methods, no unused
+parameters and one way to make a value type, checked on the syntax tree of
+every module."""
 
 import ast
 import dataclasses
 import importlib
 import os
+from collections import Counter
 
 import jcore
 import jcore.ast
@@ -110,16 +111,23 @@ def _referenced(tree):
             for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))}
 
 
-def _bench_names():
-    """The names the bench scripts use, with every part of the dotted names in
-    `tracing.WRAPPED`, which the tracer looks up as strings."""
+def _attributes(tree):
+    """The attribute names a syntax tree reads, each with the number of
+    times it reads it."""
+    return Counter(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+
+
+def _bench_names(read=_referenced):
+    """The names the bench scripts use (as `read` finds them in a tree), with
+    every part of the dotted names in `tracing.WRAPPED`, which the tracer
+    looks up as strings."""
     names = set()
     for name in sorted(os.listdir(BENCH_DIR)):
         if not name.endswith(".py"):
             continue
         with open(os.path.join(BENCH_DIR, name), encoding="utf-8") as f:
             tree = ast.parse(f.read(), name)
-        names |= _referenced(tree)
+        names.update(read(tree))
         for n in tree.body:
             if isinstance(n, ast.Assign) and [t.id for t in n.targets if isinstance(t, ast.Name)] == ["WRAPPED"]:
                 names |= {part for c in ast.walk(n.value) if isinstance(c, ast.Constant) and isinstance(c.value, str)
@@ -130,8 +138,10 @@ def _bench_names():
 def test_no_test_only_code_in_the_package():
     """Every top-level function and class of the package is used by the
     package outside its own body, used by the bench, or exported by
-    `jcore/__init__.py`. Code only the tests call (oracles, the printer)
-    lives in `tests/`."""
+    `jcore/__init__.py`; every public method of a class is read by the
+    package outside its own body or by the bench. Code only the tests call
+    (oracles, the printer, the entries for one command or expression) lives
+    in `tests/`."""
     modules = dict(_modules())
     exported = {alias.name for n in modules["__init__.py"].body if isinstance(n, ast.ImportFrom) for alias in n.names}
     assert {"run", "confine_heap", "client_equiv"} <= exported
@@ -148,6 +158,14 @@ def test_no_test_only_code_in_the_package():
                 continue
             if not any(d.name in names for stmt, names in reads if stmt is not d):
                 unused.append(f"{rel}:{d.lineno} {d.name}")
+    read, bench_read = sum(map(_attributes, modules.values()), Counter()), _bench_names(_attributes)
+    for rel, tree in modules.items():
+        for c in tree.body:
+            for fn in c.body if isinstance(c, ast.ClassDef) else ():
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name.startswith("_"):
+                    continue
+                if fn.name not in bench_read and read[fn.name] == _attributes(fn)[fn.name]:
+                    unused.append(f"{rel}:{fn.lineno} {c.name}.{fn.name}")
     assert unused == []
 
 

@@ -2,7 +2,9 @@ import copy
 import random
 
 import pytest
-from helpers import heap_closed, heap_well_typed, observer_n, store_closed, value_in_type
+from helpers import (
+    eval_expr, exec_command, exec_constructor, heap_closed, heap_well_typed, observer_n, store_closed, value_in_type,
+)
 
 from jcore import ast as A
 from jcore import interp
@@ -93,7 +95,7 @@ def test_public_entry_rescans_at_most_its_heap(checked_fresh):
     h2, _ = rt.invoke(maker, "make", [1], {maker: {"last": None}}, 4)
     assert h2[maker]["last"] == Location("C", 0)
     assert rt.new_object("C", {})[1] == Location("C", 0)
-    h3, _ = rt.exec_command({"self": ClassType("Maker")}, A.NewAssign("x", "C"), {}, {"self": maker}, 4)
+    h3, _ = exec_command(rt, {"self": ClassType("Maker")}, A.NewAssign("x", "C"), {}, {"self": maker}, 4)
     assert Location("C", 0) in h3
 
 
@@ -125,9 +127,9 @@ def test_public_entries_keep_value_semantics():
         "invoke-abort": lambda h: rt.invoke(cell, "setAbort", [2], h, 4),
         "new_object": lambda h: rt.new_object("Cell", h),
         "new_object-abort": lambda h: rt.new_object("Bad", h),
-        "exec_constructor": lambda h: rt.exec_constructor("Cell", h, cell),
-        "exec_constructor-abort": lambda h: rt.exec_constructor("Bad", h, cell),
-        "exec_command": lambda h: rt.exec_command({"self": ClassType("Cell")}, write, h, {"self": cell}, 4),
+        "exec_constructor": lambda h: exec_constructor(rt, "Cell", h, cell),
+        "exec_constructor-abort": lambda h: exec_constructor(rt, "Bad", h, cell),
+        "exec_command": lambda h: exec_command(rt, {"self": ClassType("Cell")}, write, h, {"self": cell}, 4),
     }
     h[cell]["f"] = 0  # so that rerunning Cell's constructor changes the state
     for name, entry in entries.items():
@@ -156,25 +158,25 @@ def test_equality_on_incomparable_non_nil_is_false(tables):
     rt = Runtime(ct)
     h = {Location("Observable", 0): {"fst": None}, Location("Observer", 0): {}}
     eta = {"x": Location("Observable", 0), "y": Location("Observer", 0)}
-    assert rt.eval_expr(h, eta, A.Eq(A.Var("x"), A.Var("y"))) is False
+    assert eval_expr(rt, h, eta, A.Eq(A.Var("x"), A.Var("y"))) is False
     eta2 = {"x": None, "y": None}
-    assert rt.eval_expr(h, eta2, A.Eq(A.Var("x"), A.Var("y"))) is True
+    assert eval_expr(rt, h, eta2, A.Eq(A.Var("x"), A.Var("y"))) is True
 
 
 def test_cast_and_test_on_null(tables):
     ct = tables["observer_v1"]
     rt = Runtime(ct)
-    assert rt.eval_expr({}, {"x": None}, A.InstanceTest(A.Var("x"), "Node")) is False
-    assert rt.eval_expr({}, {"x": None}, A.Cast("Node", A.Var("x"))) is None
+    assert eval_expr(rt, {}, {"x": None}, A.InstanceTest(A.Var("x"), "Node")) is False
+    assert eval_expr(rt, {}, {"x": None}, A.Cast("Node", A.Var("x"))) is None
 
 
 def test_cast_failure_and_nil_deref(tables):
     ct = tables["observer_sub"]
     rt = Runtime(ct)
     h = {Location("Node4", 0): {"ob": None, "nxt": None}}
-    out = rt.eval_expr(h, {"x": Location("Node4", 0)}, A.Cast("NodeAcc", A.Var("x")))
+    out = eval_expr(rt, h, {"x": Location("Node4", 0)}, A.Cast("NodeAcc", A.Var("x")))
     assert isinstance(out, Bottom) and out.reason == "cast-failure"
-    out = rt.eval_expr(h, {"x": None}, A.FieldAccess(A.Var("x"), "nxt"))
+    out = eval_expr(rt, h, {"x": None}, A.FieldAccess(A.Var("x"), "nxt"))
     assert isinstance(out, Bottom) and out.reason == "nil-dereference"
 
 
@@ -511,7 +513,7 @@ def test_field_assign_checks_target_before_value(tables):
         A.FieldAccess(A.Var("y"), "nxt"),
     )
     gamma = {"self": ClassType("Node"), "x": ClassType("Node"), "y": ClassType("Node")}
-    out = rt.exec_command(gamma, cmd, {}, {"x": None, "y": None, "self": None}, 4)
+    out = exec_command(rt, gamma, cmd, {}, {"x": None, "y": None, "self": None}, 4)
     assert isinstance(out, Bottom) and out.reason == "nil-dereference"
     assert "ob" in out.detail
 
@@ -525,7 +527,7 @@ def test_call_checks_receiver_before_arguments(tables):
     )
     gamma = {"self": ClassType("Node"), "r": ClassType("Node"), "y": ClassType("Node"),
              "x": A.UNIT}
-    out = rt.exec_command(gamma, cmd, {}, {"r": None, "y": None, "x": IT, "self": None}, 4)
+    out = exec_command(rt, gamma, cmd, {}, {"r": None, "y": None, "x": IT, "self": None}, 4)
     assert isinstance(out, Bottom) and out.reason == "nil-dereference"
     assert "setOb" in out.detail
 

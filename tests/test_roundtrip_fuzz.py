@@ -3,12 +3,9 @@ print/parse/desugar round trip unchanged, and the parser never fails with
 anything but its own error type on mangled input."""
 
 import hashlib
-import importlib.util
-import os
 import random
-import sys
 
-from helpers import mangled_sources, noise_sources
+from helpers import bench_workloads, mangled_sources, noise_sources
 from jcore import ast as A
 from jcore.classtable import build_class_table
 from jcore.corpus import load_corpus
@@ -199,10 +196,7 @@ def test_spans_of_corpus_and_fuzz_programs():
 def _bench_padded_sources(seed):
     """The sources of the benchmark's frontend workload at `seed`: each corpus
     program followed by its generated padding, as `bench/workloads.py` makes them."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclass needs it
-    spec.loader.exec_module(workloads)
+    workloads = bench_workloads()
     rng = random.Random(seed)
     names = workloads.Names(rng)
     return [r.source() + "\n" + workloads.padding(rng, names) for r in load_corpus()]
