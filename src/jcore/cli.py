@@ -157,8 +157,7 @@ def cmd_run(args) -> int:
         h, eta = collect(*result.outcome)
         payload["outcome"] = "ok"
         payload["state"] = format_state(h, eta)
-        lines.append(f"ok at fuel {result.fuel_used}")
-        lines.append(format_state(h, eta))
+        lines += [f"ok at fuel {result.fuel_used}", payload["state"]]
     if tracer:
         lines.extend(f"trace: {t}" for t in tracer.lines)
     for v in violations:

@@ -11,13 +11,14 @@ partitions resolve the flexible reps in whatever way satisfies them.
 
 `confine_heap` decides a heap from scratch and is the spec. The dynamic
 monitor follows the forced partition of the running heap instead, one
-allocation or field write at a time: added edges are checked against the
-clauses they touch, removed edges need no check, and a change it cannot
-follow (a removed rep->rep edge, or any failed check) drops the followed
-state. While it is dropped, checkpoints ask `confine_heap`, which gives the
-canonical violation, and the state is rebuilt once the heap is confined
-again. The extension check at a call's return reads a log of forced-owner
-changes instead of a partition taken before the call.
+allocation or field write at a time: one rule follows each edge that comes
+or goes, checking one that comes against the clauses it touches, and a
+change it cannot follow (a removed rep->rep edge, or any failed check)
+drops the followed state. While it is dropped, checkpoints ask
+`confine_heap`, which gives the canonical violation, and the state is
+rebuilt once the heap is confined again. The extension check at a call's
+return reads a log of forced-owner changes instead of a partition taken
+before the call.
 
 Each owner has one island, so an island is named by its owner. Both the
 spec's Partition and the followed state answer one lookup, `forced_owner`:
@@ -72,10 +73,6 @@ class Partition(A.Record):
         return None
 
 
-def role_of(ct: ClassTable, loc: Location) -> str:
-    return ct.role(loc.class_name)
-
-
 class _UnionFind:
     """Union by size with path halving; each root lists the members of its group."""
 
@@ -116,13 +113,13 @@ def confine_heap(ct: ClassTable, h: Heap):
 
     owners, reps, clients = [], [], []
     for loc in sorted(h):
-        role = role_of(ct, loc)
+        role = ct.role(loc.class_name)
         (owners if role == "owner" else reps if role == "rep" else clients).append(loc)
 
     # clause: clients do not point to reps
     for c in clients:
         for f, v in h[c].items():
-            if isinstance(v, Location) and role_of(ct, v) == "rep":
+            if isinstance(v, Location) and ct.role(v.class_name) == "rep":
                 return ConfinementViolation(
                     CLIENT_TO_REP, f"client {c} points to rep {v} via field {f}", (c, f, v)
                 )
@@ -132,7 +129,7 @@ def confine_heap(ct: ClassTable, h: Heap):
         uf.add(r)
     for r in reps:
         for f, v in h[r].items():
-            if isinstance(v, Location) and role_of(ct, v) == "rep":
+            if isinstance(v, Location) and ct.role(v.class_name) == "rep":
                 uf.union(r, v)
 
     # attachments: component root -> owner plus a witness edge
@@ -152,7 +149,7 @@ def confine_heap(ct: ClassTable, h: Heap):
 
     for o in owners:
         for f, v in h[o].items():
-            if isinstance(v, Location) and role_of(ct, v) == "rep":
+            if isinstance(v, Location) and ct.role(v.class_name) == "rep":
                 if f not in private:
                     return ConfinementViolation(
                         NON_PRIVATE_OWNER_EDGE,
@@ -164,7 +161,7 @@ def confine_heap(ct: ClassTable, h: Heap):
                     return bad
     for r in reps:
         for f, v in h[r].items():
-            if isinstance(v, Location) and role_of(ct, v) == "owner":
+            if isinstance(v, Location) and ct.role(v.class_name) == "owner":
                 bad = attach_component(uf.find(r), v, (r, f, v), "rep-edge")
                 if bad:
                     return bad
@@ -190,35 +187,26 @@ def confine_heap(ct: ClassTable, h: Heap):
 
 def confined_store(ct: ClassTable, class_name: str, eta: Store, partition: Partition):
     """Check store confinement for code of `class_name`; None means ok."""
-    if ct.is_client_class(class_name):
-        for x in sorted(eta):
-            v = eta[x]
-            if isinstance(v, Location) and role_of(ct, v) == "rep":
-                return ConfinementViolation(
-                    STORE_VIOLATION, f"client store of {class_name} holds rep {v} in {x}", (x, v)
-                )
-        return None
-    if ct.is_owner_class(class_name):
-        mine = (None, eta.get("self"))
-        for x in sorted(eta):
-            v = eta[x]
-            if isinstance(v, Location) and role_of(ct, v) == "rep" and partition.forced_owner(v) not in mine:
-                return ConfinementViolation(
-                    STORE_VIOLATION,
-                    f"owner store of {class_name} holds rep {v} from a foreign island in {x}",
-                    (x, v),
-                )
-        return None
-    # rep code: every owner or forced rep in range must name one owner, self's own
+    code = ct.role(class_name)
     owners: Set[Location] = set()
     witnesses = []
     for x in sorted(eta):
         v = eta[x]
         if not isinstance(v, Location):
             continue
-        r = role_of(ct, v)
-        o = v if r == "owner" else partition.forced_owner(v) if r == "rep" else None
-        if o is not None:
+        role = ct.role(v.class_name)
+        o = v if role == "owner" else partition.forced_owner(v) if role == "rep" else None
+        if code == "client" and role == "rep":
+            return ConfinementViolation(
+                STORE_VIOLATION, f"client store of {class_name} holds rep {v} in {x}", (x, v)
+            )
+        if code == "owner" and role == "rep" and o not in (None, eta.get("self")):
+            return ConfinementViolation(
+                STORE_VIOLATION,
+                f"owner store of {class_name} holds rep {v} from a foreign island in {x}",
+                (x, v),
+            )
+        if code == "rep" and o is not None:  # every owner or forced rep in range names one owner, self's own
             owners.add(o)
             witnesses.append((x, v))
     if len(owners) > 1:
@@ -284,7 +272,7 @@ class _Islands:
         """Replay a heap `confine_heap` accepted: objects, owners first, then edges."""
         isl = cls(ct)
         ok = all(isl.alloc(loc) for loc in sorted(h, key=lambda l: isl.role(l.class_name) == "rep")) and all(
-            isl.add(loc, f, v) for loc, state in h.items() for f, v in state.items() if isinstance(v, Location)
+            isl.edge(loc, f, v, 1) for loc, state in h.items() for f, v in state.items() if isinstance(v, Location)
         )
         assert ok, "confine_heap accepted a heap the followed partition rejects"
         return isl
@@ -310,26 +298,16 @@ class _Islands:
             self.groups.add(loc)
         return True
 
-    def add(self, src: Location, f: str, dst: Location) -> bool:
+    def edge(self, src: Location, f: str, dst: Location, delta: int) -> bool:
+        """Follow the edge `src.f -> dst` as it comes (`delta` 1) or goes (-1)."""
         rs, rd = self.role(src.class_name), self.role(dst.class_name)
         if rd == "rep":
-            if rs == "client" or (rs == "owner" and f not in self.private):
-                return False
-            if rs == "owner":
-                return self._tie(dst, src, 1)
-            return self._union(src, dst)
+            if rs == "rep":
+                return delta > 0 and self._union(src, dst)  # a going edge may split the group
+            # no client->rep or non-private owner->rep edge is in a followed heap, so none goes
+            return rs == "owner" and f in self.private and self._tie(dst, src, delta)
         if rs == "rep" and rd == "owner":
-            return self._tie(src, dst, 1)
-        return True
-
-    def remove(self, src: Location, dst: Location) -> bool:
-        rs, rd = self.role(src.class_name), self.role(dst.class_name)
-        if rs == "rep" and rd == "rep":
-            return False  # the group may split
-        if rs == "owner" and rd == "rep":
-            self._tie(dst, src, -1)
-        elif rs == "rep" and rd == "owner":
-            self._tie(src, dst, -1)
+            return self._tie(src, dst, delta)
         return True
 
     def write(self, loc: Location, f: str, old, new, log: Optional[list]) -> bool:
@@ -345,8 +323,8 @@ class _Islands:
                 if root not in touched:
                     members = self.groups.members[root]
                     touched[root] = (members, len(members), self.forced_owner(x))
-        ok = (not isinstance(old, Location) or self.remove(loc, old)) and (
-            not isinstance(new, Location) or self.add(loc, f, new)
+        ok = (not isinstance(old, Location) or self.edge(loc, f, old, -1)) and (
+            not isinstance(new, Location) or self.edge(loc, f, new, 1)
         )
         if log is not None:
             for members, n, was in touched.values():
@@ -420,23 +398,24 @@ class ConfinementMonitor(InterpHooks):
     def _drop(self):
         self._last, self._islands, self._verdict = self._islands, None, None
 
-    def after_alloc(self, heap, loc):
+    def _following(self, heap: Heap) -> Optional[_Islands]:
+        """Note a change to `heap`: the followed state, None while dropped."""
         if heap is not self._heap:
             self._track(heap)
-        elif self._islands is None:
-            self._verdict = None
-        elif not self._islands.alloc(loc):
+        self._verdict = None
+        return self._islands
+
+    def after_alloc(self, heap, loc):
+        isl = self._following(heap)
+        if isl is not None and not isl.alloc(loc):
             self._drop()
 
     def before_write(self, heap, loc, fieldname, value):
         old = heap[loc][fieldname]
         if not (isinstance(old, Location) or isinstance(value, Location)) or old == value:
             return  # no edge changes
-        if heap is not self._heap:
-            self._track(heap)
-        elif self._islands is None:
-            self._verdict = None
-        elif not self._islands.write(loc, fieldname, old, value, self._log if self._marks else None):
+        isl = self._following(heap)
+        if isl is not None and not isl.write(loc, fieldname, old, value, self._log if self._marks else None):
             self._drop()
 
     def partition(self, h: Heap):
@@ -514,7 +493,7 @@ class ConfinementMonitor(InterpHooks):
         part = self._check_state(callee_class, callee_store, h0, at, mark)
         if part is None or not isinstance(d, Location):
             return
-        role, drole = ct.role(callee_class), role_of(ct, d)
+        role, drole = ct.role(callee_class), ct.role(d.class_name)
         if role == "rep":
             if drole != "client":
                 probe = {**callee_store, "$result": d}

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import ast as A
 from .classtable import ClassTable
-from .confine import ConfinementViolation, confine_heap, role_of
+from .confine import ConfinementViolation, confine_heap
 from .equivalence import (
     FUELS, MAX_LEN, MAX_SCRIPTS, Distinguished, Manifest, ManifestError, load_manifest, pair_reachable,
     value_equiv,
@@ -158,7 +158,7 @@ def root_sigma(ct_a: ClassTable, ct_b: ClassTable, roots_a: Store, roots_b: Stor
     private = {f for f, _ in ct_a.dfields(own)} | {f for f, _ in ct_b.dfields(own)}
 
     def fields_of(loc: Location):
-        role = role_of(ct_a, loc)
+        role = ct_a.role(loc.class_name)
         if role == "rep":
             return ()
         return [f for f, _ in ct_a.fields(loc.class_name) if role != "owner" or f not in private]

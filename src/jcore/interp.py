@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import namedtuple
+from collections import deque, namedtuple
 from dataclasses import field
 from typing import Dict, List, Optional, Tuple
 
@@ -541,9 +541,9 @@ def format_state(h: Heap, eta: Store) -> str:
     for name in sorted(eta):
         lines.append(f"{name} = {_fmt_value(eta[name])}")
     order, seen = [], set()
-    queue = [v for x in sorted(eta) for v in [eta[x]] if isinstance(v, Location)]
+    queue = deque(v for x in sorted(eta) for v in [eta[x]] if isinstance(v, Location))
     while queue:
-        loc = queue.pop(0)
+        loc = queue.popleft()
         if loc in seen or loc not in h:
             continue
         seen.add(loc)

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional
 from jcore import ast as A
 from jcore.ast import OBJECT, ClassType, NullType, PrimType
 from jcore.classtable import ClassTable, Designations, build_class_table
-from jcore.confine import ConfinementViolation, confine_heap, role_of
+from jcore.confine import ConfinementViolation, confine_heap
 from jcore.corpus import load_corpus
 from jcore.coupling import (
     BasicCoupling, CouplingFailure, CouplingReport, VectorResult, _exec_step, _own_methods_of,
@@ -91,11 +91,11 @@ def partition_clauses_hold(ct: ClassTable, h: Heap, assignment: Dict[Location, i
     for i, o in enumerate(owners):
         island_of[o] = i
     for loc in h:
-        role = role_of(ct, loc)
+        role = ct.role(loc.class_name)
         for f, v in h[loc].items():
             if not isinstance(v, Location):
                 continue
-            vrole = role_of(ct, v)
+            vrole = ct.role(v.class_name)
             if role == "client" and vrole == "rep":
                 return False
             if role == "owner" and vrole == "rep":

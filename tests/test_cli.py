@@ -455,6 +455,18 @@ def test_corpus_list_and_run_all(capsys):
     assert "0 failures" in out
 
 
+def test_corpus_run_all_reports_each_failure(monkeypatch, capsys):
+    from jcore.corpus import load_corpus
+
+    failures = ["observer_v1: fuel 9, expected 8", "bool_v1: check expectation mismatch"]
+    monkeypatch.setattr("jcore.cli.replay", lambda: failures)
+    n = len(load_corpus())
+    assert main(["corpus", "run-all"]) == 1
+    assert capsys.readouterr().out.splitlines() == [f"{n} programs, 2 failures"] + [f"  {f}" for f in failures]
+    assert main(["--format", "json", "corpus", "run-all"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"programs": n, "failures": failures}
+
+
 def test_run_trace(capsys):
     code = main(["run", "--entry", "Main.main", "--trace", _c("bool_v1.jcore")])
     out = capsys.readouterr().out

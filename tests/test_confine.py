@@ -2,8 +2,8 @@ import random
 from types import SimpleNamespace
 
 from helpers import (
-    assert_partition_agrees, brute_force_confining, observer_n, partition_clauses_hold, random_heap,
-    roles_table,
+    assert_partition_agrees, brute_force_confining, forced_map, observer_n, partition_clauses_hold,
+    random_heap, roles_table,
 )
 
 from jcore import ast as A
@@ -528,6 +528,60 @@ def test_followed_partition_matches_confine_heap_on_random_walks():
                     moved += want is not None
     assert moved >= 40, moved
     assert min(refused.values()) >= 500, refused
+
+
+def test_followed_partition_follows_each_edge_that_comes_and_goes():
+    """One table row per kind of edge: from a followed, confined heap with
+    two owners of class Own, one of SubOwn (whose `sr` is not a private
+    field of Own), reps and a client, the row's writes come and then go in
+    reverse. After each write the monitor's partition is confine_heap's
+    verdict, or has its forced map, and the verdict after the last coming
+    write is the row's."""
+    ct = roles_table()
+    monitor = ConfinementMonitor(ct, "calls")
+    h = {}
+    o1, o2, s, r1, r2, r3, c = locs = [
+        _alloc(ct, h, n) for n in ("Own", "Own", "SubOwn", "Rep", "Rep", "SubRep", "Cli")
+    ]
+    for loc in locs:
+        monitor.after_alloc(h, loc)
+    _write(monitor, h, o1, "pr", r1)
+    _write(monitor, h, o2, "pr", r2)
+    rows = [
+        ([(c, "cc", c)], None),
+        ([(c, "co", o1)], None),
+        ([(c, "cr", r3)], "ClientToRep"),
+        ([(o1, "pc", c)], None),
+        ([(o1, "po", o2)], None),
+        ([(s, "pr", r3)], None),  # private: r3 joins the island of s
+        ([(s, "pr", r1)], "SharedRep"),
+        ([(s, "sr", r3)], "NonPrivateOwnerEdge"),
+        ([(r1, "rc", c)], None),
+        ([(r3, "ro", o2)], None),  # r3 joins the island of o2
+        ([(r1, "ro", o1)], None),  # a second forcing edge on one group
+        ([(r1, "ro", o2)], "RepEscapesIsland"),
+        ([(r1, "rr", r3)], None),  # r3 joins the group of r1
+        ([(r1, "rr", r2)], "SharedRep"),
+        ([(r3, "ro", o2), (r3, "rr", r1)], "RepEscapesIsland"),
+        ([(o1, "pr", None)], None),  # the group's last forcing edge goes: r1 is flexible
+        ([(r1, "ro", o1), (o1, "pr", None)], None),  # one of two forcing edges goes
+        ([(r1, "rr", r3), (o1, "pr", None)], None),  # r1 and r3 are flexible
+    ]
+    for writes, want in rows:
+        assert not isinstance(monitor.partition(h), ConfinementViolation)  # followed again
+        olds = []
+        for loc, f, v in writes:
+            olds.append((loc, f, h[loc][f]))
+            _write(monitor, h, loc, f, v)
+            got = monitor.partition(h)
+            assert_partition_agrees(ct, h, got)
+        assert getattr(got, "kind", None) == want, (writes, got)
+        for loc, f, v in reversed(olds):
+            _write(monitor, h, loc, f, v)
+            assert_partition_agrees(ct, h, monitor.partition(h))
+    assert forced_map(confine_heap(ct, h)) == {r1: o1, r2: o2}  # every row undone
+    _write(monitor, h, o1, "pr", None)
+    assert monitor.partition(h).forced() == {r2: o2}
 
 
 def test_monitor_partition_agrees_at_every_checkpoint_of_the_corpus(partition_oracles, corpus, tables):
