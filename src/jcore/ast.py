@@ -39,6 +39,8 @@ class Record:
     __slots__ = ()
 
     def __eq__(self, other):
+        if self is other:  # most type comparisons meet one of the shared constants, as in `t == INT`
+            return True
         return self._key(self) == self._key(other) if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self):
@@ -377,14 +379,15 @@ def walk_commands(cmd, gamma):
     while stack:
         cmd, gamma = stack.pop()
         yield cmd, gamma
-        if isinstance(cmd, LocalBlock):
+        cls = cmd.__class__
+        if cls is LocalBlock:
             stack.append((cmd.body, {**gamma, cmd.name: cmd.var_type}))
-        elif isinstance(cmd, If):
-            stack += (cmd.else_cmd, gamma), (cmd.then_cmd, gamma)
-        elif isinstance(cmd, While):
-            stack.append((cmd.body, gamma))
-        elif isinstance(cmd, Seq):
+        elif cls is Seq:
             stack += ((it, gamma) for it in reversed(cmd.items))
+        elif cls is If:
+            stack += (cmd.else_cmd, gamma), (cmd.then_cmd, gamma)
+        elif cls is While:
+            stack.append((cmd.body, gamma))
 
 
 def walk_exprs(expr):
@@ -394,12 +397,13 @@ def walk_exprs(expr):
     while stack:
         expr = stack.pop()
         yield expr
-        if isinstance(expr, (FieldAccess, InstanceTest, Cast)):
-            stack.append(expr.target)
-        elif isinstance(expr, (Eq, IntOp)):
+        cls = expr.__class__
+        if cls is IntOp or cls is Eq:
             stack += expr.right, expr.left
-        elif isinstance(expr, CallExpr):
+        elif cls is FieldAccess or cls is InstanceTest or cls is Cast:
+            stack.append(expr.target)
+        elif cls is CallExpr:
             stack += reversed(expr.args)
             stack.append(expr.receiver)
-        elif isinstance(expr, SuperCallExpr):
+        elif cls is SuperCallExpr:
             stack += reversed(expr.args)

@@ -29,7 +29,6 @@ local falls back to `unit` and the type checker reports the real error.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import ast as A
@@ -50,28 +49,24 @@ def default_literal(t):
 
 
 class _Sigs:
-    """Signature-level view of a surface program, for typing hoisted locals."""
+    """Signature-level view of a surface program, for typing hoisted locals: per
+    class, its superclass, and the types of its own and inherited fields and
+    of its methods' results by name. The most-derived declaration wins, and
+    within a class the first."""
 
     def __init__(self, prog: SurfaceProgram):
-        self.classes: Dict[str, SurfaceClass] = {c.name: c for c in prog.classes}
-
-    def super_of(self, name: str) -> Optional[str]:
-        c = self.classes.get(name)
-        return c.super_name if c else None
-
-    def _chain(self, cname: str):
-        """`cname` and its superclasses, up to Object, an unknown name or a cycle."""
-        seen = set()
-        while cname and cname != A.OBJECT and cname in self.classes and cname not in seen:
-            seen.add(cname)
-            yield self.classes[cname]
-            cname = self.classes[cname].super_name
-
-    def field_type(self, cname: str, fname: str):
-        return next((ft for c in self._chain(cname) for fn, ft in c.fields if fn == fname), None)
-
-    def method_sig(self, cname: str, mname: str):
-        return next((m for c in self._chain(cname) for m in c.methods if m.name == mname), None)
+        classes = {c.name: c for c in prog.classes}
+        self.supers = {name: c.super_name for name, c in classes.items()}
+        self.fields: Dict[str, Dict[str, object]] = {}
+        self.results: Dict[str, Dict[str, object]] = {}
+        for name in classes:
+            chain, sup = [], name  # names up to Object, an unknown name or a cycle
+            while sup != A.OBJECT and sup in classes and sup not in chain:
+                chain.append(sup)
+                sup = classes[sup].super_name
+            ancestry = [classes[c] for c in reversed(chain)]  # base first, so later writes win
+            self.fields[name] = {f: t for c in ancestry for f, t in reversed(c.fields)}
+            self.results[name] = {m.name: m.return_type for c in ancestry for m in reversed(c.methods)}
 
 
 class _BodyLowerer:
@@ -88,63 +83,61 @@ class _BodyLowerer:
     # -- type synthesis over surface expressions (best effort)
 
     def synth(self, e, env) -> Optional[object]:
-        if isinstance(e, A.Var):
+        cls = e.__class__
+        if cls is A.Var:
             return env.get(e.name)
-        if isinstance(e, A.BoolLit):
-            return A.BOOL
-        if isinstance(e, A.IntLit):
-            return A.INT
-        if isinstance(e, A.UnitLit):
-            return A.UNIT
-        if isinstance(e, A.NullLit):
-            return None
-        if isinstance(e, (A.Eq, A.InstanceTest)):
-            return A.BOOL
-        if isinstance(e, A.IntOp):
+        if cls is A.IntOp:
             return A.BOOL if e.op == "<" else A.INT
-        if isinstance(e, A.Cast):
+        if cls is A.IntLit:
+            return A.INT
+        if cls is A.BoolLit or cls is A.Eq or cls is A.InstanceTest:
+            return A.BOOL
+        if cls is A.UnitLit:
+            return A.UNIT
+        if cls is A.Cast:
             return A.ClassType(e.class_name)
-        if isinstance(e, A.FieldAccess):
+        sigs = self.sigs
+        if cls is A.FieldAccess:
             t = self.synth(e.target, env)
-            if isinstance(t, A.ClassType):
-                return self.sigs.field_type(t.name, e.fieldname)
-            return None
-        if isinstance(e, A.CallExpr):
+            return sigs.fields.get(t.name, {}).get(e.fieldname) if isinstance(t, A.ClassType) else None
+        if cls is A.CallExpr:
             t = self.synth(e.receiver, env)
-            if isinstance(t, A.ClassType):
-                m = self.sigs.method_sig(t.name, e.method)
-                if m:
-                    return m.return_type
-            return None
-        if isinstance(e, A.SuperCallExpr):
-            sup = self.sigs.super_of(self.cls.name)
-            if sup:
-                m = self.sigs.method_sig(sup, e.method)
-                if m:
-                    return m.return_type
-            return None
-        return None
+            return sigs.results.get(t.name, {}).get(e.method) if isinstance(t, A.ClassType) else None
+        if cls is A.SuperCallExpr:
+            return sigs.results.get(sigs.supers.get(self.cls.name), {}).get(e.method)
+        return None  # `null`, or a form with no type
 
     # -- hoisting
 
     def hoist(self, e, env, bindings: List[Tuple[object, str, object]]):
-        """Rewrite `e` so it contains no calls; emit (type, name, call) bindings."""
-        if isinstance(e, (A.Var, A.NullLit, A.BoolLit, A.IntLit, A.UnitLit)):
+        """Rewrite `e` so it contains no calls; emit (type, name, call) bindings.
+        A node with no call beneath it is kept. Kinds are tested by class."""
+        cls = e.__class__
+        if cls is A.Var:
             return e
-        # a node whose children come back unchanged (no call beneath it) is kept
-        if isinstance(e, (A.FieldAccess, A.InstanceTest, A.Cast)):
-            target = self.hoist(e.target, env, bindings)
-            return e if target is e.target else replace(e, target=target)
-        if isinstance(e, (A.Eq, A.IntOp)):
+        if cls is A.IntOp or cls is A.Eq:
             left = self.hoist(e.left, env, bindings)
             right = self.hoist(e.right, env, bindings)
-            return e if left is e.left and right is e.right else replace(e, left=left, right=right)
-        if isinstance(e, (A.CallExpr, A.SuperCallExpr)):
+            if left is e.left and right is e.right:
+                return e
+            return A.IntOp(e.op, left, right, e.span) if cls is A.IntOp else A.Eq(left, right, e.span)
+        if cls is A.IntLit or cls is A.BoolLit or cls is A.NullLit or cls is A.UnitLit:
+            return e
+        if cls is A.CallExpr or cls is A.SuperCallExpr:
             t = self.synth(e, env) or A.UNIT
             call = self.hoist_call(e, env, bindings)
             name = self.fresh()
             bindings.append((t, name, call))
             return A.Var(name, e.span)
+        if cls is A.FieldAccess or cls is A.InstanceTest or cls is A.Cast:
+            target = self.hoist(e.target, env, bindings)
+            if target is e.target:
+                return e
+            if cls is A.FieldAccess:
+                return A.FieldAccess(target, e.fieldname, e.span)
+            if cls is A.InstanceTest:
+                return A.InstanceTest(target, e.class_name, e.span)
+            return A.Cast(e.class_name, target, e.span)
         raise TypeError(f"unexpected surface expression: {e!r}")
 
     def hoist_call(self, call, env, bindings: List[Tuple[object, str, object]]):

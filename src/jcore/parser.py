@@ -19,12 +19,16 @@ predicate means every code point for which it holds):
   count code points from 1; the end-of-input token sits one past the last
   character.
 
-`tokenize` makes one `findall` per source. Each match is a pair: the
-blanks, newlines and comments skipped, then the token's text. The token's
-start, end, line and column follow from the lengths of these strings and the
-newlines in the skipped ones; its kind follows from its text (`_KINDS`) or,
-for identifiers and integers, its first character. A `Token` is a tuple
-`(kind, text, start, end, line, col)`; tokens and spans are built by
+The scanner makes one `split` of the source, which gives a flat list of
+strings: per token, the blanks, newlines and comments skipped, then the
+token's text. Token starts and ends are running sums of these lengths
+(`itertools.accumulate`); lines and columns follow from the newlines in the
+skipped text. Each distinct text is classified once: its kind follows from
+the text (`_KINDS`) or, for identifiers and integers, its first character.
+An unexpected character is reported before any parsing starts. The parser
+reads the scan as parallel lists, a token being its index, and builds no
+object per token. `tokenize` returns the same scan as a list of `Token`
+tuples `(kind, text, start, end, line, col)`. Tokens and spans are built by
 `tuple.__new__`, skipping the named tuple's Python-level constructor.
 
 Each method and constructor body records `first_tmp`, one past the largest N
@@ -56,6 +60,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from dataclasses import field
+from itertools import accumulate, repeat
 from typing import List, Optional, Tuple
 
 from . import ast as A
@@ -73,9 +78,9 @@ KEYWORDS = {
 # identifier `ab`. One of them matches wherever the skip stops, so it never
 # backtracks and needs no `*+`; the empty match at the end is end of input.
 _TOKEN_RE = re.compile(r"((?:[ \t\r\n]+|//[^\n]*)*)(\d+|[\w$]+|:=|!=|[{}();,.=<+\-!]|.|\Z)", re.DOTALL)
-# The kind of every keyword and punctuation text; any other token is an
-# identifier, an int, end of input or an error, by its first character.
-_KINDS = {**dict.fromkeys(KEYWORDS, "kw"), **dict.fromkeys((":=", "!=", *"{}();,.=<+-!"), "punct")}
+# The kind of every keyword and punctuation text and of end of input; any
+# other token is an identifier, an int or an error, by its first character.
+_KINDS = {**dict.fromkeys(KEYWORDS, "kw"), **dict.fromkeys((":=", "!=", *"{}();,.=<+-!"), "punct"), "": "eof"}
 _TMP_RE = re.compile(r"\$tmp(\d+)")
 
 
@@ -90,31 +95,42 @@ class ParseError(Exception):
 Token = namedtuple("Token", "kind text start end line col")  # kind: 'ident' | 'int' | 'punct' | 'kw' | 'eof'
 
 
-def tokenize(src: str) -> List[Token]:
-    toks: List[Token] = []
-    append, new, kinds = toks.append, tuple.__new__, _KINDS
-    line, line_start, end = 1, 0, 0
-    for skip, text in _TOKEN_RE.findall(src):
-        start = end + len(skip)
-        if "\n" in skip:  # only skipped text holds newlines
+def _kind(text: str) -> Optional[str]:
+    """The kind of a token's text; None for a character that starts no token
+    (`\\w` also matches digits and numerals that are not decimal, like `²`)."""
+    if text in _KINDS:
+        return _KINDS[text]
+    c = text[0]
+    return "ident" if c.isalpha() or c == "_" or c == "$" else "int" if c.isdecimal() else None
+
+
+def _scan(src: str):
+    """The tokens of `src` as six parallel lists, in `Token`'s field order,
+    end of input last; see the module docstring."""
+    parts = _TOKEN_RE.split(src)  # '', then per match: skip, text, ''
+    texts = parts[2::3]
+    n = texts.index("") + 1  # after a skip at the end, `\Z` matches once more
+    del texts[n:]
+    offs = list(accumulate(map(len, parts)))
+    starts, ends = offs[1:3 * n:3], offs[2:3 * n:3]
+    lines, cols = [], []
+    line, newline = 1, -1  # the position of the last newline so far; only skips hold them
+    for skip, start in zip(parts[1::3], starts):
+        if "\n" in skip:
             line += skip.count("\n")
-            line_start = start - len(skip) + skip.rfind("\n") + 1
-        end = start + len(text)
-        kind = kinds.get(text)
-        if kind is None:
-            # `\w` also matches digits and numerals that are not decimal
-            # (`²`, `½`); they start neither an identifier nor an int
-            c = text[:1]
-            if c.isalpha() or c == "_" or c == "$":
-                kind = "ident"
-            elif c.isdecimal():
-                kind = "int"
-            elif c:
-                raise ParseError(f"unexpected character {c!r}", line, start - line_start + 1)
-            else:
-                append(new(Token, ("eof", "", start, end, line, start - line_start + 1)))
-                return toks
-        append(new(Token, (kind, text, start, end, line, start - line_start + 1)))
+            newline = start - len(skip) + skip.rfind("\n")
+        lines.append(line)
+        cols.append(start - newline)
+    kind_of = {text: _kind(text) for text in set(texts)}
+    kinds = list(map(kind_of.__getitem__, texts))
+    if None in kind_of.values():
+        i = kinds.index(None)
+        raise ParseError(f"unexpected character {texts[i][0]!r}", lines[i], cols[i])
+    return kinds, texts, starts, ends, lines, cols
+
+
+def tokenize(src: str) -> List[Token]:
+    return list(map(tuple.__new__, repeat(Token), zip(*_scan(src))))
 
 
 # ---------------------------------------------------------------------------
@@ -211,46 +227,40 @@ class _Parser:
     def __init__(self, src: str):
         self.src = src
         self.dollar = "$" in src
-        toks = tokenize(src)
-        self.toks = toks + toks[-1:] * 3  # the deepest lookahead, 3 past a `(`
+        # a token is its index into these lists
+        self.kinds, self.texts, self.starts, self.ends, self.lines, self.cols = _scan(src)
+        self.kinds += ["eof"] * 3  # the deepest lookahead, 3 past a `(`
+        self.texts += [""] * 3
         self.pos = 0
 
     # -- token helpers
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
+    def error(self, message: str, i: int) -> ParseError:
+        return ParseError(message, self.lines[i], self.cols[i])
 
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
-
-    def at(self, text: str) -> bool:
+    def accept(self, text: str) -> bool:
         # no identifier or integer is spelled like a keyword or punctuation
-        return self.toks[self.pos].text == text
+        if self.texts[self.pos] == text:
+            self.pos += 1
+            return True
+        return False
 
-    def accept(self, text: str) -> Optional[Token]:
-        if self.at(text):
-            return self.next()
-        return None
+    def expect(self, text: str, what: str = "") -> None:
+        if self.texts[self.pos] != text:
+            raise self.error(what or f"expected {text!r}, found {self.texts[self.pos] or 'end of input'!r}", self.pos)
+        self.pos += 1
 
-    def expect(self, text: str, what: str = "") -> Token:
-        t = self.peek()
-        if not self.at(text):
-            msg = what or f"expected {text!r}, found {t.text or 'end of input'!r}"
-            raise ParseError(msg, t.line, t.col)
-        return self.next()
+    def expect_ident(self, what: str) -> str:
+        """The text of the identifier at the current token, consumed."""
+        i = self.pos
+        if self.kinds[i] != "ident":
+            raise self.error(f"expected {what}, found {self.texts[i] or 'end of input'!r}", i)
+        self.pos = i + 1
+        return self.texts[i]
 
-    def expect_ident(self, what: str) -> Token:
-        t = self.peek()
-        if t.kind != "ident":
-            raise ParseError(f"expected {what}, found {t.text or 'end of input'!r}", t.line, t.col)
-        return self.next()
-
-    def span_from(self, start: Token) -> Span:
-        """The span from token `start` to the last token consumed."""
-        return tuple.__new__(Span, (start.start, self.toks[self.pos - 1].end, start.line, start.col))
+    def span_from(self, i: int) -> Span:
+        """The span from token `i` to the last token consumed."""
+        return tuple.__new__(Span, (self.starts[i], self.ends[self.pos - 1], self.lines[i], self.cols[i]))
 
     def body(self):
         """A method or constructor body in braces, and its `first_tmp`."""
@@ -260,49 +270,48 @@ class _Parser:
         self.expect("}")
         if not self.dollar:
             return body, 0
-        nums = [int(n) for t in self.toks[first:self.pos - 1] for n in _TMP_RE.findall(t.text)]
+        nums = [int(n) for text in self.texts[first:self.pos - 1] for n in _TMP_RE.findall(text)]
         return body, max(nums, default=-1) + 1
 
     # -- program structure
 
     def program(self) -> SurfaceProgram:
         classes = []
-        while not self.peek().kind == "eof":
+        while self.kinds[self.pos] != "eof":
             classes.append(self.class_decl())
         return SurfaceProgram(tuple(classes), self.src)
 
     def class_decl(self) -> SurfaceClass:
-        start = self.expect("class")
-        name = self.expect_ident("class name").text
+        start = self.pos
+        self.expect("class")
+        name = self.expect_ident("class name")
         self.expect("extends")
-        sup = self.expect_ident("superclass name").text
+        sup = self.expect_ident("superclass name")
         self.expect("{")
         fields: List[Tuple[str, object]] = []
         methods: List[SurfaceMethod] = []
         ctor, con_tmp = None, 0
-        while not self.at("}"):
-            con = self.accept("con")
-            if con:
+        while self.texts[self.pos] != "}":
+            mstart = self.pos
+            if self.accept("con"):
                 if ctor is not None:
-                    raise ParseError(f"class {name} has a second constructor", con.line, con.col)
+                    raise self.error(f"class {name} has a second constructor", mstart)
                 ctor, con_tmp = self.body()
                 continue
-            mstart = self.peek()
-            module_scoped = bool(self.accept("module"))
+            module_scoped = self.accept("module")
             t = self.type_expr()
-            member = self.expect_ident("member name").text
+            member = self.expect_ident("member name")
             if self.accept(";"):
                 if module_scoped:
-                    raise ParseError("fields cannot be module-scoped", mstart.line, mstart.col)
+                    raise self.error("fields cannot be module-scoped", mstart)
                 fields.append((member, t))
                 continue
             self.expect("(", "expected ';' or '(' after member name")
             params: List[Tuple[str, object]] = []
-            if not self.at(")"):
+            if self.texts[self.pos] != ")":
                 while True:
                     pt = self.type_expr()
-                    pn = self.expect_ident("parameter name").text
-                    params.append((pn, pt))
+                    params.append((self.expect_ident("parameter name"), pt))
                     if not self.accept(","):
                         break
             self.expect(")")
@@ -315,22 +324,23 @@ class _Parser:
         return cls
 
     def type_expr(self):
-        t = self.peek()
-        if t.text in A.PRIM_NAMES:
+        t = A.PRIM_NAMES.get(self.texts[self.pos])
+        if t is not None:
             self.pos += 1
-            return A.PRIM_NAMES[t.text]
-        tok = self.expect_ident("type name")
-        return A.ClassType(tok.text)
+            return t
+        return A.ClassType(self.expect_ident("type name"))
 
     # -- statements
 
     def stmt_seq(self):
         """Parse statements up to the enclosing terminator ('}', else, fi, od)."""
         items: List[object] = []
-        while self.toks[self.pos].text not in _SEQ_END:
+        texts = self.texts
+        while texts[self.pos] not in _SEQ_END:
             items.append(self.stmt())
-            if not self.accept(";"):
+            if texts[self.pos] != ";":
                 break
+            self.pos += 1
         if not items:
             return SSkip()
         if len(items) == 1:
@@ -338,8 +348,8 @@ class _Parser:
         return SSeq(tuple(items))
 
     def stmt(self):
-        start = self.toks[self.pos]
-        kind, text = start.kind, start.text
+        start = self.pos
+        text = self.texts[start]
         if text in _STMT_START:
             self.pos += 1
             if text == "skip":
@@ -363,9 +373,9 @@ class _Parser:
             self.expect("od")
             return SWhile(cond, body, self.span_from(start))
         # a local declaration: a type, then the variable's name
-        if (kind == "ident" or text in A.PRIM_NAMES) and self.toks[self.pos + 1].kind == "ident":
+        if (self.kinds[start] == "ident" or text in A.PRIM_NAMES) and self.kinds[start + 1] == "ident":
             t = self.type_expr()
-            name = self.expect_ident("variable name").text
+            name = self.expect_ident("variable name")
             self.expect(":=", "expected ':=' in local declaration")
             rhs = self.rhs()
             body = self.stmt_seq() if self.accept("in") else None
@@ -374,19 +384,18 @@ class _Parser:
         e = self.expr()
         if self.accept(":="):
             if not isinstance(e, (A.Var, A.FieldAccess)):
-                raise ParseError("assignment target must be a variable or a field", start.line, start.col)
+                raise self.error("assignment target must be a variable or a field", start)
             rhs = self.rhs()
             return SAssign(e, rhs, self.span_from(start))
         if isinstance(e, (A.CallExpr, A.SuperCallExpr)):
             return SCallStmt(e, self.span_from(start))
-        raise ParseError("expected ':=' or a method call statement", start.line, start.col)
+        raise self.error("expected ':=' or a method call statement", start)
 
     def rhs(self):
-        start = self.toks[self.pos]
-        if start.text == "new":
-            self.pos += 1
-            name = self.expect_ident("class name after 'new'").text
-            return A.NewExpr(name, self.span_from(start))
+        start = self.pos
+        if self.texts[start] == "new":
+            self.pos = start + 1
+            return A.NewExpr(self.expect_ident("class name after 'new'"), self.span_from(start))
         return self.expr()
 
     # -- expressions
@@ -395,10 +404,11 @@ class _Parser:
         """Precedence climbing: an operand, then a left-associative chain of
         the operators of `_PREC` that bind at least as tight as `min_prec`.
         Every node spans from the start of its chain."""
-        start = self.toks[self.pos]
+        start = self.pos
         e = self.operand()
+        texts = self.texts
         while True:
-            op = self.toks[self.pos].text
+            op = texts[self.pos]
             prec = _PREC.get(op)
             if prec is None or prec < min_prec:
                 return e
@@ -416,9 +426,10 @@ class _Parser:
         """A prefix form `!e` or `(C) e` over an operand, or a primary
         followed by its postfix forms: two frames per operand (this and
         `expr`), and two per level of parentheses."""
-        start = self.toks[self.pos]
-        kind, text = start.kind, start.text
-        self.pos += 1  # every operand but a ParseError starts by consuming `start`
+        start = self.pos
+        kinds, texts = self.kinds, self.texts
+        kind, text = kinds[start], texts[start]
+        self.pos = start + 1  # every operand but a ParseError starts by consuming `start`
         if kind == "ident":
             e = A.Var(text, self.span_from(start))
         elif kind == "int":
@@ -427,11 +438,10 @@ class _Parser:
             e = self.operand()
             return A.Eq(e, A.BoolLit(False), self.span_from(start))
         elif text == "(":
-            name, close, after = self.toks[self.pos:self.pos + 3]
-            if name.kind == "ident" and close.text == ")" and (
-                    after.kind in ("ident", "int") or after.text in _CAST_OPERAND_START):
-                self.pos += 2  # `(C)` before the start of an operand is a cast
-                return A.Cast(name.text, self.operand(), self.span_from(start))
+            if kinds[start + 1] == "ident" and texts[start + 2] == ")" and (
+                    kinds[start + 3] in ("ident", "int") or texts[start + 3] in _CAST_OPERAND_START):
+                self.pos = start + 3  # `(C)` before the start of an operand is a cast
+                return A.Cast(texts[start + 1], self.operand(), self.span_from(start))
             e = self.expr()
             self.expect(")")
         elif text == "true" or text == "false":
@@ -442,32 +452,29 @@ class _Parser:
             e = A.UnitLit(self.span_from(start))
         elif text == "super":
             self.expect(".", "expected '.' after 'super'")
-            name = self.expect_ident("method name").text
+            name = self.expect_ident("method name")
             self.expect("(", "super calls require an argument list")
-            args = self.call_args()
-            e = A.SuperCallExpr(name, args, self.span_from(start))
+            e = A.SuperCallExpr(name, self.call_args(), self.span_from(start))
         else:
-            raise ParseError(f"expected an expression, found {text or 'end of input'!r}", start.line, start.col)
+            raise self.error(f"expected an expression, found {text or 'end of input'!r}", start)
         while True:
-            text = self.toks[self.pos].text
+            text = texts[self.pos]
             if text == ".":
                 self.pos += 1
-                name = self.expect_ident("member name").text
+                name = self.expect_ident("member name")
                 if self.accept("("):
-                    args = self.call_args()
-                    e = A.CallExpr(e, name, args, self.span_from(start))
+                    e = A.CallExpr(e, name, self.call_args(), self.span_from(start))
                 else:
                     e = A.FieldAccess(e, name, self.span_from(start))
             elif text == "is":
                 self.pos += 1
-                name = self.expect_ident("class name after 'is'").text
-                e = A.InstanceTest(e, name, self.span_from(start))
+                e = A.InstanceTest(e, self.expect_ident("class name after 'is'"), self.span_from(start))
             else:
                 return e
 
     def call_args(self):
         args = []
-        if not self.at(")"):
+        if self.texts[self.pos] != ")":
             while True:
                 args.append(self.expr())
                 if not self.accept(","):

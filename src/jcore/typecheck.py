@@ -6,7 +6,8 @@ synthesizes an internal bottom type below every class type, which realizes
 the polymorphic null rule. Field access and update are class-private: the
 receiver must have exactly the type of the enclosing class. Commands are
 checked one rule per node: `ast.walk_commands` supplies each node with its
-context, so no rule recurses into its children.
+context, so no rule recurses into its children. Rules test the node's class,
+the most frequent kinds first.
 """
 
 from __future__ import annotations
@@ -60,32 +61,33 @@ def _fail(rule, message, span=None):
 
 def type_of_expr(ct: ClassTable, gamma: Dict[str, object], e):
     """Synthesize the unique type of `e` under context `gamma`."""
-    if isinstance(e, A.Var):
+    cls = e.__class__
+    if cls is A.Var:
         t = gamma.get(e.name)
         if t is None:
             _fail("UndefinedVariable", f"variable {e.name} is not in scope", e.span)
         return t
-    if isinstance(e, A.NullLit):
-        return NULL_T
-    if isinstance(e, A.BoolLit):
-        return BOOL
-    if isinstance(e, A.IntLit):
+    if cls is A.IntOp:
+        for side in (e.left, e.right):
+            t = type_of_expr(ct, gamma, side)
+            if t is not INT and t != INT:
+                _fail("TypeMismatch", f"operator {e.op} requires int operands, got {t}", e.span)
+        return BOOL if e.op == "<" else INT
+    if cls is A.IntLit:
         return INT
-    if isinstance(e, A.UnitLit):
+    if cls is A.FieldAccess:
+        return _private_field_type(ct, gamma, e.target, e.fieldname, e.span, "accessed")
+    if cls is A.NullLit:
+        return NULL_T
+    if cls is A.UnitLit:
         return UNIT
-    if isinstance(e, A.Eq):
+    if cls is A.Eq:
         type_of_expr(ct, gamma, e.left)
         type_of_expr(ct, gamma, e.right)
         return BOOL
-    if isinstance(e, A.IntOp):
-        for side in (e.left, e.right):
-            t = type_of_expr(ct, gamma, side)
-            if t != INT:
-                _fail("TypeMismatch", f"operator {e.op} requires int operands, got {t}", e.span)
-        return BOOL if e.op == "<" else INT
-    if isinstance(e, A.FieldAccess):
-        return _private_field_type(ct, gamma, e.target, e.fieldname, e.span, "accessed")
-    if isinstance(e, (A.InstanceTest, A.Cast)):
+    if cls is A.BoolLit:
+        return BOOL
+    if cls is A.Cast or cls is A.InstanceTest:
         name = e.class_name
         if not ct.declared(name):
             _fail("UndeclaredClass", f"unknown class {name}", e.span)
@@ -94,7 +96,7 @@ def type_of_expr(ct: ClassTable, gamma: Dict[str, object], e):
             _fail("BadCastTarget", f"cannot test or cast a value of primitive type {t}", e.span)
         if not isinstance(t, NullType) and not ct.subtype_names(name, t.name):
             _fail("BadCastTarget", f"{name} is not a subclass of {t}", e.span)
-        return BOOL if isinstance(e, A.InstanceTest) else ClassType(name)
+        return BOOL if cls is A.InstanceTest else ClassType(name)
     if isinstance(e, A.SURFACE_ONLY_EXPRS):
         _fail("InternalError", "surface form survived desugaring", e.span)
     raise TypeError(f"not an expression: {e!r}")
@@ -144,26 +146,24 @@ def check_command(ct: ClassTable, gamma: Dict[str, object], cmd) -> None:
 
 def _check_node(ct: ClassTable, gamma: Dict[str, object], cmd) -> None:
     """The typing rule of one command node, its children left to the walk."""
-    if isinstance(cmd, (A.Skip, A.Abort, A.Seq)):
-        return
-    if isinstance(cmd, A.Assign):
+    cls = cmd.__class__
+    if cls is A.Assign:
         t = type_of_expr(ct, gamma, cmd.expr)
         _check_assignable(ct, gamma, cmd.name, t, cmd.span, "assignment")
         return
-    if isinstance(cmd, A.FieldAssign):
-        ft = _private_field_type(ct, gamma, cmd.target, cmd.fieldname, cmd.span, "updated")
-        t2 = type_of_expr(ct, gamma, cmd.expr)
-        if not ct.subtype(t2, ft):
-            _fail("TypeMismatch", f"field {cmd.fieldname}: {t2} is not a subtype of {ft}", cmd.span)
+    if cls is A.LocalBlock:
+        if cmd.name == "self":
+            _fail("SelfAssignment", "self cannot be redeclared", cmd.span)
+        t = cmd.var_type
+        if isinstance(t, ClassType) and not ct.declared(t.name):
+            _fail("UndeclaredClass", f"unknown class {t.name}", cmd.span)
+        it = type_of_expr(ct, gamma, cmd.init)
+        if not ct.subtype(it, t):
+            _fail("TypeMismatch", f"initializer of {cmd.name}: {it} is not a subtype of {t}", cmd.span)
         return
-    if isinstance(cmd, A.NewAssign):
-        if cmd.class_name == OBJECT:
-            _fail("CannotInstantiate", f"{OBJECT} cannot be instantiated", cmd.span)
-        if not ct.declared(cmd.class_name):
-            _fail("UndeclaredClass", f"unknown class {cmd.class_name}", cmd.span)
-        _check_assignable(ct, gamma, cmd.name, ClassType(cmd.class_name), cmd.span, "object construction")
+    if cls is A.Seq or cls is A.Skip or cls is A.Abort:
         return
-    if isinstance(cmd, A.CallAssign):
+    if cls is A.CallAssign:
         t = type_of_expr(ct, gamma, cmd.receiver)
         if not isinstance(t, ClassType):
             _fail("UndefinedMethod", f"cannot call a method on a value of type {t}", cmd.span)
@@ -182,7 +182,30 @@ def _check_node(ct: ClassTable, gamma: Dict[str, object], cmd) -> None:
                     cmd.span,
                 )
         return
-    if isinstance(cmd, A.SuperCallAssign):
+    if cls is A.FieldAssign:
+        ft = _private_field_type(ct, gamma, cmd.target, cmd.fieldname, cmd.span, "updated")
+        t2 = type_of_expr(ct, gamma, cmd.expr)
+        if not ct.subtype(t2, ft):
+            _fail("TypeMismatch", f"field {cmd.fieldname}: {t2} is not a subtype of {ft}", cmd.span)
+        return
+    if cls is A.If:
+        t = type_of_expr(ct, gamma, cmd.cond)
+        if t != BOOL:
+            _fail("TypeMismatch", f"condition must be bool, got {t}", cmd.span)
+        return
+    if cls is A.While:
+        t = type_of_expr(ct, gamma, cmd.cond)
+        if t != BOOL:
+            _fail("TypeMismatch", f"loop guard must be bool, got {t}", cmd.span)
+        return
+    if cls is A.NewAssign:
+        if cmd.class_name == OBJECT:
+            _fail("CannotInstantiate", f"{OBJECT} cannot be instantiated", cmd.span)
+        if not ct.declared(cmd.class_name):
+            _fail("UndeclaredClass", f"unknown class {cmd.class_name}", cmd.span)
+        _check_assignable(ct, gamma, cmd.name, ClassType(cmd.class_name), cmd.span, "object construction")
+        return
+    if cls is A.SuperCallAssign:
         self_t = gamma["self"]
         sup = ct.super_of(self_t.name)
         if sup is None or sup == OBJECT:
@@ -193,26 +216,6 @@ def _check_node(ct: ClassTable, gamma: Dict[str, object], cmd) -> None:
         param_types, ret = mt
         _check_call_args(ct, gamma, cmd.args, param_types, cmd.span)
         _check_assignable(ct, gamma, cmd.name, ret, cmd.span, f"result of super.{cmd.method}")
-        return
-    if isinstance(cmd, A.LocalBlock):
-        if cmd.name == "self":
-            _fail("SelfAssignment", "self cannot be redeclared", cmd.span)
-        t = cmd.var_type
-        if isinstance(t, ClassType) and not ct.declared(t.name):
-            _fail("UndeclaredClass", f"unknown class {t.name}", cmd.span)
-        it = type_of_expr(ct, gamma, cmd.init)
-        if not ct.subtype(it, t):
-            _fail("TypeMismatch", f"initializer of {cmd.name}: {it} is not a subtype of {t}", cmd.span)
-        return
-    if isinstance(cmd, A.If):
-        t = type_of_expr(ct, gamma, cmd.cond)
-        if t != BOOL:
-            _fail("TypeMismatch", f"condition must be bool, got {t}", cmd.span)
-        return
-    if isinstance(cmd, A.While):
-        t = type_of_expr(ct, gamma, cmd.cond)
-        if t != BOOL:
-            _fail("TypeMismatch", f"loop guard must be bool, got {t}", cmd.span)
         return
     raise TypeError(f"not a command: {cmd!r}")
 
