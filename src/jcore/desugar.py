@@ -29,6 +29,7 @@ local falls back to `unit` and the type checker reports the real error.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import ast as A
@@ -83,9 +84,19 @@ class _BodyLowerer:
     # -- type synthesis over surface expressions (best effort)
 
     def synth(self, e, env) -> Optional[object]:
+        # `hoist` hands in calls; the recursion meets their receivers and field targets
         cls = e.__class__
+        sigs = self.sigs
+        if cls is A.CallExpr:
+            t = self.synth(e.receiver, env)
+            return sigs.results.get(t.name, {}).get(e.method) if isinstance(t, A.ClassType) else None
         if cls is A.Var:
             return env.get(e.name)
+        if cls is A.FieldAccess:
+            t = self.synth(e.target, env)
+            return sigs.fields.get(t.name, {}).get(e.fieldname) if isinstance(t, A.ClassType) else None
+        if cls is A.SuperCallExpr:
+            return sigs.results.get(sigs.supers.get(self.cls.name), {}).get(e.method)
         if cls is A.IntOp:
             return A.BOOL if e.op == "<" else A.INT
         if cls is A.IntLit:
@@ -96,15 +107,6 @@ class _BodyLowerer:
             return A.UNIT
         if cls is A.Cast:
             return A.ClassType(e.class_name)
-        sigs = self.sigs
-        if cls is A.FieldAccess:
-            t = self.synth(e.target, env)
-            return sigs.fields.get(t.name, {}).get(e.fieldname) if isinstance(t, A.ClassType) else None
-        if cls is A.CallExpr:
-            t = self.synth(e.receiver, env)
-            return sigs.results.get(t.name, {}).get(e.method) if isinstance(t, A.ClassType) else None
-        if cls is A.SuperCallExpr:
-            return sigs.results.get(sigs.supers.get(self.cls.name), {}).get(e.method)
         return None  # `null`, or a form with no type
 
     # -- hoisting
@@ -118,9 +120,7 @@ class _BodyLowerer:
         if cls is A.IntOp or cls is A.Eq:
             left = self.hoist(e.left, env, bindings)
             right = self.hoist(e.right, env, bindings)
-            if left is e.left and right is e.right:
-                return e
-            return A.IntOp(e.op, left, right, e.span) if cls is A.IntOp else A.Eq(left, right, e.span)
+            return e if left is e.left and right is e.right else replace(e, left=left, right=right)
         if cls is A.IntLit or cls is A.BoolLit or cls is A.NullLit or cls is A.UnitLit:
             return e
         if cls is A.CallExpr or cls is A.SuperCallExpr:
@@ -131,13 +131,7 @@ class _BodyLowerer:
             return A.Var(name, e.span)
         if cls is A.FieldAccess or cls is A.InstanceTest or cls is A.Cast:
             target = self.hoist(e.target, env, bindings)
-            if target is e.target:
-                return e
-            if cls is A.FieldAccess:
-                return A.FieldAccess(target, e.fieldname, e.span)
-            if cls is A.InstanceTest:
-                return A.InstanceTest(target, e.class_name, e.span)
-            return A.Cast(e.class_name, target, e.span)
+            return e if target is e.target else replace(e, target=target)
         raise TypeError(f"unexpected surface expression: {e!r}")
 
     def hoist_call(self, call, env, bindings: List[Tuple[object, str, object]]):

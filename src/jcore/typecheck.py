@@ -70,7 +70,7 @@ def type_of_expr(ct: ClassTable, gamma: Dict[str, object], e):
     if cls is A.IntOp:
         for side in (e.left, e.right):
             t = type_of_expr(ct, gamma, side)
-            if t is not INT and t != INT:
+            if t != INT:
                 _fail("TypeMismatch", f"operator {e.op} requires int operands, got {t}", e.span)
         return BOOL if e.op == "<" else INT
     if cls is A.IntLit:

@@ -186,7 +186,7 @@ RECORDS = {
         "CorpusRecord(name='obool', path='obool.jcore', own='OBool', rep='Bool', rep2=None, check='ok',"
         " analyze=(), entries=(EntryExpectation(entry_class='Main', entry_method='main', outcome='ok',"
         " min_fuel=2, monitor='clean', finals=(('x.f', 1),)),), notes='n')"),
-    "PrimType": (A.INT, None, "PrimType(name='int')"),
+    "PrimType": (A.INT, A.PrimType("int"), "PrimType(name='int')"),
     "ClassType": (A.ClassType("C"), None, "ClassType(name='C')"),
     "NullType": (A.NULL_T, None, "NullType()"),
     "Step": (STEP, None, STEP_REPR),

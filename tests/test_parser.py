@@ -205,15 +205,3 @@ def test_unexpected_character_is_reported_before_a_syntax_error():
         with pytest.raises(ParseError) as exc:
             parse(src)
         assert (exc.value.message, exc.value.line, exc.value.col) == (f"unexpected character {char!r}", line, col)
-
-
-def test_record_equality_is_by_value():
-    built = A.PrimType("int")
-    assert built is not A.INT and built == A.INT and hash(built) == hash(A.INT)
-    assert not built != A.INT and built != A.BOOL and not built == A.BOOL
-    assert A.ClassType("A") == A.ClassType("A") and hash(A.ClassType("A")) == hash(A.ClassType("A"))
-    assert A.ClassType("A") != A.ClassType("B") and A.ClassType("int") != A.INT
-    # spans stay out of node equality and hashing
-    x1, x2 = A.Var("x", A.Span(0, 1, 1, 1)), A.Var("x", A.Span(5, 6, 2, 3))
-    assert x1 == x2 and hash(x1) == hash(x2) and x1 is not x2
-    assert A.Eq(x1, A.IntLit(1)) == A.Eq(x2, A.IntLit(1)) != A.Eq(x2, A.IntLit(2))
