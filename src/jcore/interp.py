@@ -6,8 +6,9 @@ entry (`invoke` and `new_object`; `run` goes through `new_object`) copies the
 caller's heap once, so the caller keeps a heap it owns whatever the outcome:
 the paper's value semantics. Inside an entry field writes and allocations
 update that copy in place, allocation resuming the least-index scan of
-`fresh` from per-class cursors; stores are copied on update. A bottom is
-raised where it arises and unwinds to the public entry, which returns it.
+`fresh` from per-class cursors, and each command updates the store of its
+frame, which nothing else reaches, in place (Hudak and Bloss, POPL 1985).
+A bottom unwinds from where it arises to the public entry, which returns it.
 
 A class table keeps the code of each method body, constructor and entry body
 it runs: closures compiled on first use by `_compile`, the one place that
@@ -17,7 +18,8 @@ generation", 1987), each command under its typing context (as
 a heap, a store and fuel alone. Observation is decided there too: a runtime
 with hooks runs code compiled to report to them, kept apart from the code of
 a runtime without, which tests no hook. The call rule is stated once, in the
-compiled call, which `invoke` runs; the tree walker is the test oracle.
+compiled call, which `invoke` runs and which keeps its callee per receiver
+class (Deutsch and Schiffman, POPL 1984); the tree walker is the test oracle.
 
 Method meanings are approximated by a fuel counter: a call executed with
 fuel j runs the callee body with fuel j-1, and any call at fuel 0 yields the
@@ -153,6 +155,7 @@ class InterpHooks:
 
     The heap a hook receives is the running heap, updated in place after the
     hook returns: a hook that keeps a state beyond its own call must copy it.
+    The store a hook receives is a snapshot nothing changes later: it may keep it.
     A `gamma` is the static typing context of the command (or of the call
     site), the same object at every execution of it: a hook must not change it.
     `after_alloc` sees the heap with the new object in its default state;
@@ -306,8 +309,8 @@ class Runtime:
             )
         return entry
 
-    # Inside an entry the heap is updated in place: the steps below return
-    # only the new store or value, and raise `_Stop` at a bottom.
+    # Inside an entry heap and store are updated in place: the steps below
+    # return the store they were given or a value, and raise `_Stop` at a bottom.
 
     def _new_object(self, class_name: str, h: Heap) -> Location:
         loc = fresh(class_name, h, self._next.get(class_name, 0))
@@ -332,6 +335,7 @@ class Runtime:
                 self._stack.pop()
 
 
+_ABSENT = object()  # a variable a block's store lacks; `None` is null
 _INT_OPS = {"+": operator.add, "-": operator.sub, "mod": lambda d1, d2: d1 % d2 if d2 != 0 else 0}
 
 
@@ -347,7 +351,7 @@ def _child(node, gamma, observe):
         except _Stop as stop:
             rt.hooks.after_command(gamma, node, stop.bottom)
             raise
-        rt.hooks.after_command(gamma, node, (h, eta))
+        rt.hooks.after_command(gamma, node, (h, dict(eta)))  # a snapshot the hook may keep
         return eta
     return observed
 
@@ -355,9 +359,9 @@ def _child(node, gamma, observe):
 def _compile(node, gamma=None, observe=False):
     """Compile a core expression to a closure `(rt, h, eta) -> value`, or a
     core command, under its typing context `gamma`, to a closure
-    `(rt, h, eta, fuel) -> eta`, subtrees included; with `observe`, for a
-    runtime with hooks. This is the one place that dispatches on the node
-    type."""
+    `(rt, h, eta, fuel) -> eta` that updates `eta` in place, subtrees
+    included; with `observe`, for a runtime with hooks. This is the one
+    place that dispatches on the node type."""
     t = type(node)
     if t is A.Var:
         name = node.name
@@ -397,7 +401,10 @@ def _compile(node, gamma=None, observe=False):
         return abort
     if t is A.Assign:
         name, expr = node.name, _compile(node.expr)
-        return lambda rt, h, eta, fuel: {**eta, name: expr(rt, h, eta)}
+        def assign(rt, h, eta, fuel):
+            eta[name] = expr(rt, h, eta)
+            return eta
+        return assign
     if t is A.FieldAssign:
         target, fieldname, expr = _compile(node.target), node.fieldname, _compile(node.expr)
         def field_assign(rt, h, eta, fuel):
@@ -412,11 +419,15 @@ def _compile(node, gamma=None, observe=False):
         return field_assign
     if t is A.NewAssign:
         name, class_name = node.name, node.class_name
-        return lambda rt, h, eta, fuel: {**eta, name: rt._new_object(class_name, h)}
+        def new_assign(rt, h, eta, fuel):
+            eta[name] = rt._new_object(class_name, h)
+            return eta
+        return new_assign
     if t is A.CallAssign or t is A.SuperCallAssign:  # `x := super.m(args)` has no receiver
         name, mname, args = node.name, node.method, [_compile(a) for a in node.args]
         receiver = _compile(node.receiver) if t is A.CallAssign else None
         self_class = gamma["self"].name if receiver is None else None  # a super lookup starts above it
+        methods = {}  # start class -> `rt._method(mname, start)`; this code serves one table and one `observe`
         def call(rt, h, eta, fuel):
             if receiver is None:
                 loc, start = eta["self"], rt.ct.super_of(self_class)
@@ -428,11 +439,12 @@ def _compile(node, gamma=None, observe=False):
             values = [a(rt, h, eta) for a in args]
             if fuel <= 0:
                 raise rt._stop(FUEL_EXHAUSTED, f"call to {mname}")
-            pars, result, c, label, mscoped = rt._method(mname, start)
+            pars, result, c, label, mscoped = methods.get(start) or methods.setdefault(start, rt._method(mname, start))
             if observe:
                 store = dict(zip(pars, values), self=loc)
                 rt.hooks.before_call(gamma, start, store, h, node, mscoped)
-            rt.low_fuel = min(rt.low_fuel, fuel)
+            if fuel < rt.low_fuel:
+                rt.low_fuel = fuel
             eta1 = dict(zip(pars, values), self=loc, result=result)
             rt._stack.append(label)
             rt.steps += 1
@@ -446,20 +458,22 @@ def _compile(node, gamma=None, observe=False):
                 rt._stack.pop()
             if observe:
                 rt.hooks.after_call(gamma, start, store, (h, out["result"]), node, mscoped)
-            return {**eta, name: out["result"]}
+            eta[name] = out["result"]
+            return eta
         return call
     if t is A.LocalBlock:
         name, init = node.name, _compile(node.init)
         c = _child(node.body, {**gamma, name: node.var_type}, observe)
         def local_block(rt, h, eta, fuel):
-            eta1 = {**eta, name: init(rt, h, eta)}
+            shadowed = eta.get(name, _ABSENT)
+            eta[name] = init(rt, h, eta)
             rt.steps += 1
-            out = dict(c(rt, h, eta1, fuel))  # a hook may hold the body's store
-            if name in eta:
-                out[name] = eta[name]  # restore the shadowed variable
+            c(rt, h, eta, fuel)
+            if shadowed is _ABSENT:
+                del eta[name]
             else:
-                del out[name]
-            return out
+                eta[name] = shadowed  # restore the shadowed variable
+            return eta
         return local_block
     if t is A.If:
         cond = _compile(node.cond)

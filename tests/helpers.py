@@ -140,8 +140,9 @@ def method_depth(ct: ClassTable, mname: str, cname: str) -> Optional[int]:
 
 # The semantics of expressions, commands and constructors as entries of a
 # `Runtime`. Like its public entries, a command or a constructor runs on a
-# copy of the caller's heap; the ad-hoc nodes are compiled for the call only,
-# so they leave no code on the table.
+# copy of the caller's heap, and a command on a copy of the caller's store;
+# the ad-hoc nodes are compiled for the call only, so they leave no code on
+# the table.
 
 
 def exec_command(rt: Runtime, gamma, cmd, h: Heap, eta: Store, fuel: int):
@@ -149,7 +150,7 @@ def exec_command(rt: Runtime, gamma, cmd, h: Heap, eta: Store, fuel: int):
 
     def body(h):
         rt.steps += 1
-        return h, c(rt, h, eta, fuel)
+        return h, c(rt, h, dict(eta), fuel)  # compiled code updates the store it is given
 
     return rt._entry(h, body)
 

@@ -132,6 +132,152 @@ def test_each_bottom_matches_the_tree_walker(case, deep):
         assert facts[0][3] == (("C.d2", "C.d1", "C.d0") if deep else ())
 
 
+# Stores are updated in place: a block restores what it shadows, a bottom
+# inside blocks unwinds past their restores, and a hook keeps a snapshot.
+# The programs designate an owner, so that the monitors have one to check.
+LOCALS = """
+class Rep extends Object {
+}
+class C extends Object {
+  int shadow(int p) {
+    result := p;
+    int p := p + 10;
+    result := result + p;
+    { int p := p + 100; { int p := p + 1000; result := result + p }; result := result + p };
+    result := result + p
+  }
+}
+class Main extends Object {
+  int out;
+  int log;
+  unit main() {
+    C c := new C;
+    int i := 0;
+    while i < 25 do
+      int k := i + 1;
+      { int i := k + 5; self.log := self.log + i };
+      { int k := k + 7; { int k := k + 9; self.log := self.log + k }; self.log := self.log + k };
+      i := k
+    od;
+    self.out := c.shadow(i)
+  }
+}
+"""
+
+NESTED_BOTTOM = """
+class Rep extends Object {
+}
+class C extends Object {
+  C nxt;
+  int n;
+  unit d2() { int a := 1; { int b := a + 1; self.d1(b) } }
+  unit d1(int b) { int a := b; { int a := a + 1; self.n := a; self.d0() }; self.n := 0 }
+  unit d0() { %s }
+}
+class Main extends Object {
+  C nxt;
+  int n;
+  unit main() { %s }
+}
+"""
+NESTED_BOTTOM_BODY = "int a := 1; { int b := a + 1; { int a := b + 1; self.n := a; C z := self.nxt; z.n := a }; a := 5 }"
+
+SHAPES = """
+class Rep extends Object {
+}
+class Shape extends Object {
+  int area() { result := 1 }
+}
+class Sq extends Shape {
+  int area() { result := 4 }
+}
+class Sq2 extends Sq {
+}
+class Tri extends Shape {
+  int area() { int a := super.area(); result := a + 20 }
+}
+class Big extends Tri {
+  int area() { int b := super.area(); result := b + 300 }
+}
+class Main extends Object {
+  int out;
+  Shape pick(int i) {
+    if i mod 5 = 0 then result := new Shape else
+    if i mod 5 = 1 then result := new Sq else
+    if i mod 5 = 2 then result := new Sq2 else
+    if i mod 5 = 3 then result := new Tri else result := new Big fi fi fi fi
+  }
+  unit main() {
+    int i := 0;
+    while i < 15 do
+      Shape s := self.pick(i);
+      self.out := self.out + s.area();
+      i := i + 1
+    od
+  }
+}
+"""
+
+
+def _owned(src, own="C"):
+    return _table(src, Designations(own, "Rep"))
+
+
+def _out(facts):
+    return dict(facts[0][1])[repr(Location("Main", 0))]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_shadowing_and_loop_locals_match_the_tree_walker(mode):
+    """A local shadowing a parameter, nested same-name locals, and locals
+    declared in a loop body that runs 25 times."""
+    facts = assert_same_run(_owned(LOCALS), "Main", "main", mode)
+    assert _out(facts) == [("out", "1365"), ("log", "1675")]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("deep", [False, True])
+def test_bottom_inside_nested_blocks_matches_the_tree_walker(mode, deep):
+    """A null dereference inside nested blocks, in `Main.main` itself or
+    three calls deep, each caller inside blocks of its own."""
+    main_body = "C c := new C; { int a := 2; c.d2() }" if deep else NESTED_BOTTOM_BODY
+    ct = _owned(NESTED_BOTTOM % (NESTED_BOTTOM_BODY if deep else "skip", main_body))
+    facts = assert_same_run(ct, "Main", "main", mode)
+    assert facts[0][:2] == ("bottom", NIL_DEREF)
+    assert facts[0][3] == (("C.d2", "C.d1", "C.d0") if deep else ())
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_call_site_over_many_receiver_classes_matches_the_tree_walker(mode):
+    """One call site reaches five receiver classes, two of them through
+    `super` call sites, in one run."""
+    facts = assert_same_run(_owned(SHAPES, "Shape"), "Main", "main", mode)
+    assert _out(facts) == [("out", str(3 * (1 + 4 + 4 + 21 + 321)))]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_two_tables_from_one_source_run_alternately_match_the_tree_walker(mode):
+    """Two tables parsed apart from each of two sources, run in turn: each
+    runs its own code, so hook events name its own nodes."""
+    tables = [_owned(SHAPES, "Shape"), _owned(LOCALS), _owned(SHAPES, "Shape"), _owned(LOCALS)]
+    for ct in tables * 2:
+        assert_same_run(ct, "Main", "main", mode)
+
+
+def test_exec_command_leaves_the_callers_store_as_it_was():
+    """The helper entry runs a command on a copy of the caller's store."""
+    ct = _table(DOWN % 7)
+    loc = Location("D", 0)
+    gamma = {"self": A.ClassType("Main"), "r": A.ClassType("D"), "x": A.INT, "y": A.INT}
+    cmd = A.Seq((A.Assign("x", A.IntLit(5)), A.CallAssign("y", A.Var("r"), "down", (A.IntLit(3),)),
+                 A.LocalBlock(A.INT, "x", A.IntLit(9), A.Assign("y", A.Var("x")))))
+    for hooks in (None, EventLog()):
+        eta = {"self": None, "r": loc, "x": -1, "y": -1}
+        _, out = exec_command(Runtime(ct, hooks=hooks), gamma, cmd, {loc: {}}, eta, 8)
+        assert out == {"self": None, "r": loc, "x": 5, "y": 9}
+        assert eta == {"self": None, "r": loc, "x": -1, "y": -1}
+
+
 def _capture(capsys, cls, argv):
     with runtime_swapped(cls) as made:
         code = main(argv)
