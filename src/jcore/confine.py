@@ -357,6 +357,12 @@ class _Islands:
         return True
 
 
+# Each checkpoint's context in a violation, phrased with a span and without one.
+_AFTER_COMMAND = ("after command at", "after command")
+_CALL_ARGUMENTS = ("arguments of call at", "call arguments")
+_CALL_RETURN = ("return of call at", "call return")
+
+
 class ConfinementMonitor(InterpHooks):
     """Observes an execution and collects confinement violations: post-command
     state confinement, confined call arguments, method-result confinement
@@ -381,13 +387,16 @@ class ConfinementMonitor(InterpHooks):
         # one per open call: its log position, None when its heap was not confined
         self._marks: List[Optional[int]] = []
 
-    def _record(self, v: Optional[ConfinementViolation], context: str):
+    def _record(self, v: Optional[ConfinementViolation], where: Tuple[str, str], span):
+        """Keep `v` if it is new, with its context: the checkpoint `where`
+        phrased at `span` (`where[0]`) or, with no span, as `where[1]`."""
         if v is None:
             return
         key = (v.kind, v.message)
         if key in self._seen:
             return
         self._seen.add(key)
+        context = f"{where[0]} {span}" if span else where[1]
         self.violations.append(ConfinementViolation(v.kind, v.message, v.witness, context))
 
     # -- following the running heap
@@ -455,14 +464,14 @@ class ConfinementMonitor(InterpHooks):
 
     # -- checkpoints
 
-    def _check_state(self, class_name: str, eta: Store, h: Heap, context: str, mark: Optional[int] = None):
+    def _check_state(self, class_name: str, eta: Store, h: Heap, where, span, mark: Optional[int] = None):
         part = self.partition(h)
         if isinstance(part, ConfinementViolation):
-            self._record(part, context)
+            self._record(part, where, span)
             return None
         if mark is not None:
-            self._record(self._moved(mark, part), context)
-        self._record(confined_store(self.ct, class_name, eta, part), context)
+            self._record(self._moved(mark, part), where, span)
+        self._record(confined_store(self.ct, class_name, eta, part), where, span)
         return part
 
     def after_command(self, gamma, cmd, outcome):
@@ -471,13 +480,10 @@ class ConfinementMonitor(InterpHooks):
         if isinstance(cmd, (A.Seq, A.If, A.While)):
             return  # constituents are already checked
         h0, eta0 = outcome
-        cls = gamma["self"].name
-        at = f"after command at {cmd.span}" if cmd.span else "after command"
-        self._check_state(cls, eta0, h0, at)
+        self._check_state(gamma["self"].name, eta0, h0, _AFTER_COMMAND, cmd.span)
 
     def before_call(self, caller_gamma, callee_class, callee_store, heap, site, mscoped):
-        at = f"arguments of call at {site.span}" if site.span else "call arguments"
-        part = self._check_state(callee_class, callee_store, heap, at)
+        part = self._check_state(callee_class, callee_store, heap, _CALL_ARGUMENTS, site.span)
         if not self._marks:
             self._log.clear()
         self._marks.append(None if part is None else len(self._log))
@@ -488,16 +494,15 @@ class ConfinementMonitor(InterpHooks):
             return
         h0, d = outcome
         ct = self.ct
-        at = f"return of call at {site.span}" if site.span else "call return"
         # No extension check (mark None) when before_call already recorded the pre-call heap.
-        part = self._check_state(callee_class, callee_store, h0, at, mark)
+        part = self._check_state(callee_class, callee_store, h0, _CALL_RETURN, site.span, mark)
         if part is None or not isinstance(d, Location):
             return
         role, drole = ct.role(callee_class), ct.role(d.class_name)
         if role == "rep":
             if drole != "client":
                 probe = {**callee_store, "$result": d}
-                self._record(confined_store(ct, callee_class, probe, part), at)
+                self._record(confined_store(ct, callee_class, probe, part), _CALL_RETURN, site.span)
             return
         if drole != "rep":
             return
@@ -507,7 +512,7 @@ class ConfinementMonitor(InterpHooks):
             message = f"module-scoped {site.method} returns rep {d} from a foreign island"
         else:
             message = f"method {site.method} of {callee_class} returns rep {d}"
-        self._record(ConfinementViolation(RESULT_VIOLATION, message, (d,)), at)
+        self._record(ConfinementViolation(RESULT_VIOLATION, message, (d,)), _CALL_RETURN, site.span)
 
 
 def run_with_monitor(

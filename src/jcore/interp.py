@@ -20,6 +20,12 @@ with hooks runs code compiled to report to them, kept apart from the code of
 a runtime without, which tests no hook. The call rule is stated once, in the
 compiled call, which `invoke` runs and which keeps its callee per receiver
 class (Deutsch and Schiffman, POPL 1984); the tree walker is the test oracle.
+A parent reads some leaves in place instead of calling their code, as
+superoperators do (Proebsting, POPL 1995): a variable or literal operand of
+`IntOp` or `Eq`, the `null` of `e = null` (an identity test), a variable
+target of a field read, a variable receiver and an argument list of
+variables. Without hooks, a block whose body is a `Seq` runs its items in
+its own loop, and a `skip` item counts its step but calls nothing.
 
 Method meanings are approximated by a fuel counter: a call executed with
 fuel j runs the callee body with fuel j-1, and any call at fuel 0 yields the
@@ -313,20 +319,22 @@ class Runtime:
     # return the store they were given or a value, and raise `_Stop` at a bottom.
 
     def _new_object(self, class_name: str, h: Heap) -> Location:
+        defaults, constructors = self._class(class_name)
         loc = fresh(class_name, h, self._next.get(class_name, 0))
         self._next[class_name] = loc.index + 1
-        h[loc] = dict(self._class(class_name)[0])
+        h[loc] = dict(defaults)
         if self.hooks:
             self.hooks.after_alloc(h, loc)
-        self._exec_constructor(class_name, h, loc)
+        self._exec_constructor(constructors, h, loc)
         return loc
 
     def _exec_command(self, gamma, cmd, h: Heap, eta: Store, fuel: int) -> Store:
         self.steps += 1
         return self._compiled(cmd, gamma)(self, h, eta, fuel)
 
-    def _exec_constructor(self, class_name: str, h: Heap, loc: Location):
-        for label, c in self._class(class_name)[1]:
+    def _exec_constructor(self, constructors, h: Heap, loc: Location):
+        """Run a constructor chain, as `_class` gives it, on `loc`."""
+        for label, c in constructors:
             self._stack.append(label)
             self.steps += 1
             try:
@@ -337,6 +345,19 @@ class Runtime:
 
 _ABSENT = object()  # a variable a block's store lacks; `None` is null
 _INT_OPS = {"+": operator.add, "-": operator.sub, "mod": lambda d1, d2: d1 % d2 if d2 != 0 else 0}
+# The code of `op(left, right)` by how `_compile`'s `operand` reads each
+# side: a variable or a literal in place, any other expression by its code.
+_BINARY = {
+    ("var", "var"): lambda op, a, b: lambda rt, h, eta: op(eta[a], eta[b]),
+    ("var", "lit"): lambda op, a, b: lambda rt, h, eta: op(eta[a], b),
+    ("var", "code"): lambda op, a, b: lambda rt, h, eta: op(eta[a], b(rt, h, eta)),
+    ("lit", "var"): lambda op, a, b: lambda rt, h, eta: op(a, eta[b]),
+    ("lit", "lit"): lambda op, a, b: lambda rt, h, eta: op(a, b),
+    ("lit", "code"): lambda op, a, b: lambda rt, h, eta: op(a, b(rt, h, eta)),
+    ("code", "var"): lambda op, a, b: lambda rt, h, eta: op(a(rt, h, eta), eta[b]),
+    ("code", "lit"): lambda op, a, b: lambda rt, h, eta: op(a(rt, h, eta), b),
+    ("code", "code"): lambda op, a, b: lambda rt, h, eta: op(a(rt, h, eta), b(rt, h, eta)),
+}
 
 
 def _child(node, gamma, observe):
@@ -362,21 +383,36 @@ def _compile(node, gamma=None, observe=False):
     `(rt, h, eta, fuel) -> eta` that updates `eta` in place, subtrees
     included; with `observe`, for a runtime with hooks. This is the one
     place that dispatches on the node type."""
+
+    def operand(e):
+        """How a parent reads the expression `e`: ("var", its name) and
+        ("lit", its value) in place, ("code", its code) otherwise."""
+        k = type(e)
+        if k is A.Var:
+            return "var", e.name
+        if k in (A.NullLit, A.BoolLit, A.IntLit, A.UnitLit):
+            return "lit", None if k is A.NullLit else IT if k is A.UnitLit else e.value
+        return "code", _compile(e)
+
+    def variable(e):
+        """The name of the variable `e` and no code, or no name and the code of `e`."""
+        return (e.name, None) if type(e) is A.Var else (None, _compile(e))
+
     t = type(node)
-    if t is A.Var:
-        name = node.name
-        return lambda rt, h, eta: eta[name]
-    if t in (A.NullLit, A.BoolLit, A.IntLit, A.UnitLit):
-        value = None if t is A.NullLit else IT if t is A.UnitLit else node.value
-        return lambda rt, h, eta: value
+    if t is A.Var or t in (A.NullLit, A.BoolLit, A.IntLit, A.UnitLit):
+        kind, x = operand(node)
+        return (lambda rt, h, eta: eta[x]) if kind == "var" else lambda rt, h, eta: x
     if t is A.Eq or t is A.IntOp:
-        op = values_equal if t is A.Eq else _INT_OPS.get(node.op, operator.lt)
-        left, right = _compile(node.left), _compile(node.right)
-        return lambda rt, h, eta: op(left(rt, h, eta), right(rt, h, eta))
+        if t is A.IntOp:
+            op = _INT_OPS.get(node.op, operator.lt)
+        else:  # only null equals null
+            op = operator.is_ if type(node.right) is A.NullLit else values_equal
+        (lkind, left), (rkind, right) = operand(node.left), operand(node.right)
+        return _BINARY[lkind, rkind](op, left, right)
     if t is A.FieldAccess:
-        target, fieldname = _compile(node.target), node.fieldname
+        (var, target), fieldname = variable(node.target), node.fieldname
         def field_access(rt, h, eta):
-            l = target(rt, h, eta)
+            l = eta[var] if target is None else target(rt, h, eta)
             if l is None:
                 raise rt._stop(NIL_DEREF, f"field {fieldname} of null")
             assert l in h, "expression produced a dangling location"
@@ -423,20 +459,34 @@ def _compile(node, gamma=None, observe=False):
             eta[name] = rt._new_object(class_name, h)
             return eta
         return new_assign
-    if t is A.CallAssign or t is A.SuperCallAssign:  # `x := super.m(args)` has no receiver
-        name, mname, args = node.name, node.method, [_compile(a) for a in node.args]
-        receiver = _compile(node.receiver) if t is A.CallAssign else None
-        self_class = gamma["self"].name if receiver is None else None  # a super lookup starts above it
+    if t is A.CallAssign or t is A.SuperCallAssign:
+        name, mname, arity = node.name, node.method, len(node.args)
+        if t is A.SuperCallAssign:  # `x := super.m(args)` calls `self`, looked up above its class
+            var, receiver, self_class = "self", None, gamma["self"].name
+        else:
+            (var, receiver), self_class = variable(node.receiver), None
+        arg = code = get = args = None  # one argument is read by `arg` or `code`, more by `get` or `args`
+        if arity == 1:
+            arg, code = variable(node.args[0])
+        elif arity and all(type(a) is A.Var for a in node.args):
+            get = operator.itemgetter(*(a.name for a in node.args))
+        elif arity:
+            args = [_compile(a) for a in node.args]
         methods = {}  # start class -> `rt._method(mname, start)`; this code serves one table and one `observe`
         def call(rt, h, eta, fuel):
-            if receiver is None:
-                loc, start = eta["self"], rt.ct.super_of(self_class)
+            loc = eta[var] if receiver is None else receiver(rt, h, eta)
+            if self_class is not None:
+                start = rt.ct.super_of(self_class)
+            elif loc is None:
+                raise rt._stop(NIL_DEREF, f"call of {mname} on null")
             else:
-                loc = receiver(rt, h, eta)
-                if loc is None:
-                    raise rt._stop(NIL_DEREF, f"call of {mname} on null")
                 start = loc.class_name
-            values = [a(rt, h, eta) for a in args]
+            if arity == 0:
+                values = ()
+            elif arity == 1:
+                values = (eta[arg] if code is None else code(rt, h, eta),)
+            else:
+                values = get(eta) if args is None else [a(rt, h, eta) for a in args]
             if fuel <= 0:
                 raise rt._stop(FUEL_EXHAUSTED, f"call to {mname}")
             pars, result, c, label, mscoped = methods.get(start) or methods.setdefault(start, rt._method(mname, start))
@@ -445,7 +495,12 @@ def _compile(node, gamma=None, observe=False):
                 rt.hooks.before_call(gamma, start, store, h, node, mscoped)
             if fuel < rt.low_fuel:
                 rt.low_fuel = fuel
-            eta1 = dict(zip(pars, values), self=loc, result=result)
+            if arity == 0:
+                eta1 = {"self": loc, "result": result}
+            elif arity == 1:
+                eta1 = {pars[0]: values[0], "self": loc, "result": result}
+            else:
+                eta1 = dict(zip(pars, values), self=loc, result=result)
             rt._stack.append(label)
             rt.steps += 1
             try:
@@ -462,13 +517,22 @@ def _compile(node, gamma=None, observe=False):
             return eta
         return call
     if t is A.LocalBlock:
-        name, init = node.name, _compile(node.init)
-        c = _child(node.body, {**gamma, name: node.var_type}, observe)
+        name, init, inner = node.name, _compile(node.init), {**gamma, node.name: node.var_type}
+        if observe or type(node.body) is not A.Seq:
+            body, items = _child(node.body, inner, observe), None
+        else:  # plain code runs the body's items in this frame, and calls nothing for a `skip`
+            body, items = None, [None if type(i) is A.Skip else _compile(i, inner) for i in node.body.items]
         def local_block(rt, h, eta, fuel):
             shadowed = eta.get(name, _ABSENT)
             eta[name] = init(rt, h, eta)
             rt.steps += 1
-            c(rt, h, eta, fuel)
+            if items is None:
+                body(rt, h, eta, fuel)
+            else:
+                for c in items:
+                    rt.steps += 1
+                    if c is not None:
+                        c(rt, h, eta, fuel)
             if shadowed is _ABSENT:
                 del eta[name]
             else:
@@ -496,11 +560,12 @@ def _compile(node, gamma=None, observe=False):
             return eta
         return while_
     if t is A.Seq:
-        items = [_child(item, gamma, observe) for item in node.items]
+        items = [None if type(i) is A.Skip and not observe else _child(i, gamma, observe) for i in node.items]
         def seq(rt, h, eta, fuel):
             for c in items:
                 rt.steps += 1
-                eta = c(rt, h, eta, fuel)
+                if c is not None:  # plain code calls nothing for a `skip`
+                    eta = c(rt, h, eta, fuel)
             return eta
         return seq
     raise TypeError(f"not a core command or expression: {node!r}")

@@ -167,7 +167,7 @@ def exec_constructor(rt: Runtime, class_name: str, h: Heap, loc: Location):
     """Run the constructor chain of `class_name` on `loc`, root first."""
 
     def body(h):
-        rt._exec_constructor(class_name, h, loc)
+        rt._exec_constructor(rt._class(class_name)[1], h, loc)
         return h
 
     return rt._entry(h, body)

@@ -255,6 +255,72 @@ def test_call_site_over_many_receiver_classes_matches_the_tree_walker(mode):
     assert _out(facts) == [("out", str(3 * (1 + 4 + 4 + 21 + 321)))]
 
 
+# Shapes the compiler reads in place or runs in a parent's frame: each
+# `Main.main` body with the `Main.out` it leaves, or its bottom and detail.
+OPERANDS = """
+class Rep extends Object {
+}
+class C extends Object {
+  C nxt;
+  int n;
+  int zero() { result := 0 }
+  int one(int a) { result := a }
+  int two(int a, int b) { result := a - b }
+  int three(int a, int b, int c) { result := a + b - c }
+}
+class D extends C {
+  int one(int a) { int r := super.one(a); result := r + 10 }
+}
+class Main extends Object {
+  C nxt;
+  int n;
+  int out;
+  unit main() { %s }
+}
+"""
+IN_PLACE = {
+    "plus": ("int x := 4; self.out := x + 1", 5),
+    "minus": ("int x := 4; int y := 9; self.out := x - y", -5),
+    "mod-zero": ("int x := 4; self.out := x mod 0", 0),
+    "mod-literal": ("int x := 7; self.out := x mod 3", 1),
+    "literal-minus-variable": ("int x := 4; self.out := 10 - x", 6),
+    "null-equals-null": ("C x := null; if x = null then self.out := 1 else self.out := 2 fi", 1),
+    "location-equals-null": ("C x := new C; if x = null then self.out := 1 else self.out := 2 fi", 2),
+    "arities": ("C c := new C; int a := 3; int b := 4; int k := 5; "
+                "self.out := c.zero() + c.one(a) + c.two(a, b) + c.three(a, b, k)", 0 + 3 - 1 + 2),
+    "super-one-argument": ("C d := new D; int a := 3; self.out := d.one(a)", 13),
+    "mixed-arguments": ("C c := new C; int a := 3; c.n := 7; self.out := c.two(a, c.n) + c.one(a + 1)", -4 + 4),
+    "skips": ("skip; self.n := 1; skip; skip; int x := self.n + 1; skip; self.out := x; skip", 2),
+    "call-on-null": ("C z := self.nxt; self.out := z.zero()", (NIL_DEREF, "call of zero on null")),
+    "field-of-null": ("C z := self.nxt; self.out := z.n", (NIL_DEREF, "field n of null")),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("case", sorted(IN_PLACE))
+def test_operands_read_in_place_match_the_tree_walker(case, mode):
+    """Variable and literal operands, `= null`, variable receivers and
+    targets, argument lists of each arity, and `skip` items."""
+    body, want = IN_PLACE[case]
+    facts = assert_same_run(_owned(OPERANDS % body), "Main", "main", mode)
+    if isinstance(want, tuple):
+        assert facts[0][:3] == ("bottom", *want)
+    else:
+        assert ("out", str(want)) in _out(facts)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("deep", [False, True])
+def test_block_body_bottoming_at_its_second_item_matches_the_tree_walker(mode, deep):
+    """A block whose body sequence bottoms at its second item, in `Main.main`
+    itself or three calls deep: the same steps and stack as the tree walker."""
+    body = "C z := self.nxt; self.n := 1; self.n := z.n; self.n := 2"
+    main_body = "C c := new C; { int a := 2; c.d2() }" if deep else body
+    facts = assert_same_run(_owned(NESTED_BOTTOM % (body if deep else "skip", main_body)), "Main", "main", mode)
+    assert facts[0][:3] == ("bottom", NIL_DEREF, "field n of null")
+    assert facts[0][3] == (("C.d2", "C.d1", "C.d0") if deep else ())
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_two_tables_from_one_source_run_alternately_match_the_tree_walker(mode):
     """Two tables parsed apart from each of two sources, run in turn: each
