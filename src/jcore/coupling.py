@@ -9,7 +9,8 @@ against both tables, rebuilding the bijection after every step by a rooted
 traversal over non-rep structure (rep correspondence is the coupling's own
 business), and reports which steps preserve the relation at which fuels. It
 executes each distinct script prefix once per side, at the largest fuel, and
-derives every other fuel from the least fuel a call of that step ran at.
+walks each script once for all its fuels, building a fuel's vector at the
+first prefix it cannot go on past, from the least fuel a call there ran at.
 
 The evidence is bounded: scripts are finite and fuels are finite, so a clean
 report is not a proof, and the report says so.
@@ -18,6 +19,7 @@ report is not a proof, and the report says so.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import ast as A
@@ -339,17 +341,17 @@ class _Prefix(A.Record):
 
 
 class PrefixMemo:
-    """The script prefixes of one table pair, each executed once per side at
-    `fuel`; a memo answers every fuel up to its own."""
+    """A trie of the script prefixes of one table pair, each executed once per
+    side at `fuel` when a walk first reaches it; a memo answers every fuel up
+    to its own, and `run_script` refuses a higher one."""
 
     def __init__(self, ct_a: ClassTable, ct_b: ClassTable, bc: BasicCoupling, fuel: int):
         self.ct_a, self.ct_b, self.bc, self.fuel = ct_a, ct_b, bc, fuel
         self.root = _Prefix((({}, {}, None, 0), ({}, {}, None, 0)), "", {})
-        self.methods: Dict[tuple, Tuple[str, ...]] = {}
 
     def extend(self, node: _Prefix, st: Step) -> _Prefix:
         """Execute `st` after `node`, keeping the child only once it is built:
-        a step that raises runs again for the next vector."""
+        a step that raises runs again for the next walk that reaches it."""
         sides = []
         for ct, (heap, roots, _, _) in zip((self.ct_a, self.ct_b), node.sides):
             rt, roots = Runtime(ct), dict(roots)  # the entry copies the heap itself
@@ -367,29 +369,50 @@ class PrefixMemo:
         return out
 
 
+def run_script(memo: PrefixMemo, script, fuels: Sequence[int]) -> List[VectorResult]:
+    """The vectors of `script` at each of `fuels`, in order, from one walk of
+    `memo`, at a fuel F >= each. A step runs `invoke(..., fuel + 1)`, so a side
+    does what it did at F when `fuel >= F + 1 - low_fuel`, and its deepest call
+    bottoms below: the walk records per prefix the least fuel that goes on
+    past it, and a fuel extends the walk only past where earlier fuels went.
+    A step that raises is not kept and makes this fuel's vector an error."""
+    if fuels and max(fuels) > memo.fuel:
+        raise ValueError(f"fuel {max(fuels)} is above the fuel {memo.fuel} of the prefix memo")
+    methods, nodes, goes_on, out = _own_methods_of(memo.ct_a, script), [memo.root], [], []
+    for fuel in fuels:
+        for i, st in enumerate(script):
+            if i == len(goes_on):
+                try:
+                    node = nodes[i].children.get(st) or memo.extend(nodes[i], st)
+                except Exception as exc:
+                    out.append(VectorResult(script, fuel, "fail", -1, f"internal error: {exc}"))
+                    break
+                (*_, bot_a, low_a), (*_, bot_b, low_b) = node.sides  # none goes on past a bottom or a failure
+                goes_on.append(math.inf if bot_a or bot_b or node.verdict else memo.fuel + 1 - min(low_a, low_b))
+                nodes.append(node)
+            if fuel < goes_on[i]:
+                node = nodes[i + 1]
+                bot_a, bot_b = (b if fuel >= memo.fuel + 1 - low else Bottom(FUEL_EXHAUSTED) for *_, b, low in node.sides)
+                if bot_a is not None and bot_b is not None:
+                    out.append(VectorResult(script, fuel, "pass", i, "both sides bottom", methods))
+                elif bot_a is not None or bot_b is not None:
+                    side, reason = ("A", bot_a.reason) if bot_a is not None else ("B", bot_b.reason)
+                    msg = f"outcomes unrelated: side {side} bottoms ({reason}), the other side terminates"
+                    out.append(VectorResult(script, fuel, "fail", i, msg, methods))
+                else:
+                    out.append(VectorResult(script, fuel, "fail", i, node.verdict, methods))
+                break
+        else:
+            out.append(VectorResult(script, fuel, "pass", len(script) - 1, "", methods))
+    return out
+
+
 def run_vector(ct_a: ClassTable, ct_b: ClassTable, bc: BasicCoupling, script, fuel: int, *,
                memo: Optional[PrefixMemo] = None) -> VectorResult:
     """Replay `script` on both tables at `fuel`, checking the coupling after
-    every step, from `memo` (this pair's, at a fuel F >= `fuel`) or from a
-    private memo at `fuel`. A step runs `invoke(..., fuel + 1)`, so a side does
-    what it did at F exactly when `fuel >= F + 1 - low_fuel`; below, its
-    deepest call bottoms."""
-    memo = memo or PrefixMemo(ct_a, ct_b, bc, fuel)
-    methods, node = memo.methods.get(script), memo.root
-    if methods is None:
-        methods = memo.methods[script] = _own_methods_of(ct_a, script)
-    for i, st in enumerate(script):
-        node = node.children.get(st) or memo.extend(node, st)
-        bot_a, bot_b = (b if fuel >= memo.fuel + 1 - low else Bottom(FUEL_EXHAUSTED) for *_, b, low in node.sides)
-        if bot_a is not None and bot_b is not None:
-            return VectorResult(script, fuel, "pass", i, "both sides bottom", methods)
-        if bot_a is not None or bot_b is not None:
-            side, reason = ("A", bot_a.reason) if bot_a is not None else ("B", bot_b.reason)
-            msg = f"outcomes unrelated: side {side} bottoms ({reason}), the other side terminates"
-            return VectorResult(script, fuel, "fail", i, msg, methods)
-        if node.verdict:
-            return VectorResult(script, fuel, "fail", i, node.verdict, methods)
-    return VectorResult(script, fuel, "pass", len(script) - 1, "", methods)
+    every step: `run_script` at this one fuel, from `memo` (this pair's, at a
+    fuel F >= `fuel`) or from a private memo at `fuel`."""
+    return run_script(memo or PrefixMemo(ct_a, ct_b, bc, fuel), script, (fuel,))[0]
 
 
 def _own_methods_of(ct: ClassTable, script) -> Tuple[str, ...]:
@@ -444,11 +467,7 @@ def test_simulation(
         establishment.append((oc, ok, msg))
         memo = PrefixMemo(ct_a, ct_b, bc, max(fuels, default=0))
         for script in generate_scripts(ct_a, oc, max_len=max_len, max_scripts=max_scripts):
-            for fuel in fuels:
-                try:
-                    vectors.append(run_vector(ct_a, ct_b, bc, script, fuel, memo=memo))
-                except Exception as exc:
-                    vectors.append(VectorResult(script, fuel, "fail", -1, f"internal error: {exc}"))
+            vectors += run_script(memo, script, fuels)
     return CouplingReport(bc.name, establishment, vectors)
 
 

@@ -436,18 +436,18 @@ def _compile(node, gamma=None, observe=False):
             raise rt._stop(ABORT)
         return abort
     if t is A.Assign:
-        name, expr = node.name, _compile(node.expr)
+        name, (kind, x) = node.name, operand(node.expr)
         def assign(rt, h, eta, fuel):
-            eta[name] = expr(rt, h, eta)
+            eta[name] = eta[x] if kind == "var" else x if kind == "lit" else x(rt, h, eta)
             return eta
         return assign
     if t is A.FieldAssign:
-        target, fieldname, expr = _compile(node.target), node.fieldname, _compile(node.expr)
+        (var, target), fieldname, (kind, x) = variable(node.target), node.fieldname, operand(node.expr)
         def field_assign(rt, h, eta, fuel):
-            l = target(rt, h, eta)
+            l = eta[var] if target is None else target(rt, h, eta)
             if l is None:
                 raise rt._stop(NIL_DEREF, f"update of field {fieldname} of null")
-            d = expr(rt, h, eta)
+            d = eta[x] if kind == "var" else x if kind == "lit" else x(rt, h, eta)
             if observe:
                 rt.hooks.before_write(h, l, fieldname, d)
             h[l][fieldname] = d
@@ -517,14 +517,14 @@ def _compile(node, gamma=None, observe=False):
             return eta
         return call
     if t is A.LocalBlock:
-        name, init, inner = node.name, _compile(node.init), {**gamma, node.name: node.var_type}
+        name, (kind, x), inner = node.name, operand(node.init), {**gamma, node.name: node.var_type}
         if observe or type(node.body) is not A.Seq:
             body, items = _child(node.body, inner, observe), None
         else:  # plain code runs the body's items in this frame, and calls nothing for a `skip`
             body, items = None, [None if type(i) is A.Skip else _compile(i, inner) for i in node.body.items]
         def local_block(rt, h, eta, fuel):
             shadowed = eta.get(name, _ABSENT)
-            eta[name] = init(rt, h, eta)
+            eta[name] = x if kind == "lit" else eta[x] if kind == "var" else x(rt, h, eta)
             rt.steps += 1
             if items is None:
                 body(rt, h, eta, fuel)
