@@ -1,10 +1,15 @@
+import hashlib
+import os
+
 from jcore import ast as A
 from jcore.ast import ClassType, method_context
-from jcore.classtable import Designations, build_class_table
+from jcore.classtable import Designations, WellFormednessError, build_class_table
+from jcore.corpus import load_corpus
 from jcore.desugar import desugar, parse_and_desugar
 from jcore.parser import parse
 from jcore.safety import safe_command, safe_expr, safe_table
 from pretty import program_str
+from test_roundtrip_fuzz import _bench_padded_sources
 
 
 def test_owner_self_access_ok(tables):
@@ -180,3 +185,85 @@ def test_desugaring_stability(corpus, tables):
         printed = program_str([ct.decls[c] for c in sorted(ct.decls)])
         ct2 = build_class_table(desugar(parse(printed)), rec.designations())
         assert safe_table(ct2).ok, name
+
+
+# ---------------------------------------------------------------------------
+# Pinned verdicts: every safety diagnostic of a fixed set of tables
+
+
+FIFO_DIR = os.path.join(os.path.dirname(__file__), "fifo")
+
+# safe_table reports these two on none of the corpus variants; a client
+# calling a module-scoped method is ill-typed too, since `check` rejects the
+# same call
+EXTRA_CASES = (
+    ("Own", "Rep", """
+    class Rep extends Object { }
+    class Own extends Object { Rep r; module unit hid() { skip } }
+    class Main extends Object { unit main(Own o) { o.hid() } }
+    """),
+    ("Own", "Rep", """
+    class Rep extends Object { unit keep(Own o, Object x) { skip } }
+    class Own extends Object {
+      Rep r;
+      unit give(Own other) { self.r.keep(other, other); self.r.keep(self, self) }
+    }
+    """),
+)
+
+
+def _safety_cases():
+    """(core declarations, designations) pairs: each corpus program under its
+    own designations and under every ordered pair of distinct classes it
+    declares, the seed-1 benchmark sources, the FIFO versions and
+    `EXTRA_CASES`."""
+    records = load_corpus()
+    cases = []
+    for r in records:
+        decls = parse_and_desugar(r.source())
+        names = [d.name for d in decls]
+        cases.append((decls, r.designations()))
+        cases += [(decls, Designations(own, rep)) for own in names for rep in names if own != rep]
+    cases += [(parse_and_desugar(src), r.designations()) for src, r in zip(_bench_padded_sources(1), records)]
+    for file in sorted(os.listdir(FIFO_DIR)):
+        if file.endswith(".jcore"):
+            with open(os.path.join(FIFO_DIR, file), encoding="utf-8") as f:
+                cases.append((parse_and_desugar(f.read()), Designations("FIFO", "Node", "Node2")))
+    cases += [(parse_and_desugar(src), Designations(own, rep)) for own, rep, src in EXTRA_CASES]
+    return cases
+
+
+def _diag_record(d):
+    return repr((d.rule, d.message, str(d.span), d.class_name, d.method_name)).encode()
+
+
+def test_safety_verdicts_match_their_pinned_digest():
+    """`safe_table` of every case (or its `WellFormednessError`), then
+    `safe_command` of every method body and constructor of each table that
+    builds, in the order returned: one sha256."""
+    digest, rules, cases = hashlib.sha256(), set(), _safety_cases()
+    for decls, des in cases:
+        try:
+            ct = build_class_table(decls, des)
+        except WellFormednessError as exc:
+            digest.update(str(exc).encode())
+            continue
+        report = safe_table(ct)
+        digest.update(b"table")
+        for d in report.diagnostics:
+            digest.update(_diag_record(d))
+            rules.add(d.rule)
+        for cname in sorted(ct.decls):
+            decl = ct.decls[cname]
+            bodies = [(method_context(cname, m), m.body) for m in decl.methods]
+            for gamma, body in bodies + [({"self": ClassType(cname)}, decl.constructor)]:
+                digest.update(b"body")
+                for d in safe_command(ct, gamma, body):
+                    digest.update(_diag_record(d))
+    assert len(cases) == 845
+    assert rules == {
+        "NewRepInClient", "NewOwnerInRep", "NonSelfPrivateAccess", "NonSelfPrivateUpdate",
+        "RepLeakViaCall", "RepToNonSelfOwner", "OwnerArgToRep", "ModuleScopeViolation",
+        "OwnerPublicReturnsRep", "OwnerInheritsRepParams", "RepInheritsForeign",
+    }
+    assert digest.hexdigest() == "c5d0d00243b7bd34a379dfde88861a3407d0b543b9289c02ab0e2c65df947e4b"
