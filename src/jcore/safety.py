@@ -1,10 +1,14 @@
 """Syntax-directed safety analysis for ownership confinement.
 
-Clients are only forbidden from constructing reps; all other constraints fall
-on owner and rep code: rep-typed fields are read and written only through
-`self` in the owner class itself, reps cross a call boundary only when the
-receiver is `self` or the callee lives inside the module, and rep code never
-smuggles a foreign owner in. Signature-level clauses keep reps out of the
+Each rule binds one kind of code, and the analysis decides once per body,
+from its class's role, which kind that body is. Client code may not
+construct reps or call module-scoped methods, and rep code may not construct
+owners. Module (owner and rep) code passes nothing rep-comparable to a
+client receiver. Owner code (the owner class and its subclasses) passes
+nothing rep-comparable to a non-self owner and no non-self owner to a rep.
+The owner class reads and writes rep-typed fields only through `self`, and
+its subclasses not at all; this is the one expression rule, so expressions
+are walked only in owner code. Signature-level clauses keep reps out of the
 public owner interface. All diagnostics are collected; the analysis never
 stops at the first finding. Commands get one rule per node, applied in the
 preorder of `ast.walk_commands`, which supplies each node's context.
@@ -47,7 +51,7 @@ class SafetyReport(A.Record):
 
 
 def _is_self(e) -> bool:
-    return isinstance(e, A.Var) and e.name == "self"
+    return e.__class__ is A.Var and e.name == "self"
 
 
 def _type_of(ct, gamma, e):
@@ -61,42 +65,37 @@ class _Analysis:
     def __init__(self, ct: ClassTable):
         assert ct.designations is not None, "safety analysis requires designations"
         self.ct = ct
-        self.own = ct.designations.own
         self.out: List[Diagnostic] = []
-        self._cls = ""
-        self._meth = ""
+
+    def code(self, cls: str, member: str) -> "_Analysis":
+        """Name the class and member whose code comes next, and decide once
+        which rules bind it: client, rep or owner code, and among owner code
+        whether it is a subclass of the owner class."""
+        self._cls, self._meth = cls, member
+        role = self.ct.role(cls)
+        self.client, self.rep, self.owner = role == "client", role == "rep", role == "owner"
+        self.sub = self.owner and cls != self.ct.designations.own
+        return self
 
     def diag(self, rule, message, span):
         self.out.append(Diagnostic(rule, message, span, self._cls, self._meth))
 
-    # context predicates; C is the class of the code under analysis
-    def _c_is_own(self, c: str) -> bool:
-        return c == self.own
-
-    def _c_below_own(self, c: str) -> bool:
-        return self.ct.subtype_names(c, self.own) and c != self.own
-
-    def expr(self, gamma, e):
+    def expr(self, gamma, *es):
+        """Rep-typed field reads, the one expression rule: through `self` only
+        in the owner class, not at all in its subclasses, free elsewhere."""
+        if not self.owner:
+            return
         ct = self.ct
-        for sub in A.walk_exprs(e):
-            if not isinstance(sub, A.FieldAccess):
-                continue
-            c = gamma["self"].name
-            t = _type_of(ct, gamma, sub)
-            if t is None:
-                continue
-            if self._c_is_own(c) and not _is_self(sub.target) and ct.comparable_to_rep(t):
-                self.diag(
-                    NON_SELF_PRIVATE_ACCESS,
-                    f"rep-typed field {sub.fieldname} read through a non-self expression in the owner class",
-                    sub.span,
-                )
-            elif self._c_below_own(c) and ct.comparable_to_rep(t):
-                self.diag(
-                    NON_SELF_PRIVATE_ACCESS,
-                    f"rep-typed field {sub.fieldname} read in owner subclass {c}",
-                    sub.span,
-                )
+        for e in es:
+            for sub in A.walk_exprs(e):
+                if sub.__class__ is A.FieldAccess and (self.sub or not _is_self(sub.target)):
+                    if ct.comparable_to_rep(_type_of(ct, gamma, sub)):
+                        self.diag(
+                            NON_SELF_PRIVATE_ACCESS,
+                            f"rep-typed field {sub.fieldname} read in owner subclass {self._cls}" if self.sub else
+                            f"rep-typed field {sub.fieldname} read through a non-self expression in the owner class",
+                            sub.span,
+                        )
 
     def command(self, gamma, cmd):
         for sub, ctx in A.walk_commands(cmd, gamma):
@@ -104,123 +103,100 @@ class _Analysis:
 
     def _node(self, gamma, cmd):
         """The safety rule of one command node, its children left to the walk."""
-        ct = self.ct
-        c = gamma["self"].name
-        if isinstance(cmd, (A.Skip, A.Abort, A.Seq)):
-            return
-        if isinstance(cmd, A.Assign):
+        cls = cmd.__class__
+        if cls is A.Assign:
             self.expr(gamma, cmd.expr)
-            return
-        if isinstance(cmd, A.FieldAssign):
-            self.expr(gamma, cmd.target)
-            self.expr(gamma, cmd.expr)
-            u = _type_of(ct, gamma, cmd.expr)
-            if u is not None and ct.comparable_to_rep(u):
-                if self._c_is_own(c) and not _is_self(cmd.target):
-                    self.diag(
-                        NON_SELF_PRIVATE_UPDATE,
-                        f"rep-typed value stored through a non-self expression in the owner class",
-                        cmd.span,
-                    )
-                elif self._c_below_own(c):
-                    self.diag(
-                        NON_SELF_PRIVATE_UPDATE,
-                        f"rep-typed value stored into a field in owner subclass {c}",
-                        cmd.span,
-                    )
-            return
-        if isinstance(cmd, A.NewAssign):
-            b = cmd.class_name
-            if ct.is_client_class(c) and ct.is_rep_class(b):
-                self.diag(NEW_REP_IN_CLIENT, f"client {c} constructs rep {b}", cmd.span)
-            if ct.is_rep_class(c) and ct.is_owner_class(b):
-                self.diag(NEW_OWNER_IN_REP, f"rep {c} constructs owner {b}", cmd.span)
-            return
-        if isinstance(cmd, A.CallAssign):
-            self.expr(gamma, cmd.receiver)
-            for a in cmd.args:
-                self.expr(gamma, a)
-            d = _type_of(ct, gamma, cmd.receiver)
-            if not isinstance(d, ClassType):
-                return
-            mt = ct.mtype(cmd.method, d.name)
-            if mt is None:
-                return
-            param_types, _ = mt
-            in_module = not ct.is_client_class(c)
-            if ct.mscope(cmd.method, d.name) and not in_module:
+        elif cls is A.LocalBlock:
+            self.expr(gamma, cmd.init)
+        elif cls is A.Seq or cls is A.Skip or cls is A.Abort:
+            pass
+        elif cls is A.CallAssign:
+            self.expr(gamma, cmd.receiver, *cmd.args)
+            self._call(gamma, cmd)
+        elif cls is A.FieldAssign:
+            self.expr(gamma, cmd.target, cmd.expr)
+            if self.owner and (self.sub or not _is_self(cmd.target)) and (
+                self.ct.comparable_to_rep(_type_of(self.ct, gamma, cmd.expr))
+            ):
                 self.diag(
-                    MODULE_SCOPE_VIOLATION,
-                    f"module-scoped {cmd.method} called from outside the module",
+                    NON_SELF_PRIVATE_UPDATE,
+                    f"rep-typed value stored into a field in owner subclass {self._cls}" if self.sub else
+                    "rep-typed value stored through a non-self expression in the owner class",
                     cmd.span,
                 )
-            d_is_rep = ct.is_rep_class(d.name)
-            d_is_own = ct.is_owner_class(d.name)
-            if in_module and not d_is_rep and not d_is_own:
-                bad = [t for t in param_types if ct.comparable_to_rep(t)]
-                if bad:
-                    self.diag(
-                        REP_LEAK_VIA_CALL,
-                        f"{cmd.method} on a client receiver takes rep-comparable parameters {bad}",
-                        cmd.span,
-                    )
-            if ct.is_owner_class(c) and ct.comparable_to_own(d) and not _is_self(cmd.receiver):
-                bad = [t for t in param_types if ct.comparable_to_rep(t)]
-                if bad:
-                    self.diag(
-                        REP_TO_NON_SELF_OWNER,
-                        f"{cmd.method} on a non-self owner receiver takes rep-comparable parameters {bad}",
-                        cmd.span,
-                    )
-            if ct.is_owner_class(c) and ct.comparable_to_rep(d):
-                for a, t in zip(cmd.args, param_types):
-                    if not _is_self(a) and ct.comparable_to_own(t):
-                        self.diag(
-                            OWNER_ARG_TO_REP,
-                            f"non-self argument of owner-comparable type {t} passed to rep method {cmd.method}",
-                            cmd.span,
-                        )
-            return
-        if isinstance(cmd, A.SuperCallAssign):
-            for a in cmd.args:
-                self.expr(gamma, a)
-            return
-        if isinstance(cmd, A.LocalBlock):
-            self.expr(gamma, cmd.init)
-            return
-        if isinstance(cmd, (A.If, A.While)):
+        elif cls is A.If or cls is A.While:
             self.expr(gamma, cmd.cond)
+        elif cls is A.NewAssign:
+            b = cmd.class_name
+            if self.client and self.ct.is_rep_class(b):
+                self.diag(NEW_REP_IN_CLIENT, f"client {self._cls} constructs rep {b}", cmd.span)
+            elif self.rep and self.ct.is_owner_class(b):
+                self.diag(NEW_OWNER_IN_REP, f"rep {self._cls} constructs owner {b}", cmd.span)
+        elif cls is A.SuperCallAssign:
+            self.expr(gamma, *cmd.args)
+        else:
+            raise TypeError(f"not a core command: {cmd!r}")
+
+    def _call(self, gamma, cmd):
+        """The call rules; each needs the receiver's class."""
+        ct = self.ct
+        d = _type_of(ct, gamma, cmd.receiver)
+        found = ct.resolve_method(cmd.method, d.name) if isinstance(d, ClassType) else None
+        if found is None:
             return
-        raise TypeError(f"not a core command: {cmd!r}")
+        m = found[1]
+        if self.client:
+            if m.module_scoped:
+                self.diag(
+                    MODULE_SCOPE_VIOLATION, f"module-scoped {cmd.method} called from outside the module", cmd.span
+                )
+            return
+        bad = [t for _, t in m.params if ct.comparable_to_rep(t)]
+        if bad and ct.is_client_class(d.name):
+            self.diag(
+                REP_LEAK_VIA_CALL,
+                f"{cmd.method} on a client receiver takes rep-comparable parameters {bad}",
+                cmd.span,
+            )
+        if not self.owner:
+            return
+        if bad and ct.comparable_to_own(d) and not _is_self(cmd.receiver):
+            self.diag(
+                REP_TO_NON_SELF_OWNER,
+                f"{cmd.method} on a non-self owner receiver takes rep-comparable parameters {bad}",
+                cmd.span,
+            )
+        if ct.comparable_to_rep(d):
+            for a, (_, t) in zip(cmd.args, m.params):
+                if not _is_self(a) and ct.comparable_to_own(t):
+                    self.diag(
+                        OWNER_ARG_TO_REP,
+                        f"non-self argument of owner-comparable type {t} passed to rep method {cmd.method}",
+                        cmd.span,
+                    )
 
 
 def safe_expr(ct: ClassTable, gamma: Dict[str, object], e) -> List[Diagnostic]:
-    an = _Analysis(ct)
-    an._cls = gamma["self"].name
+    an = _Analysis(ct).code(gamma["self"].name, "")
     an.expr(gamma, e)
     return an.out
 
 
 def safe_command(ct: ClassTable, gamma: Dict[str, object], cmd) -> List[Diagnostic]:
-    an = _Analysis(ct)
-    an._cls = gamma["self"].name
+    an = _Analysis(ct).code(gamma["self"].name, "")
     an.command(gamma, cmd)
     return an.out
 
 
 def safe_table(ct: ClassTable) -> SafetyReport:
     an = _Analysis(ct)
-    ct_des = ct.designations
+    own = ct.designations.own
     # bodies and constructors
     for cname in sorted(ct.decls):
         decl = ct.decls[cname]
-        an._cls = cname
         for m in decl.methods:
-            an._meth = m.name
-            an.command(A.method_context(cname, m), m.body)
-        an._meth = "con"
-        an.command({"self": ClassType(cname)}, decl.constructor)
-    an._meth = ""
+            an.code(cname, m.name).command(A.method_context(cname, m), m.body)
+        an.code(cname, "con").command({"self": ClassType(cname)}, decl.constructor)
     # public owner methods may not return anything comparable to a rep
     reported = set()
     for cname in sorted(ct.decls):
@@ -229,41 +205,30 @@ def safe_table(ct: ClassTable) -> SafetyReport:
         for m in ct.method_names(cname):
             decl_class, mdecl = ct.resolve_method(m, cname)
             key = (decl_class, m)
-            if key in reported:
-                continue
-            if not mdecl.module_scoped and ct.comparable_to_rep(mdecl.return_type):
+            if key not in reported and not mdecl.module_scoped and ct.comparable_to_rep(mdecl.return_type):
                 reported.add(key)
-                an._cls = cname
-                an._meth = m
-                an.diag(
+                an.code(cname, m).diag(
                     OWNER_PUBLIC_RETURNS_REP,
                     f"public owner method {m} (declared in {decl_class}) returns {mdecl.return_type}, comparable to a rep class",
                     mdecl.span,
                 )
     # methods inherited into the owner class from strictly above it
-    an._cls = ct_des.own
-    for m in ct.method_names(ct_des.own):
-        decl_class, mdecl = ct.resolve_method(m, ct_des.own)
-        if decl_class != ct_des.own and ct.subtype_names(ct_des.own, decl_class):
-            bad = [t for _, t in mdecl.params if ct.comparable_to_rep(t)]
-            if bad:
-                an._meth = m
-                an.diag(
-                    OWNER_INHERITS_REP_PARAMS,
-                    f"{m}, inherited from {decl_class}, has rep-comparable parameters {bad}",
-                    mdecl.span,
-                )
+    for m in ct.method_names(own):
+        decl_class, mdecl = ct.resolve_method(m, own)
+        bad = [t for _, t in mdecl.params if ct.comparable_to_rep(t)]
+        if decl_class != own and bad:
+            an.code(own, m).diag(
+                OWNER_INHERITS_REP_PARAMS,
+                f"{m}, inherited from {decl_class}, has rep-comparable parameters {bad}",
+                mdecl.span,
+            )
     # nothing may be inherited into a rep class from strictly above it
-    for rname in ct_des.rep_names():
-        an._cls = rname
+    for rname in ct.designations.rep_names():
         for m in ct.method_names(rname):
             decl_class, mdecl = ct.resolve_method(m, rname)
-            if decl_class != rname and ct.subtype_names(rname, decl_class):
-                an._meth = m
-                an.diag(
-                    REP_INHERITS_FOREIGN,
-                    f"rep class {rname} inherits {m} from {decl_class}",
-                    mdecl.span,
+            if decl_class != rname:
+                an.code(rname, m).diag(
+                    REP_INHERITS_FOREIGN, f"rep class {rname} inherits {m} from {decl_class}", mdecl.span
                 )
     diags = sorted(an.out, key=lambda d: (d.class_name, d.method_name, d.rule, d.message))
     return SafetyReport(diags)

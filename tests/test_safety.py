@@ -267,3 +267,14 @@ def test_safety_verdicts_match_their_pinned_digest():
         "OwnerPublicReturnsRep", "OwnerInheritsRepParams", "RepInheritsForeign",
     }
     assert digest.hexdigest() == "c5d0d00243b7bd34a379dfde88861a3407d0b543b9289c02ab0e2c65df947e4b"
+
+
+def test_a_local_named_self_leaves_the_body_its_class_code():
+    # ill-typed (`check` rejects SelfAssignment), yet the body stays client code
+    src = """
+    class Rep extends Object { }
+    class Own extends Object { Rep r; }
+    class Main extends Object { unit main() { Own self := new Own; Rep x := new Rep; skip } }
+    """
+    ct = build_class_table(parse_and_desugar(src), Designations("Own", "Rep"))
+    assert [(d.rule, d.class_name) for d in safe_table(ct).diagnostics] == [("NewRepInClient", "Main")]
