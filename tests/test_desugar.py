@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 
@@ -9,7 +10,7 @@ from jcore.desugar import desugar, parse_and_desugar
 from jcore.interp import run
 from jcore.parser import parse
 from pretty import program_str
-from test_roundtrip_fuzz import gen_program
+from test_roundtrip_fuzz import _fields, gen_program
 
 
 def test_call_statement_becomes_call_assignment():
@@ -352,3 +353,54 @@ def test_effectful_while_guard_reevaluated():
     counter = next(l for l in h if l.class_name == "Counter")
     assert h[counter]["n"] == 3
     assert h[main]["seen"] == 2
+
+
+# ---------------------------------------------------------------------------
+# Typing hoisted locals: calls and field reads off every kind of receiver
+
+_RECEIVERS = (
+    "x", "self.g", "x.f.f", "(C) x", "(Z) x", "x.m()", "x.m().m()", "x.m().f", "super.m()",
+    "null", "it", "1", "i + 1", "i < 2", "true", "!b", "x is C", "x = null", "z", "z.q()",
+    "i", "b", "y",
+)
+_HUNG = ("({r}).m()", "({r}).f", "({r}).k(({r}).f, ({r}).m())", "({r}).q().f", "({r}).n")
+_STATEMENTS = (
+    "({e}).m()", "B v := {e} in skip", "B w := {e}", "y := {e}", "self.g := {e}", "({e}).f := x",
+    "if {e} = null then skip else skip fi", "while {e} != null do skip od", "self.g := new B",
+)
+_PROGRAMS = """
+class B extends Object {{
+  B f; int n;
+  B m() {{ result := self }}
+  int k(B x, B y) {{ result := 1 }}
+}}
+class C extends B {{
+  B g; int n;
+  con {{ {con} }}
+  C m() {{ result := (C) super.m() }}
+  unit go(B x, int i, bool b, Z z, B y) {{ {body} }}
+}}
+class D extends E {{ unit go() {{ super.m().f.m(); self.g := super.m() }} }}
+class E extends D {{ B m() {{ result := super.m() }} }}
+"""
+
+
+def _hung_bodies():
+    """Per statement form and hung expression, one statement per receiver;
+    `self.g := new B` once. Many of them are ill-typed."""
+    bodies = {}
+    for stmt in _STATEMENTS:
+        for hung in _HUNG:
+            bodies["; ".join(stmt.format(e=hung.format(r=r)) for r in _RECEIVERS)] = None
+    return list(bodies)
+
+
+def test_hoisted_locals_are_typed_as_pinned():
+    """Desugared trees, spans included, of programs whose calls and field
+    reads hang off every kind of receiver, in call statements, local and
+    variable initializers, field stores and guards: one sha256."""
+    con = "self.g := (self.g).m(); self.n := (self.g).k(self.g.f, null)"
+    digest = hashlib.sha256()
+    for body in _hung_bodies():
+        digest.update(repr(_fields(desugar(parse(_PROGRAMS.format(body=body, con=con))))).encode())
+    assert digest.hexdigest() == "b809e4e437da9269a59c0904392caaae257dbdc4f12c1ef7f18eb6ce40552393"
