@@ -22,15 +22,16 @@ numbering starts at the `first_tmp` the parser recorded for it: one past any
 has no `$` at all. The pass is idempotent: lowering a program that is already
 in core form changes nothing.
 
-Hoisted locals are typed by a signature-level synthesis over the surface
-program; where a call cannot be resolved (the program is ill-typed), the
-local falls back to `unit` and the type checker reports the real error.
+A hoisted local is typed by the recursion that hoists its call, from the
+program's signatures at best effort; where a call cannot be resolved (the
+program is ill-typed), the local falls back to `unit` and the type checker
+reports the real error.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from . import ast as A
 from .parser import (
@@ -70,6 +71,11 @@ class _Sigs:
             self.results[name] = {m.name: m.return_type for c in ancestry for m in reversed(c.methods)}
 
 
+def _member(table, t, name):
+    """Member `name`'s type in `table` (`_Sigs.fields` or `.results`) if `t` is a class type."""
+    return table.get(t.name, {}).get(name) if isinstance(t, A.ClassType) else None
+
+
 class _BodyLowerer:
     def __init__(self, sigs: _Sigs, cls: SurfaceClass, first_tmp: int):
         self.sigs = sigs
@@ -81,66 +87,44 @@ class _BodyLowerer:
         self.counter += 1
         return name
 
-    # -- type synthesis over surface expressions (best effort)
-
-    def synth(self, e, env) -> Optional[object]:
-        # `hoist` hands in calls; the recursion meets their receivers and field targets
-        cls = e.__class__
-        sigs = self.sigs
-        if cls is A.CallExpr:
-            t = self.synth(e.receiver, env)
-            return sigs.results.get(t.name, {}).get(e.method) if isinstance(t, A.ClassType) else None
-        if cls is A.Var:
-            return env.get(e.name)
-        if cls is A.FieldAccess:
-            t = self.synth(e.target, env)
-            return sigs.fields.get(t.name, {}).get(e.fieldname) if isinstance(t, A.ClassType) else None
-        if cls is A.SuperCallExpr:
-            return sigs.results.get(sigs.supers.get(self.cls.name), {}).get(e.method)
-        if cls is A.IntOp:
-            return A.BOOL if e.op == "<" else A.INT
-        if cls is A.IntLit:
-            return A.INT
-        if cls is A.BoolLit or cls is A.Eq or cls is A.InstanceTest:
-            return A.BOOL
-        if cls is A.UnitLit:
-            return A.UNIT
-        if cls is A.Cast:
-            return A.ClassType(e.class_name)
-        return None  # `null`, or a form with no type
-
     # -- hoisting
 
     def hoist(self, e, env, bindings: List[Tuple[object, str, object]]):
         """Rewrite `e` so it contains no calls; emit (type, name, call) bindings.
-        A node with no call beneath it is kept. Kinds are tested by class."""
+        Return the call-free form and, best effort, the type a variable, field,
+        cast or call gives `e` (None otherwise). A node with no call is kept."""
         cls = e.__class__
         if cls is A.Var:
-            return e
+            return e, env.get(e.name)
         if cls is A.IntOp or cls is A.Eq:
-            left = self.hoist(e.left, env, bindings)
-            right = self.hoist(e.right, env, bindings)
-            return e if left is e.left and right is e.right else replace(e, left=left, right=right)
+            left = self.hoist(e.left, env, bindings)[0]
+            right = self.hoist(e.right, env, bindings)[0]
+            return (e if left is e.left and right is e.right else replace(e, left=left, right=right)), None
         if cls is A.IntLit or cls is A.BoolLit or cls is A.NullLit or cls is A.UnitLit:
-            return e
+            return e, None
         if cls is A.CallExpr or cls is A.SuperCallExpr:
-            t = self.synth(e, env) or A.UNIT
-            call = self.hoist_call(e, env, bindings)
+            call, t = self.hoist_call(e, env, bindings)
             name = self.fresh()
-            bindings.append((t, name, call))
-            return A.Var(name, e.span)
+            bindings.append((t or A.UNIT, name, call))
+            return A.Var(name, e.span), t
         if cls is A.FieldAccess or cls is A.InstanceTest or cls is A.Cast:
-            target = self.hoist(e.target, env, bindings)
-            return e if target is e.target else replace(e, target=target)
+            target, t = self.hoist(e.target, env, bindings)
+            t = _member(self.sigs.fields, t, e.fieldname) if cls is A.FieldAccess else (
+                A.ClassType(e.class_name) if cls is A.Cast else None)
+            return (e if target is e.target else replace(e, target=target)), t
         raise TypeError(f"unexpected surface expression: {e!r}")
 
     def hoist_call(self, call, env, bindings: List[Tuple[object, str, object]]):
         """Hoist the calls in the receiver, then in the arguments, of `call`;
-        return `call` over the call-free forms."""
+        return `call` over the call-free forms, with its result type."""
         # both call nodes are (receiver, if any; method; args; span)
-        receiver = () if isinstance(call, A.SuperCallExpr) else (self.hoist(call.receiver, env, bindings),)
-        args = tuple(self.hoist(a, env, bindings) for a in call.args)
-        return call.__class__(*receiver, call.method, args, call.span)
+        if call.__class__ is A.SuperCallExpr:
+            receiver, t = (), A.ClassType(self.sigs.supers[self.cls.name])
+        else:
+            receiver, t = self.hoist(call.receiver, env, bindings)
+            receiver = (receiver,)
+        args = tuple(self.hoist(a, env, bindings)[0] for a in call.args)
+        return call.__class__(*receiver, call.method, args, call.span), _member(self.sigs.results, t, call.method)
 
     def _call_assign(self, name, call):
         if isinstance(call, A.SuperCallExpr):
@@ -196,9 +180,9 @@ class _BodyLowerer:
         if isinstance(rhs, A.NewExpr):
             first = A.NewAssign(s.name, rhs.class_name, s.span)
         elif isinstance(rhs, (A.CallExpr, A.SuperCallExpr)):
-            first = self._call_assign(s.name, self.hoist_call(rhs, env, bindings))
+            first = self._call_assign(s.name, self.hoist_call(rhs, env, bindings)[0])
         else:
-            init = self.hoist(rhs, env, bindings)
+            init = self.hoist(rhs, env, bindings)[0]
 
         def close(body):
             if first is not None:
@@ -217,45 +201,43 @@ class _BodyLowerer:
         elif isinstance(s, SAbort):
             cmd = A.Abort(s.span)
         elif isinstance(s, SIf):
-            cond = self.hoist(s.cond, env, bindings)
+            cond = self.hoist(s.cond, env, bindings)[0]
             cmd = A.If(cond, self.lower_seq([s.then_seq], env), self.lower_seq([s.else_seq], env), s.span)
         elif isinstance(s, SWhile):
-            cond = self.hoist(s.cond, env, bindings)
+            cond = self.hoist(s.cond, env, bindings)[0]
             # an effectful guard re-runs its hoisted calls at the end of each
             # iteration, so the loop observes a fresh guard value
             recalls = [self._call_assign(n, c) for _, n, c in bindings]
             cmd = A.While(cond, A.seq([self.lower_seq([s.body], env), *recalls]), s.span)
         elif isinstance(s, SCallStmt):
-            t = self.synth(s.call, env) or A.UNIT
-            call = self.hoist_call(s.call, env, bindings)
+            call, t = self.hoist_call(s.call, env, bindings)
             name = self.fresh()
-            cmd = self._block(t, name, self._call_assign(name, call), A.Skip(), s.span)
+            cmd = self._block(t or A.UNIT, name, self._call_assign(name, call), A.Skip(), s.span)
         elif isinstance(s, SAssign) and isinstance(s.lhs, A.Var):
             rhs, name = s.rhs, s.lhs.name
             if isinstance(rhs, A.NewExpr):
                 cmd = A.NewAssign(name, rhs.class_name, s.span)
             elif isinstance(rhs, (A.CallExpr, A.SuperCallExpr)):
-                cmd = self._call_assign(name, self.hoist_call(rhs, env, bindings))
+                cmd = self._call_assign(name, self.hoist_call(rhs, env, bindings)[0])
             else:
-                cmd = A.Assign(name, self.hoist(rhs, env, bindings), s.span)
+                cmd = A.Assign(name, self.hoist(rhs, env, bindings)[0], s.span)
         elif isinstance(s, SAssign):
             # a field store `e.f := rhs`; a `new` or a call goes through a temp
             rhs, field = s.rhs, s.lhs.fieldname
             if isinstance(rhs, A.NewExpr):
                 tmp = self.fresh()  # named before the calls in `e` are hoisted
-                store = A.FieldAssign(self.hoist(s.lhs.target, env, bindings), field, A.Var(tmp), s.span)
+                store = A.FieldAssign(self.hoist(s.lhs.target, env, bindings)[0], field, A.Var(tmp), s.span)
                 new = A.NewAssign(tmp, rhs.class_name, s.span)
                 cmd = self._block(A.ClassType(rhs.class_name), tmp, new, store, s.span)
             elif isinstance(rhs, (A.CallExpr, A.SuperCallExpr)):
-                t = self.synth(rhs, env) or A.UNIT
-                target = self.hoist(s.lhs.target, env, bindings)
-                call = self.hoist_call(rhs, env, bindings)
+                target = self.hoist(s.lhs.target, env, bindings)[0]
+                call, t = self.hoist_call(rhs, env, bindings)
                 tmp = self.fresh()
                 store = A.FieldAssign(target, field, A.Var(tmp), s.span)
-                cmd = self._block(t, tmp, self._call_assign(tmp, call), store, s.span)
+                cmd = self._block(t or A.UNIT, tmp, self._call_assign(tmp, call), store, s.span)
             else:
-                target = self.hoist(s.lhs.target, env, bindings)
-                cmd = A.FieldAssign(target, field, self.hoist(rhs, env, bindings), s.span)
+                target = self.hoist(s.lhs.target, env, bindings)[0]
+                cmd = A.FieldAssign(target, field, self.hoist(rhs, env, bindings)[0], s.span)
         else:
             raise TypeError(f"unexpected surface statement: {s!r}")
         return self._wrap(bindings, cmd)
