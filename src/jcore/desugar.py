@@ -71,11 +71,6 @@ class _Sigs:
             self.results[name] = {m.name: m.return_type for c in ancestry for m in reversed(c.methods)}
 
 
-def _member(table, t, name):
-    """Member `name`'s type in `table` (`_Sigs.fields` or `.results`) if `t` is a class type."""
-    return table.get(t.name, {}).get(name) if isinstance(t, A.ClassType) else None
-
-
 class _BodyLowerer:
     def __init__(self, sigs: _Sigs, cls: SurfaceClass, first_tmp: int):
         self.sigs = sigs
@@ -91,8 +86,8 @@ class _BodyLowerer:
 
     def hoist(self, e, env, bindings: List[Tuple[object, str, object]]):
         """Rewrite `e` so it contains no calls; emit (type, name, call) bindings.
-        Return the call-free form and, best effort, the type a variable, field,
-        cast or call gives `e` (None otherwise). A node with no call is kept."""
+        A node with no call beneath it is kept. Also return, best effort, the
+        type a variable, field, cast or call gives `e`, and None for any other."""
         cls = e.__class__
         if cls is A.Var:
             return e, env.get(e.name)
@@ -109,8 +104,10 @@ class _BodyLowerer:
             return A.Var(name, e.span), t
         if cls is A.FieldAccess or cls is A.InstanceTest or cls is A.Cast:
             target, t = self.hoist(e.target, env, bindings)
-            t = _member(self.sigs.fields, t, e.fieldname) if cls is A.FieldAccess else (
-                A.ClassType(e.class_name) if cls is A.Cast else None)
+            if cls is A.FieldAccess:
+                t = self.sigs.fields.get(t.name, {}).get(e.fieldname) if isinstance(t, A.ClassType) else None
+            else:
+                t = A.ClassType(e.class_name) if cls is A.Cast else None
             return (e if target is e.target else replace(e, target=target)), t
         raise TypeError(f"unexpected surface expression: {e!r}")
 
@@ -119,12 +116,12 @@ class _BodyLowerer:
         return `call` over the call-free forms, with its result type."""
         # both call nodes are (receiver, if any; method; args; span)
         if call.__class__ is A.SuperCallExpr:
-            receiver, t = (), A.ClassType(self.sigs.supers[self.cls.name])
+            receiver, owner = (), self.sigs.supers[self.cls.name]
         else:
-            receiver, t = self.hoist(call.receiver, env, bindings)
-            receiver = (receiver,)
+            target, t = self.hoist(call.receiver, env, bindings)
+            receiver, owner = (target,), t.name if isinstance(t, A.ClassType) else None
         args = tuple(self.hoist(a, env, bindings)[0] for a in call.args)
-        return call.__class__(*receiver, call.method, args, call.span), _member(self.sigs.results, t, call.method)
+        return call.__class__(*receiver, call.method, args, call.span), self.sigs.results.get(owner, {}).get(call.method)
 
     def _call_assign(self, name, call):
         if isinstance(call, A.SuperCallExpr):
